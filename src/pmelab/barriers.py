@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -444,14 +443,3 @@ def barenblatt_support_radius(t: float, m: float, n: int, C: float) -> float:
     kappa = beta * (m - 1) / (2 * m)
     return math.sqrt(C / kappa) * t ** beta
 
-
-def make_barenblatt_data(m: float, n: int, C: float):
-    """Boundary-data sampler wrapping the source-solution oracle."""
-    def fn(x: np.ndarray, t: float) -> float:
-        return barenblatt(x, t, m, n, C)
-    return fn
-
-
-def sample_barenblatt(domain_samples: Iterable, m: float, n: int, C: float):
-    for x, t in domain_samples:
-        yield barenblatt(x, t, m, n, C)

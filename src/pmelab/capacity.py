@@ -25,7 +25,14 @@ import scipy.sparse as sp
 from scipy import ndimage
 from scipy.sparse.linalg import cg
 
-from .geometry import Grid, GeometryError, SpatialDomain, SpatialField
+from .geometry import (
+    Grid,
+    GeometryError,
+    SpatialDomain,
+    SpatialField,
+    face_stencil,
+    pinned_sum,
+)
 
 _LOG2 = math.log(2.0)
 
@@ -67,48 +74,6 @@ def dilate(mask: np.ndarray) -> np.ndarray:
     return ndimage.binary_dilation(mask, structure=structure)
 
 
-def _adjacency(sel: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
-    """0/1 face adjacency among the selected cells, plus their indices."""
-    idx = np.argwhere(sel)
-    index_of = -np.ones(sel.shape, dtype=np.int64)
-    index_of[sel] = np.arange(len(idx))
-    rows, cols = [], []
-    for ax in range(sel.ndim):
-        src = [slice(None)] * sel.ndim
-        dst = [slice(None)] * sel.ndim
-        src[ax], dst[ax] = slice(1, None), slice(None, -1)
-        both = sel[tuple(src)] & sel[tuple(dst)]
-        a = index_of[tuple(dst)][both]
-        b = index_of[tuple(src)][both]
-        rows.extend([a, b])
-        cols.extend([b, a])
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-    A = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
-                      shape=(len(idx), len(idx)))
-    return A, idx
-
-
-def _pinned_neighbour_sum(sel: np.ndarray, pinned_values: np.ndarray,
-                          index_of: np.ndarray, count: int) -> np.ndarray:
-    """For each selected cell, the sum of pinned neighbour values."""
-    out = np.zeros(count)
-    for ax in range(sel.ndim):
-        for shift in (1, -1):
-            src = [slice(None)] * sel.ndim
-            dst = [slice(None)] * sel.ndim
-            if shift == 1:
-                dst[ax], src[ax] = slice(None, -1), slice(1, None)
-            else:
-                dst[ax], src[ax] = slice(1, None), slice(None, -1)
-            sel_dst = sel[tuple(dst)]
-            contrib = pinned_values[tuple(src)][sel_dst]
-            targets = index_of[tuple(dst)][sel_dst]
-            np.add.at(out, targets, contrib)
-    return out
-
-
 def _energy(u: np.ndarray, mask: np.ndarray, h: float, n: int) -> float:
     grad = 0.0
     for ax in range(mask.ndim):
@@ -137,16 +102,14 @@ def capacity(E: CompactMask, linear_tol: float = 1e-8) -> float:
     u = np.zeros(E.grid.extents)
     u[pinned_one] = 1.0
     if free.any():
-        A, idx = _adjacency(free)
+        st = face_stencil(free)
+        count = len(st.flat)
         deg = 2 * n
         diag = deg / h ** 2 + 1.0
-        M = sp.diags(np.full(len(idx), diag)) - A / h ** 2
-        index_of = -np.ones(E.grid.extents, dtype=np.int64)
-        index_of[free] = np.arange(len(idx))
-        rhs = _pinned_neighbour_sum(free, pinned_one.astype(float),
-                                    index_of, len(idx)) / h ** 2
+        M = sp.diags(np.full(count, diag)) - st.adjacency / h ** 2
+        rhs = pinned_sum(st, pinned_one.astype(float)) / h ** 2
         sol, info = cg(M, rhs, rtol=linear_tol, atol=0.0,
-                       maxiter=20 * len(idx) + 200)
+                       maxiter=20 * count + 200)
         if info != 0:
             raise CapacityError(f"capacity CG did not converge (info={info})")
         u[free] = sol
@@ -362,16 +325,13 @@ def torsion_profile(U: SpatialDomain, x0, linear_tol: float = 1e-10
     values[U.boundary_mask] = phi[U.boundary_mask]
     core = U.core_mask
     if core.any():
-        A, idx = _adjacency(core)
+        st = face_stencil(core)
+        count = len(st.flat)
         deg = 2 * U.grid.n
-        M = (sp.diags(np.full(len(idx), float(deg))) - A) / h ** 2
-        index_of = -np.ones(U.grid.extents, dtype=np.int64)
-        index_of[core] = np.arange(len(idx))
-        bdry_phi = np.where(U.boundary_mask, phi, 0.0)
-        rhs = 1.0 + _pinned_neighbour_sum(core, bdry_phi, index_of,
-                                          len(idx)) / h ** 2
+        M = (sp.diags(np.full(count, float(deg))) - st.adjacency) / h ** 2
+        rhs = 1.0 + pinned_sum(st, phi) / h ** 2
         sol, info = cg(M, rhs, rtol=linear_tol, atol=0.0,
-                       maxiter=20 * len(idx) + 200)
+                       maxiter=20 * count + 200)
         if info != 0:
             raise CapacityError(f"torsion CG did not converge (info={info})")
         values[core] = sol

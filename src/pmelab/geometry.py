@@ -4,8 +4,10 @@ Spatial domains are axis-aligned voxel masks on a uniform grid: a cell is
 identified by its integer index and represented by its center.  A mask stands
 for the *closure* of an open set U; the cells of the mask that touch the
 exterior play the role of the topological boundary of U, the remaining cells
-the role of U itself.  Space-time domains are finite unions of cylinders
-(base x open time interval) over a shared grid and a shared uniform time step.
+the role of U itself.  ``face_stencil`` builds the neighbour structure of
+the 2n+1-point Laplacian on any cell selection.  Space-time domains are
+finite unions of cylinders (base x open time interval) over a shared grid and
+a shared uniform time step.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -16,8 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class GeometryError(ValueError):
@@ -51,9 +55,6 @@ class Grid:
             raise GeometryError("extents must be at least 1 per axis")
         object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
         object.__setattr__(self, "extents", tuple(int(v) for v in self.extents))
-
-    def cell_center(self, idx: tuple[int, ...]) -> np.ndarray:
-        return np.asarray(self.origin) + (np.asarray(idx) + 0.5) * self.h
 
     def centers(self) -> np.ndarray:
         """Array of shape ``extents + (n,)`` with every cell center."""
@@ -90,6 +91,58 @@ def exterior_adjacent(mask: np.ndarray) -> np.ndarray:
                 dst[ax], src[ax] = slice(1, None), slice(None, -1)
             nb_inside[tuple(dst)] = mask[tuple(src)]
             out |= mask & ~nb_inside
+    return out
+
+
+class Stencil(NamedTuple):
+    """The face-neighbour (2n+1-point) stencil restricted to selected cells.
+
+    ``adjacency`` is the 0/1 CSR matrix among the selected cells, numbered in
+    C order, and ``flat`` holds each selected cell's flat grid index.
+    ``pinned`` has one (rows, flat neighbour indices) pair per stencil
+    direction, in the order axis 0 step -1, axis 0 step +1, axis 1 step -1,
+    ...; it lists the neighbours that are not selected.  Neighbours beyond
+    the grid edge are dropped.
+    """
+
+    adjacency: sp.csr_matrix
+    flat: np.ndarray
+    pinned: list[tuple[np.ndarray, np.ndarray]]
+
+
+def face_stencil(sel: np.ndarray) -> Stencil:
+    """The stencil among the cells marked in ``sel``."""
+    flat = np.flatnonzero(sel)
+    index_of = np.full(sel.size, -1, dtype=np.int64)
+    index_of[flat] = np.arange(len(flat))
+    coords = np.unravel_index(flat, sel.shape)
+    rows, cols, pinned = [], [], []
+    for ax in range(sel.ndim):
+        for step in (-1, 1):
+            shifted = list(coords)
+            shifted[ax] = coords[ax] + step
+            inside = np.flatnonzero((shifted[ax] >= 0)
+                                    & (shifted[ax] < sel.shape[ax]))
+            nbs = np.ravel_multi_index(tuple(c[inside] for c in shifted),
+                                       sel.shape)
+            j = index_of[nbs]
+            hit = j >= 0
+            rows.append(inside[hit])
+            cols.append(j[hit])
+            pinned.append((inside[~hit], nbs[~hit]))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    A = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
+                      shape=(len(flat), len(flat)))
+    return Stencil(A, flat, pinned)
+
+
+def pinned_sum(st: Stencil, values: np.ndarray) -> np.ndarray:
+    """Per selected cell, the sum of ``values`` (one per grid cell) over its
+    pinned neighbours, accumulated in stencil direction order."""
+    flat_values = values.ravel()
+    out = np.zeros(len(st.flat))
+    for rows, nbs in st.pinned:
+        out[rows] += flat_values[nbs]
     return out
 
 
@@ -130,9 +183,6 @@ class SpatialDomain:
     @property
     def cell_count(self) -> int:
         return int(self.mask.sum())
-
-    def boundary_cells(self) -> list[tuple[int, ...]]:
-        return [tuple(map(int, idx)) for idx in np.argwhere(self.boundary_mask)]
 
     def cells(self) -> list[tuple[int, ...]]:
         return [tuple(map(int, idx)) for idx in np.argwhere(self.mask)]
@@ -298,9 +348,6 @@ class ParabolicBoundary:
     @property
     def mask(self) -> np.ndarray:
         return self.kind != PB_NONE
-
-    def level_mask(self, k: int) -> np.ndarray:
-        return self.kind[k] != PB_NONE
 
     def contains(self, level: int, idx: tuple[int, ...]) -> bool:
         return bool(self.kind[(level, *idx)] != PB_NONE)

@@ -83,21 +83,41 @@ def test_cli_verify_barrier_direct_flags(tmp_path):
     assert code == 0
 
 
-def test_reruns_are_byte_identical(tmp_path):
+def _assert_reruns_identical(tmp_path, name, args):
     for sub in ("a", "b"):
-        code = main(["run", "--bundled", "scaling-exactness",
-                     "--out", str(tmp_path / sub), "--seed", "42"])
+        code = main(["run", *args, "--out", str(tmp_path / sub)])
         assert code == 0
-    ra = (tmp_path / "a" / "scaling-exactness" / "report.json").read_text()
-    rb = (tmp_path / "b" / "scaling-exactness" / "report.json").read_text()
-    ja, jb = json.loads(ra), json.loads(rb)
-    ja.pop("wall_time_s"), jb.pop("wall_time_s")
-    ja["artifacts"] = jb["artifacts"] = None
+    ja, jb = (json.loads((tmp_path / sub / name / "report.json").read_text())
+              for sub in ("a", "b"))
+    for doc in (ja, jb):
+        doc.pop("wall_time_s")
+        doc["artifacts"] = None
+        # the barenblatt payload reports per-level walls
+        for r in doc.get("barenblatt", {}).get("results", []):
+            r.pop("wall_s")
+        for c in doc["checks"]:
+            if isinstance(c["detail"], dict):
+                c["detail"].pop("walls", None)
     assert ja == jb
     # CSV artifacts byte-identical
-    a_csv = sorted((tmp_path / "a" / "scaling-exactness").glob("*.csv"))
-    b_csv = sorted((tmp_path / "b" / "scaling-exactness").glob("*.csv"))
+    a_csv = sorted((tmp_path / "a" / name).glob("*.csv"))
+    b_csv = sorted((tmp_path / "b" / name).glob("*.csv"))
     assert [p.read_bytes() for p in a_csv] == [p.read_bytes() for p in b_csv]
+
+
+def test_reruns_are_byte_identical(tmp_path):
+    _assert_reruns_identical(tmp_path / "scaling", "scaling-exactness",
+                             ["--bundled", "scaling-exactness",
+                              "--seed", "42"])
+    # one coarse level over a short window: convergence.csv carries no timing
+    doc = bundled_scenario("barenblatt-convergence")
+    doc["operation"].update(levels=[0], t2=1.05, base_steps=5)
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(doc))
+    _assert_reruns_identical(tmp_path / "ladder", "barenblatt-convergence",
+                             ["--scenario", str(path)])
+    assert (tmp_path / "ladder" / "a" / "barenblatt-convergence"
+            / "convergence.csv").exists()
 
 
 def test_out_dir_from_environment(tmp_path, monkeypatch):

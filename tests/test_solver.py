@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pmelab import bundled, scenarios
 from pmelab.barriers import barenblatt
 from pmelab.capacity import torsion_profile
-from pmelab.geometry import Cylinder, Grid, SpaceTimeDomain, SpatialDomain
+from pmelab.geometry import (
+    Cylinder,
+    Grid,
+    SpaceTimeDomain,
+    SpatialDomain,
+    face_stencil,
+    pinned_sum,
+)
 from pmelab.solver import (
     BoundaryData,
     Field,
@@ -186,6 +194,66 @@ def test_union_constant_on_expanding_stack():
     vals = u.values[u.defined]
     assert vals.min() == pytest.approx(2.0)
     assert vals.max() == pytest.approx(2.0)
+
+
+def test_single_cylinder_builds_the_stencil_once():
+    d, _ = box_cylinder()
+    u = solve_union(d, BoundaryData.constant(1.0), SolverConfig(), M_EXP)
+    assert d.num_steps > 1
+    assert u.stats["assemblies"] == 1
+
+
+def test_union_builds_one_stencil_per_core_mask():
+    doc = bundled.bundled_scenario("union-resolutivity")
+    d = scenarios.build_domain(doc)
+    data = scenarios.build_data(doc["data"], 2.0)
+    u = solve_union(d, data, SolverConfig(), 2.0)
+    cores = {d.step_base(k).core_mask.tobytes() for k in range(d.num_steps)}
+    assert len(cores) == 2
+    assert u.stats["assemblies"] == len(cores)
+
+
+def _reference_stencil(sel):
+    """Per-cell loop: dense adjacency and the pinned neighbours per cell."""
+    cells = [tuple(map(int, c)) for c in np.argwhere(sel)]
+    index = {c: i for i, c in enumerate(cells)}
+    adj = np.zeros((len(cells), len(cells)))
+    pinned = [[] for _ in cells]
+    for i, c in enumerate(cells):
+        for ax in range(sel.ndim):
+            for step in (-1, 1):
+                nb = list(c)
+                nb[ax] += step
+                nb = tuple(nb)
+                if not 0 <= nb[ax] < sel.shape[ax]:
+                    continue
+                if nb in index:
+                    adj[i, index[nb]] = 1.0
+                else:
+                    pinned[i].append(nb)
+    return cells, adj, pinned
+
+
+@st.composite
+def _masks_with_holes(draw):
+    shape = tuple(draw(st.lists(st.integers(2, 7), min_size=2, max_size=3)))
+    bits = draw(st.lists(st.booleans(), min_size=math.prod(shape),
+                         max_size=math.prod(shape)))
+    return np.array(bits, dtype=bool).reshape(shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sel=_masks_with_holes(), seed=st.integers(0, 2 ** 32 - 1))
+def test_face_stencil_matches_per_cell_loop(sel, seed):
+    stencil = face_stencil(sel)
+    cells, adj, pinned = _reference_stencil(sel)
+    assert stencil.flat.tolist() == [
+        int(np.ravel_multi_index(c, sel.shape)) for c in cells]
+    assert np.array_equal(stencil.adjacency.toarray(), adj)
+    values = np.random.default_rng(seed).uniform(0.0, 2.0, sel.shape)
+    ref = np.array([sum(values[nb] for nb in nbs) for nbs in pinned])
+    np.testing.assert_allclose(pinned_sum(stencil, values),
+                               ref, rtol=1e-14, atol=0)
 
 
 def test_union_rejects_shrinking_stack():
