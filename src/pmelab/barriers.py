@@ -417,11 +417,12 @@ def min_valid_j(kind: str, c: float, m: float, n: int, diam: float,
     raise BarrierError(f"no j <= {j_cap} satisfies the {kind} condition")
 
 
-def barenblatt(x, t: float, m: float, n: int, C: float) -> float:
+def barenblatt(x, t: float, m: float, n: int, C: float) -> np.ndarray:
     """Self-similar source solution; the solver's exact oracle for m > 1.
 
     value = t^(-n*beta) * (C - (beta*(m-1)/(2m)) |x|^2 / t^(2*beta))_+^(1/(m-1))
-    with beta = 1/(n*(m-1)+2).
+    with beta = 1/(n*(m-1)+2), at points ``x`` of shape ``(..., n)``; the
+    result has shape ``x.shape[:-1]``.
     """
     if m == 1:
         raise BarrierError("the source-solution oracle needs m > 1")
@@ -429,13 +430,11 @@ def barenblatt(x, t: float, m: float, n: int, C: float) -> float:
         raise BarrierError("the source solution is defined for t > 0")
     if C <= 0:
         raise BarrierError("the mass constant must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
     beta = 1.0 / (n * (m - 1) + 2)
     kappa = beta * (m - 1) / (2 * m)
-    arg = C - kappa * float(x @ x) / t ** (2 * beta)
-    if arg <= 0:
-        return 0.0
-    return t ** (-n * beta) * arg ** (1.0 / (m - 1))
+    arg = C - kappa * (x * x).sum(-1) / t ** (2 * beta)
+    return t ** (-n * beta) * np.maximum(arg, 0.0) ** (1.0 / (m - 1))
 
 
 def barenblatt_support_radius(t: float, m: float, n: int, C: float) -> float:

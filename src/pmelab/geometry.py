@@ -308,17 +308,12 @@ class SpaceTimeDomain:
     def level_range(self, cyl: Cylinder) -> tuple[int, int]:
         return self.level_index(cyl.t1), self.level_index(cyl.t2)
 
-    def step_base_mask(self, k: int) -> np.ndarray:
-        """Union of bases of cylinders whose open interval covers step k."""
-        mid = self.level_time(k) + 0.5 * self.dt
-        out = np.zeros(self.grid.extents, dtype=bool)
-        for cyl in self.cylinders:
-            if cyl.t1 < mid < cyl.t2:
-                out |= cyl.base.mask
-        return out
-
     def step_base(self, k: int) -> SpatialDomain:
-        return SpatialDomain(self.grid, self.step_base_mask(k))
+        """Union of bases of cylinders whose open interval covers step k."""
+        return time_section(self, self.level_time(k) + 0.5 * self.dt)
+
+    def step_base_mask(self, k: int) -> np.ndarray:
+        return self.step_base(k).mask
 
     def truncate(self, t0: float) -> "SpaceTimeDomain":
         """The part of the union strictly before t0 (cylinders clipped)."""

@@ -17,7 +17,7 @@ explicit fields of the returned report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -154,10 +154,7 @@ def discretization_estimate(d: SpaceTimeDomain, f: BoundaryData,
     if fine is None:
         fine = solve_union(d, f, cfg, m)
     d2 = coarsen_domain(d)
-    cfg2 = SolverConfig(scheme=cfg.scheme, dt=None, newton_tol=cfg.newton_tol,
-                        newton_max=cfg.newton_max, linear_tol=cfg.linear_tol,
-                        diffusion=cfg.diffusion)
-    coarse = solve_union(d2, f, cfg2, m)
+    coarse = solve_union(d2, f, replace(cfg, dt=None), m)
     return _block_compare(fine, coarse)
 
 
@@ -225,10 +222,15 @@ def check_upper_member(spec: BarrierSpec, d: SpaceTimeDomain,
         raise PerronError(
             f"barrier sign certification failed with {len(report.violating_samples)}"
             " violations; not superparabolic at this sampling")
+    on_pb = parabolic_boundary(d).mask
+    centers = d.grid.centers()
     margin = math.inf
-    for _, t, _, center in parabolic_boundary(d).samples():
-        margin = min(margin, barrier_evaluate(spec, center, t)
-                     - data.sample(center, t))
+    for k in range(d.num_levels):
+        pts, t = centers[on_pb[k]], d.level_time(k)
+        if len(pts):
+            gaps = ([barrier_evaluate(spec, x, t) for x in pts]
+                    - data.sample(pts, t))
+            margin = min(margin, float(gaps.min()))
     if margin < -1e-9 * max(1.0, data.bounds[1]):
         raise PerronError(
             f"barrier does not dominate the boundary data (margin {margin:.3e})")
@@ -329,11 +331,11 @@ def _fit_intercept(radii: list[float], gaps: list[float]) -> float:
 
 def _check_on_parabolic_boundary(d: SpaceTimeDomain, xi0) -> None:
     x0, t0 = np.asarray(xi0[0], dtype=float), float(xi0[1])
-    pb = parabolic_boundary(d)
     tol_x = 0.75 * d.grid.h * math.sqrt(d.grid.n)
-    for k, t, idx, center in pb.samples():
-        if abs(t - t0) <= 0.51 * d.dt and np.linalg.norm(center - x0) <= tol_x:
-            return
+    near_t = np.abs(d.level_times() - t0) <= 0.51 * d.dt
+    near_x = np.linalg.norm(d.grid.centers() - x0, axis=-1) <= tol_x
+    if (parabolic_boundary(d).mask[near_t] & near_x).any():
+        return
     raise PerronError(
         f"xi0=({tuple(x0)}, {t0}) does not match any parabolic-boundary sample")
 
@@ -376,12 +378,11 @@ def default_data_family(d: SpaceTimeDomain, xi0, tent_width: float | None = None
         tent_width = 0.75 * span
 
     def linear(x, t):
-        return 1.0 + (x[0] - lo[0]) / span
+        return 1.0 + (x[..., 0] - lo[0]) / span
 
     def tent(x, t):
-        xi = np.append(x0, t0)
-        z = np.append(np.asarray(x, dtype=float), t)
-        return max(1.0 - float(np.linalg.norm(z - xi)) / tent_width, 0.0)
+        r = np.sqrt(((x - x0) ** 2).sum(-1) + (t - t0) ** 2)
+        return np.maximum(1.0 - r / tent_width, 0.0)
 
     family = [BoundaryData.constant(1.0), BoundaryData.constant(2.0),
               BoundaryData(fn=linear, bounds=(1.0, 2.0)),
@@ -430,7 +431,7 @@ def regularity_probe(d: SpaceTimeDomain, xi0, family: list[BoundaryData],
 
     up_gaps, low_gaps, up_ints, low_ints, disc_ests = [], [], [], [], []
     for f in family:
-        f_xi = f.sample(x0, t0)
+        f_xi = float(f.sample(x0, t0))
         if f_xi <= 0:
             raise PerronError("family members must be positive at xi0")
         members = list(upper_members or [])
@@ -519,7 +520,7 @@ def dichotomy_check(d: SpaceTimeDomain, xi0, f: BoundaryData,
     """
     _check_on_parabolic_boundary(d, xi0)
     x0, t0 = np.asarray(xi0[0], dtype=float), float(xi0[1])
-    f_xi = f.sample(x0, t0)
+    f_xi = float(f.sample(x0, t0))
     if f_xi <= 0:
         raise PerronError("dichotomy needs f(xi0) > 0")
     radii = sorted(set(radii), reverse=True)

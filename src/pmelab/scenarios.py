@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from .geometry import (
 )
 from .solver import (
     BoundaryData,
+    Field,
     SolverConfig,
     cfl_max_dt,
     comparison_check,
@@ -160,14 +162,14 @@ def build_data(spec: dict, m: float) -> BoundaryData:
         axis = int(spec.get("axis", 0))
         lo = float(spec.get("clip", 0.0))
         return BoundaryData(
-            fn=lambda x, t: max(a + b * x[axis], lo),
+            fn=lambda x, t: np.maximum(a + b * x[..., axis], lo),
             bounds=(max(lo, 0.0), abs(a) + abs(b) * 100))
     if kind == "power_linear":
         # (a + b*x_axis)^(1/m): u^m affine, hence a stationary solution
         a, b = float(spec["a"]), float(spec["b"])
         axis = int(spec.get("axis", 0))
         return BoundaryData(
-            fn=lambda x, t: max(a + b * x[axis], 0.0) ** (1.0 / m),
+            fn=lambda x, t: np.maximum(a + b * x[..., axis], 0.0) ** (1.0 / m),
             bounds=(0.0, (abs(a) + abs(b) * 100) ** (1.0 / m)))
     if kind == "barenblatt":
         C = float(spec["C"])
@@ -183,8 +185,8 @@ def build_data(spec: dict, m: float) -> BoundaryData:
         peak = float(spec.get("peak", 1.0))
 
         def tent(x, t):
-            z = np.append(np.asarray(x, dtype=float) - center, t - t0)
-            return max(peak * (1.0 - np.linalg.norm(z) / width), floor)
+            r = np.sqrt(((x - center) ** 2).sum(-1) + (t - t0) ** 2)
+            return np.maximum(peak * (1.0 - r / width), floor)
 
         return BoundaryData(fn=tent, bounds=(max(floor, 0.0), peak))
     if kind == "ramped_tent":
@@ -194,8 +196,9 @@ def build_data(spec: dict, m: float) -> BoundaryData:
         floor = float(spec.get("floor", 0.0))
 
         def rt(x, t):
-            r = np.linalg.norm(np.asarray(x, dtype=float) - center)
-            return max(max(1.0 - r / width, 0.0) * min(t / ramp, 1.0), floor)
+            r = np.linalg.norm(x - center, axis=-1)
+            return np.maximum(np.maximum(1.0 - r / width, 0.0)
+                              * min(t / ramp, 1.0), floor)
 
         return BoundaryData(fn=rt, bounds=(max(floor, 0.0), 1.0))
     raise ScenarioError(f"unknown data profile {kind!r}")
@@ -610,17 +613,14 @@ def _op_barenblatt(doc, report, rng):
         g = Grid(n=n, h=h, origin=(-box,) * n, extents=(cells,) * n)
         U = SpatialDomain(g, np.ones((cells,) * n, dtype=bool))
         d = SpaceTimeDomain([Cylinder(U, t1, t2)], dt=(t2 - t1) / steps)
+        peak = float(barriers.barenblatt(np.zeros(n), t1, m, n, C0))
         data = BoundaryData(
             fn=lambda x, t: barriers.barenblatt(x, t, m, n, C0),
-            bounds=(0.0, barriers.barenblatt(np.zeros(n), t1, m, n, C0)))
+            bounds=(0.0, peak))
         t_start = time.time()
         u = solve_union(d, data, cfg, m)
         wall = time.time() - t_start
-        centers = g.centers()
-        exact = np.zeros(g.extents)
-        for idx in np.argwhere(U.mask):
-            idx = tuple(map(int, idx))
-            exact[idx] = barriers.barenblatt(centers[idx], t2, m, n, C0)
+        exact = barriers.barenblatt(g.centers(), t2, m, n, C0)
         err = np.abs(u.values[-1] - exact)[U.mask]
         l1 = float(err.sum()) * h ** n
         results.append({"level": lev, "h": h, "steps": steps, "l1": l1,
@@ -658,8 +658,9 @@ def _campaign_pair(params, d, cfg, m):
         def fn(x, t):
             v = base + shift
             for ax, at, amp in coefs:
-                v += amp * math.sin(ax * x[0] + at * x[-1] + (ax - at) * t)
-            return max(v, 0.0)
+                v = v + amp * np.sin(ax * x[..., 0] + at * x[..., -1]
+                                     + (ax - at) * t)
+            return np.maximum(v, 0.0)
         return fn
 
     f = BoundaryData(fn=mk(0.0), bounds=(0.0, base + 1.0))
@@ -707,17 +708,11 @@ def _op_scaling_check(doc, report, rng):
     data = build_data(doc["data"], m)
     worst_overall = 0.0
     for a in op.get("multipliers", [0.25, 4.0]):
-        cfg_a = build_config(doc.get("solver"))
-        cfg_a = SolverConfig(scheme=cfg_a.scheme, dt=cfg_a.dt,
-                             newton_tol=cfg_a.newton_tol,
-                             newton_max=cfg_a.newton_max,
-                             linear_tol=cfg_a.linear_tol, diffusion=a)
+        cfg_a = replace(build_config(doc.get("solver")), diffusion=a)
         u_a = solve_union(d, data, cfg_a, m)
         v = perron.scale_transform(u_a, a, m)
-        from .solver import Field
-        v_unit = Field(v.domain, v.values.copy(), v.defined.copy(),
-                       v.scheme_mask.copy(), m, SolverConfig(diffusion=1.0),
-                       dict(v.stats))
+        v_unit = Field(v.domain, v.values, v.defined, v.scheme_mask, m,
+                       SolverConfig(diffusion=1.0), v.stats)
         worst = 0.0
         for lev in range(1, d.num_levels):
             cells = np.argwhere(v_unit.scheme_mask[lev])

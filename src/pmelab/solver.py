@@ -7,11 +7,14 @@ On unions of cylinders with nondecreasing time sections the solve proceeds
 slab by slab; cells appearing at a junction take their initial values from
 the parabolic boundary data at the junction time.
 
-The stencil (``geometry.face_stencil``) is built only when a step's core
-mask differs from the previous step's, so once per slab; ``Field.stats``
-counts the builds as ``assemblies``.  Core values are gathered and
-scattered through the stencil's flat grid indices, and the Dirichlet
-contributions of the pinned neighbours are array sums per stencil direction.
+Boundary data are array-valued (see ``BoundaryData``): each level's new
+boundary cells are sampled in one call.  The stencil
+(``geometry.face_stencil``) and the constant Jacobian part ``2n*I - A`` are
+built only when a step's core mask differs from the previous step's, so
+once per slab; ``Field.stats`` counts the builds as ``assemblies``.  Core
+values are gathered and scattered through the stencil's flat grid indices,
+and the Dirichlet contributions of the pinned neighbours are array sums per
+stencil direction.
 
 Powers of the field use the odd extension sign(u)*|u|^m so Newton iterates
 may transiently cross zero; converged solutions are nonnegative because the
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -72,9 +76,13 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Nonnegative data on parabolic-boundary samples: (x, t) -> value."""
+    """Nonnegative data on parabolic-boundary samples.
 
-    fn: Callable[[np.ndarray, float], float]
+    ``fn(x, t)`` takes points ``x`` of shape ``(..., n)`` at one time ``t``
+    and returns values that broadcast to ``x.shape[:-1]``.
+    """
+
+    fn: Callable[[np.ndarray, float], np.ndarray]
     bounds: tuple[float, float]
 
     def __post_init__(self):
@@ -82,15 +90,23 @@ class BoundaryData:
         if not (0 <= lo <= hi < math.inf):
             raise SolverError(f"bounds must satisfy 0 <= inf <= sup < inf, got {self.bounds}")
 
-    def sample(self, x: np.ndarray, t: float) -> float:
-        v = float(self.fn(x, t))
-        if v < -1e-12:
-            raise SolverError(f"boundary data is negative at ({x}, {t}): {v}")
-        return max(v, 0.0)
+    def sample(self, x: np.ndarray, t: float) -> np.ndarray:
+        """Data at points ``x`` (shape ``(..., n)``), shape ``x.shape[:-1]``."""
+        x = np.asarray(x, dtype=float)
+        try:
+            v = np.broadcast_to(self.fn(x, t), x.shape[:-1])
+        except ValueError:
+            raise SolverError(
+                f"boundary data must broadcast to {x.shape[:-1]}") from None
+        if (v < -1e-12).any():
+            i = np.unravel_index(np.argmin(v), v.shape)
+            raise SolverError(
+                f"boundary data is negative at ({x[i]}, {t}): {v[i]}")
+        return np.maximum(v, 0.0)
 
     @classmethod
     def constant(cls, c: float) -> "BoundaryData":
-        return cls(fn=lambda x, t: c, bounds=(c, c))
+        return cls(fn=lambda x, t: np.full(x.shape[:-1], c), bounds=(c, c))
 
     def shifted(self, eps: float) -> "BoundaryData":
         """Data f + eps (eps >= 0)."""
@@ -101,7 +117,7 @@ class BoundaryData:
     def clipped_down(self, eps: float) -> "BoundaryData":
         """Data max(f - eps, 0)."""
         base = self.fn
-        return BoundaryData(fn=lambda x, t: max(base(x, t) - eps, 0.0),
+        return BoundaryData(fn=lambda x, t: np.maximum(base(x, t) - eps, 0.0),
                             bounds=(max(self.bounds[0] - eps, 0.0),
                                     max(self.bounds[1] - eps, 0.0)))
 
@@ -124,9 +140,12 @@ class Field:
         self.m = float(m)
         self.config = config
         self.stats = stats or {}
-        self.pb: ParabolicBoundary = parabolic_boundary(domain)
         for arr in (values, defined, scheme_mask):
             arr.setflags(write=False)
+
+    @cached_property
+    def pb(self) -> ParabolicBoundary:
+        return parabolic_boundary(self.domain)
 
     @classmethod
     def from_values(cls, domain: SpaceTimeDomain, values: np.ndarray, m: float,
@@ -177,17 +196,8 @@ class Field:
         return sel
 
     def scaled(self, factor: float) -> "Field":
-        out = Field.__new__(Field)
-        out.domain = self.domain
-        out.values = self.values * factor
-        out.defined = self.defined
-        out.scheme_mask = self.scheme_mask
-        out.m = self.m
-        out.config = self.config
-        out.stats = dict(self.stats)
-        out.pb = self.pb
-        out.values.setflags(write=False)
-        return out
+        return Field(self.domain, self.values * factor, self.defined,
+                     self.scheme_mask, self.m, self.config, dict(self.stats))
 
 
 def cfl_max_dt(L: float, h: float, m: float, n: int) -> float:
@@ -213,11 +223,13 @@ def _step_matrices(core_mask: np.ndarray) -> Stencil:
 
 
 def _newton_step(prev: np.ndarray, bdry_w: np.ndarray, A: sp.csr_matrix,
-                 deg: float, c: float, m: float, cfg: SolverConfig,
-                 res_scale: float, dt: float) -> tuple[np.ndarray, int]:
+                 M: sp.csr_matrix, deg: float, c: float, m: float,
+                 cfg: SolverConfig, res_scale: float,
+                 dt: float) -> tuple[np.ndarray, int]:
     """Solve u - c*(A w(u) + g - deg*w(u)) = prev for one implicit step.
 
-    c = mu*dt/h^2, g = bdry_w (Dirichlet contributions), w = odd power m.
+    c = mu*dt/h^2, g = bdry_w (Dirichlet contributions), w = odd power m,
+    M = deg*I - A (the SPD part of the Jacobian, built once per slab).
     Returns (u, newton iterations).
     """
     u = prev.copy()
@@ -234,7 +246,6 @@ def _newton_step(prev: np.ndarray, bdry_w: np.ndarray, A: sp.csr_matrix,
         d = m * np.maximum(np.abs(u), _DEGENERACY_FLOOR) ** (m - 1)
         s = np.sqrt(d)
         S = sp.diags(s)
-        M = sp.diags(np.full(len(u), float(deg))) - A    # 2n*I - A, SPD part
         J_sym = sp.identity(len(u), format="csr") + c * (S @ M @ S)
         rhs = s * (-F)
         y, info = cg(J_sym, rhs, rtol=cfg.linear_tol, atol=0.0,
@@ -290,10 +301,7 @@ def solve_union(d: SpaceTimeDomain, data: BoundaryData, cfg: SolverConfig,
     scheme_mask = np.zeros_like(defined)
 
     def fill_data(level: int, mask: np.ndarray):
-        t = d.level_time(level)
-        for idx in np.argwhere(mask):
-            idx = tuple(map(int, idx))
-            values[(level, *idx)] = data.sample(centers[idx], t)
+        values[level][mask] = data.sample(centers[mask], d.level_time(level))
         defined[level][mask] = True
 
     base0 = d.step_base(0)
@@ -318,16 +326,17 @@ def solve_union(d: SpaceTimeDomain, data: BoundaryData, cfg: SolverConfig,
             continue
         if stencil_core is None or not np.array_equal(core, stencil_core):
             stencil, stencil_core = _step_matrices(core), core
+            A = stencil.adjacency
+            M = sp.diags(np.full(A.shape[0], float(deg))) - A   # 2n*I - A
             assemblies += 1
-        A = stencil.adjacency
         prev_core = flat_values[k, stencil.flat]
         if np.isnan(prev_core).any():
             raise SolverError("missing initial values on a slab core")
 
         if cfg.scheme == "implicit":
             bdry_w = pinned_sum(stencil, _pow_odd(values[k + 1], m))
-            u_new, its = _newton_step(prev_core, bdry_w, A, deg, c, m, cfg,
-                                      res_scale, dt)
+            u_new, its = _newton_step(prev_core, bdry_w, A, M, deg, c, m,
+                                      cfg, res_scale, dt)
             newton_iters.append(its)
         else:
             w_prev = _pow_odd(prev_core, m)
@@ -386,16 +395,8 @@ def discrete_residual(f: Field, idx: tuple[int, ...], level: int) -> float:
     return float((u_now - u_prev) / d.dt - f.config.diffusion * lap)
 
 
-def comparison_check(u: Field, v: Field, mode: str = "parabolic",
-                     tol: float = 1e-10) -> tuple[bool, list]:
-    """Check v <= u at all interior samples (discrete comparison principle).
-
-    ``mode`` names which boundary ordering the caller has arranged
-    ("parabolic": v <= u on the parabolic boundary; "elliptic": on all
-    boundary samples); the interior check is the same for both.
-    """
-    if mode not in ("parabolic", "elliptic"):
-        raise SolverError(f"unknown comparison mode {mode!r}")
+def comparison_check(u: Field, v: Field, tol: float = 1e-10) -> tuple[bool, list]:
+    """Check v <= u at all interior samples (discrete comparison principle)."""
     if u.domain is not v.domain and (
             u.domain.num_levels != v.domain.num_levels
             or not u.domain.grid.compatible_with(v.domain.grid)):

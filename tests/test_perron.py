@@ -54,7 +54,7 @@ def test_bracket_on_constants():
 
 def test_bracket_gap_contracts_on_stack():
     d = expanding_stack()
-    f = BoundaryData(fn=lambda x, t: 1.5 + x[0], bounds=(1.0, 2.0))
+    f = BoundaryData(fn=lambda x, t: 1.5 + x[..., 0], bounds=(1.0, 2.0))
     bracket = perron_bracket(d, f, [0.2, 0.1, 0.05], CFG, M_EXP)
     for eps, gap in zip(bracket.epsilons, bracket.gaps):
         assert gap <= 2 * eps + 1e-10
@@ -63,7 +63,7 @@ def test_bracket_gap_contracts_on_stack():
 
 def test_bracket_centers_on_harmonic_power_profile():
     d = square_cylinder()
-    g_fn = lambda x: (1.5 + x[0]) ** 0.5     # g^m affine, steady solution
+    g_fn = lambda x: (1.5 + x[..., 0]) ** 0.5     # g^m affine, steady solution
     f = BoundaryData(fn=lambda x, t: g_fn(x), bounds=(1.0, 2.0 ** 0.5))
     bracket = perron_bracket(d, f, [0.05], CFG, M_EXP)
     lo, hi = bracket.lowers[0], bracket.uppers[0]
@@ -87,7 +87,7 @@ def test_bracket_rejects_nonmonotone_domain():
 
 def test_discretization_estimate_positive_for_varying_data():
     d = square_cylinder()
-    f = BoundaryData(fn=lambda x, t: 1.0 + x[0] ** 2, bounds=(1.0, 1.25))
+    f = BoundaryData(fn=lambda x, t: 1.0 + x[..., 0] ** 2, bounds=(1.0, 1.25))
     est = discretization_estimate(d, f, CFG, M_EXP)
     assert est > 0
 
@@ -225,8 +225,8 @@ def punctured_setup(h=1 / 32):
 
 def ramped_tent():
     def fn(x, t):
-        r = np.linalg.norm(np.asarray(x, dtype=float))
-        return max(1.0 - r / 0.45, 0.0) * min(t / 0.05, 1.0)
+        r = np.linalg.norm(x, axis=-1)
+        return np.maximum(1.0 - r / 0.45, 0.0) * min(t / 0.05, 1.0)
     return BoundaryData(fn=fn, bounds=(0.0, 1.0))
 
 

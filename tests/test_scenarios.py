@@ -3,7 +3,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pmelab.barriers import barenblatt
 from pmelab.bundled import bundled_scenario
+from pmelab.geometry import Cylinder, SpaceTimeDomain
+from pmelab.perron import default_data_family
 from pmelab.scenarios import (
     ScenarioError,
     build_data,
@@ -69,6 +72,37 @@ def test_data_profiles_evaluate():
                      "width": 1.0, "ramp": 0.1}, m)
     assert rt.sample(np.zeros(2), 0.0) == 0.0
     assert rt.sample(np.zeros(2), 0.2) == pytest.approx(1.0)
+
+    # one call on a (k, n) point array equals the stack of one-point calls,
+    # bit for bit, for every named profile, the probe family and the oracle
+    xs = np.linspace(-0.6, 0.9, 7)
+    pts = np.stack(np.meshgrid(xs, xs[::-1] + 0.05), axis=-1).reshape(-1, 2)
+    times = (0.02, 0.07, 1.3)
+    profiles = [
+        build_data({"profile": "constant", "value": 0.4}, m),
+        lin, pl, tent, rt,
+        build_data({"profile": "linear", "a": 0.5, "b": -1.0, "axis": 1,
+                    "clip": 0.1}, m),
+        build_data({"profile": "barenblatt", "C": 0.1, "n": 2}, m),
+        build_data({"profile": "tent", "center": [0.2, -0.1], "t0": 0.05,
+                    "width": 0.8, "floor": 0.05}, m),
+    ]
+    U = build_spatial({"shape": "box"}, build_grid(GRID))
+    d = SpaceTimeDomain([Cylinder(U, 0.0, 0.5)], dt=0.25)
+    family, _ = default_data_family(d, ((0.125, 1.0), 0.25))
+    for data in profiles + family:
+        for t in times:
+            batch = data.sample(pts, t)
+            assert batch.shape == (len(pts),)
+            singles = np.array([data.sample(p, t) for p in pts])
+            assert np.array_equal(batch, singles)
+            grid_shaped = data.sample(pts.reshape(7, 7, 2), t)
+            assert np.array_equal(grid_shaped, batch.reshape(7, 7))
+    for t in times:
+        batch = barenblatt(pts, t, 2.0, 2, 0.02)
+        singles = np.array([barenblatt(p, t, 2.0, 2, 0.02) for p in pts])
+        assert np.array_equal(batch, singles)
+        assert (batch == 0).any() and (batch > 0).any()
 
 
 def test_capacity_operation_with_refinement_ladder(tmp_path):

@@ -52,7 +52,7 @@ def test_stationary_affine_power_profile():
     # u^m affine in x means lap(u^m) = 0: the data profile is a steady state
     a, b = 1.0, 2.0
     d, U = box_cylinder()
-    data = BoundaryData(fn=lambda x, t: (a + b * x[0]) ** (1 / M_EXP),
+    data = BoundaryData(fn=lambda x, t: (a + b * x[..., 0]) ** (1 / M_EXP),
                         bounds=(a ** 0.5, (a + 2 * b) ** 0.5))
     u = solve_union(d, data, SolverConfig(), M_EXP)
     centers = U.grid.centers()
@@ -64,7 +64,7 @@ def test_stationary_affine_power_profile():
 def test_harmonic_power_profile_is_time_independent():
     # g^m discretely harmonic (affine) induces the steady solution g
     d, U = box_cylinder()
-    data = BoundaryData(fn=lambda x, t: (1.0 + x[0] + 0.5 * x[1]) ** 0.5,
+    data = BoundaryData(fn=lambda x, t: (1.0 + x[..., 0] + 0.5 * x[..., 1]) ** 0.5,
                         bounds=(1.0, 2.5 ** 0.5))
     u = solve_union(d, data, SolverConfig(), M_EXP)
     spread = np.nanmax(np.abs(u.values[-1] - u.values[0])[U.mask])
@@ -74,7 +74,8 @@ def test_harmonic_power_profile_is_time_independent():
 def test_solver_output_nonnegative_and_boundary_pinned():
     d, U = box_cylinder()
     data = BoundaryData(
-        fn=lambda x, t: max(math.sin(7 * x[0]) + math.cos(5 * x[1] + t), 0.0),
+        fn=lambda x, t: np.maximum(np.sin(7 * x[..., 0])
+                                   + np.cos(5 * x[..., 1] + t), 0.0),
         bounds=(0.0, 2.0))
     u = solve_union(d, data, SolverConfig(), M_EXP)
     assert np.nanmin(u.values[u.defined]) >= 0.0
@@ -160,7 +161,7 @@ def test_explicit_scheme_respects_cfl():
 
 def test_explicit_matches_implicit_on_smooth_data():
     U = unit_box(h=1 / 8, cells=8)
-    data = BoundaryData(fn=lambda x, t: 1.0 + 0.3 * math.sin(3 * x[0]),
+    data = BoundaryData(fn=lambda x, t: 1.0 + 0.3 * np.sin(3 * x[..., 0]),
                         bounds=(0.7, 1.3))
     h = U.grid.h
     dt = 0.8 * cfl_max_dt(1.3, h, M_EXP, 2)
@@ -270,7 +271,7 @@ def test_union_rejects_shrinking_stack():
 def test_degenerate_vacuum_region_stays_put():
     # data zero on one side: the front must not smear negatives anywhere
     d, U = box_cylinder()
-    data = BoundaryData(fn=lambda x, t: max(x[0] - 0.5, 0.0) * 2,
+    data = BoundaryData(fn=lambda x, t: np.maximum(x[..., 0] - 0.5, 0.0) * 2,
                         bounds=(0.0, 1.0))
     u = solve_union(d, data, SolverConfig(), M_EXP)
     assert np.nanmin(u.values[u.defined]) >= 0.0
@@ -308,8 +309,9 @@ def test_comparison_randomized_campaign():
             def fn(x, t):
                 v = base + shift
                 for ax, at, amp in coefs:
-                    v += amp * math.sin(ax * x[0] + at * x[1] + (ax - at) * t)
-                return max(v, 0.0)
+                    v = v + amp * np.sin(ax * x[..., 0] + at * x[..., 1]
+                                         + (ax - at) * t)
+                return np.maximum(v, 0.0)
             return fn
 
         lo = solve_union(d, BoundaryData(fn=mk(0.0), bounds=(0, base + 1)),
@@ -326,6 +328,18 @@ def test_boundary_data_validation():
     data = BoundaryData(fn=lambda x, t: -5.0, bounds=(0.0, 1.0))
     with pytest.raises(SolverError):
         data.sample(np.zeros(2), 0.0)
+    # one negative value in an array of points raises and names that point
+    pts = np.array([[0.0, 0.0], [0.25, 0.5], [0.75, 0.5], [0.5, 0.25]])
+    one_negative = BoundaryData(
+        fn=lambda x, t: np.where(x[..., 0] > 0.6, -1.0, 1.0), bounds=(0.0, 1.0))
+    with pytest.raises(SolverError, match=r"negative at \(\[0\.75 0\.5"):
+        one_negative.sample(pts, 0.0)
+    assert (one_negative.sample(pts[:2], 0.0) == 1.0).all()
+    # a callback that indexes a point (x[0]) instead of a coordinate
+    # (x[..., 0]) returns the wrong shape, and sampling raises
+    point_indexed = BoundaryData(fn=lambda x, t: 1.0 + x[0], bounds=(1.0, 2.0))
+    with pytest.raises(SolverError, match="broadcast"):
+        point_indexed.sample(np.zeros((3, 2)), 0.0)
 
 
 # -- pasting with a constant keeps the supersolution sign ---------------------
@@ -363,7 +377,7 @@ def test_stability_under_data_perturbation():
     # perturbation itself (the implicit step is a sup-norm contraction),
     # checked down an epsilon ladder
     d, U = box_cylinder(h=1 / 8, cells=8, t2=0.1, dt=0.02)
-    base = BoundaryData(fn=lambda x, t: 1.0 + 0.4 * math.sin(4 * x[0] + t),
+    base = BoundaryData(fn=lambda x, t: 1.0 + 0.4 * np.sin(4 * x[..., 0] + t),
                         bounds=(0.6, 1.4))
     u0 = solve_union(d, base, SolverConfig(), M_EXP)
     for eps in (0.1, 0.05, 0.025):
@@ -385,7 +399,7 @@ def test_one_dimensional_smoke():
 def test_heat_equation_case():
     # m = 1: the step is linear and affine data is a steady state
     d, U = box_cylinder(h=1 / 8, cells=8, t2=0.1, dt=0.02)
-    data = BoundaryData(fn=lambda x, t: 1.0 + x[0] + 0.5 * x[1],
+    data = BoundaryData(fn=lambda x, t: 1.0 + x[..., 0] + 0.5 * x[..., 1],
                         bounds=(1.0, 2.5))
     u = solve_union(d, data, SolverConfig(), m=1.0)
     centers = U.grid.centers()
@@ -397,7 +411,7 @@ def test_three_dimensional_smoke():
     g = Grid(n=3, h=0.25, origin=(0.0,) * 3, extents=(6, 6, 6))
     U = SpatialDomain(g, np.ones((6, 6, 6), dtype=bool))
     d = SpaceTimeDomain([Cylinder(U, 0.0, 0.1)], dt=0.05)
-    data = BoundaryData(fn=lambda x, t: (1.0 + x[0]) ** 0.5,
+    data = BoundaryData(fn=lambda x, t: (1.0 + x[..., 0]) ** 0.5,
                         bounds=(1.0, 2.5 ** 0.5))
     u = solve_union(d, data, SolverConfig(), M_EXP)
     centers = g.centers()
@@ -408,7 +422,7 @@ def test_three_dimensional_smoke():
 def test_scaling_identity_on_the_stencil():
     # a^(1/(m-1)) times an a-multiplied solution solves the unit scheme
     d, _ = box_cylinder(h=1 / 8, cells=8, t2=0.1, dt=0.02)
-    data = BoundaryData(fn=lambda x, t: 1.0 + 0.5 * math.sin(3 * x[0]),
+    data = BoundaryData(fn=lambda x, t: 1.0 + 0.5 * np.sin(3 * x[..., 0]),
                         bounds=(0.5, 1.5))
     for a in (0.25, 4.0):
         u_a = solve_union(d, data, SolverConfig(diffusion=a), M_EXP)
