@@ -39,6 +39,11 @@ closed forms, so sign certification needs no numerical differentiation:
 Excluded samples (support boundaries, floor interfaces, the log family's
 singular column) get residual nan and are counted separately by
 ``verify_sign``.
+
+The closed forms are array-valued: points ``x`` of shape ``(..., n)``,
+times broadcasting to ``x.shape[:-1]``.  ``verify_sign`` checks all its
+samples (grid nodes plus jittered points drawn from one seeded Philox
+stream) in one call.
 """
 
 from __future__ import annotations
@@ -140,120 +145,140 @@ class BarrierSpec:
     def b_torsion(self) -> float:
         return self.m / (2 * self.diam)
 
-    def shifted(self, x, t: float) -> tuple[np.ndarray, float]:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def shifted(self, x, t):
+        """Points ``x`` (..., n) and times ``t`` relative to the anchor."""
         if self.anchor is None:
             return x, t
         ax, at = self.anchor
         return x - np.asarray(ax, dtype=float), t - at
 
-    def _torsion_value(self, x_abs) -> float:
-        # torsion profiles live in absolute coordinates
-        return self.torsion_field.value_at(x_abs)
+
+def _rows(spec: BarrierSpec, x, t):
+    """Rows X (N, n) and T (N,), their anchor-shifted copies, and the
+    batch shape.  Flat rows keep one-point and batch calls in the same
+    numpy loops, so both give the same bits.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    shape = x.shape[:-1]
+    t = np.broadcast_to(np.asarray(t, dtype=float), shape)
+    X, T = x.reshape(-1, x.shape[-1]), t.reshape(-1)
+    return (X, T, *spec.shifted(X, T), shape)
 
 
-def evaluate(spec: BarrierSpec, x, t: float) -> float:
-    """Closed-form value of the family member at (x, t); nonnegative."""
+def _check_region(bad: np.ndarray, X: np.ndarray, T: np.ndarray, what: str):
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise BarrierError(f"{what} at x={tuple(map(float, X[i]))}, t={T[i]}")
+
+
+@np.errstate(divide="ignore")           # log(0) on the log family's column
+def evaluate(spec: BarrierSpec, x, t):
+    """Closed-form value (nonnegative), of shape ``x.shape[:-1]``.
+
+    Raises ``BarrierError`` naming the first point outside the family's region.
+    """
     m, c, j = spec.m, spec.c, spec.j
-    xs, ts = spec.shifted(x, t)
-    r2 = float(xs @ xs)
+    X, T, xs, ts, shape = _rows(spec, x, t)
+    r2 = (xs * xs).sum(-1)
     if spec.kind == "quadratic_sub":
-        return (c ** m + j * r2 + j * spec.b_quadratic * ts * ts) ** (1.0 / m)
-    if spec.kind == "log_super":
-        s = max(abs(ts) - spec.t_halfwidth, 0.0)
+        w = (c ** m + j * r2 + j * spec.b_quadratic * ts * ts) ** (1.0 / m)
+    elif spec.kind == "log_super":
+        s = np.maximum(np.abs(ts) - spec.t_halfwidth, 0.0)
         v = c ** (-1.0 / spec.gamma) + j ** spec.alpha * s * s
-        if r2 > 0:
-            D = spec.d_log - 0.5 * math.log(r2)
-            if D <= 0:
-                raise BarrierError("log family evaluated beyond its defining region")
-            v += j / D
-        return v ** (-spec.gamma)
-    if spec.kind == "earliest_super":
+        on_column = r2 == 0.0          # the x = 0 branch has no log term
+        D = spec.d_log - 0.5 * np.log(r2)
+        _check_region(~on_column & (D <= 0), X, T,
+                      "log family evaluated beyond its defining region")
+        w = (v + np.where(on_column, 0.0, j / D)) ** (-spec.gamma)
+    elif spec.kind == "earliest_super":
         arg = c ** m + j * r2 + j ** (2 * m - 1) * ts
-        if arg < 0:
-            raise BarrierError("earliest_super evaluated below its defining region")
-        return arg ** (1.0 / m)
-    if spec.kind == "earliest_sub":
+        _check_region(arg < 0, X, T,
+                      "earliest_super evaluated below its defining region")
+        w = arg ** (1.0 / m)
+    elif spec.kind == "earliest_sub":
         arg = c ** m - j * r2 - j * spec.a_earliest * ts
-        return max(arg, 0.0) ** (1.0 / m)
-    v = spec._torsion_value(np.atleast_1d(np.asarray(x, dtype=float)))
-    if spec.kind == "torsion_super":
-        return (c ** m + j * v + spec.a_torsion * j * ts * ts) ** (1.0 / m)
-    arg = c ** m - j * v - spec.b_torsion * j ** (1.0 / m) * ts * ts
-    return max(arg, 1.0 / j) ** (1.0 / m)
+        w = np.maximum(arg, 0.0) ** (1.0 / m)
+    else:
+        # torsion profiles live in absolute coordinates
+        v = spec.torsion_field.value_at(X)
+        if spec.kind == "torsion_super":
+            w = (c ** m + j * v + spec.a_torsion * j * ts * ts) ** (1.0 / m)
+        else:
+            arg = c ** m - j * v - spec.b_torsion * j ** (1.0 / m) * ts * ts
+            w = np.maximum(arg, 1.0 / j) ** (1.0 / m)
+    return w.reshape(shape)[()]
 
 
-def _residual_terms(spec: BarrierSpec, x, t: float) -> tuple[float, float]:
-    """(residual, local scale); residual is nan for excluded samples."""
+@np.errstate(divide="ignore", invalid="ignore")   # log(0), 0/0 if excluded
+def _residual_terms(spec: BarrierSpec, x, t):
+    """(residual, local scale), of shape ``x.shape[:-1]``.
+
+    The residual is nan at excluded samples and 0 where the member solves
+    the equation exactly (``zero``); the scale is 1 at both.
+    """
     m, c, j, n = spec.m, spec.c, spec.j, spec.n
-    xs, ts = spec.shifted(x, t)
-    r2 = float(xs @ xs)
-
+    X, T, xs, ts, shape = _rows(spec, x, t)
+    r2 = (xs * xs).sum(-1)
+    excluded = zero = False
     if spec.kind == "quadratic_sub":
         b = spec.b_quadratic
         A = c ** m + j * r2 + j * b * ts * ts
         time_term = (2 * j * b * ts / m) * A ** ((1.0 - m) / m)
         lap_term = 2.0 * j * n
-        return time_term - lap_term, 1.0 + abs(time_term) + lap_term
-
-    if spec.kind == "log_super":
-        if r2 == 0.0:
-            return math.nan, 1.0
+        r, scale = time_term - lap_term, 1.0 + np.abs(time_term) + lap_term
+    elif spec.kind == "log_super":
         g, a = spec.gamma, spec.alpha
-        D = spec.d_log - 0.5 * math.log(r2)
-        if D <= 0:
-            return math.nan, 1.0
-        s = max(abs(ts) - spec.t_halfwidth, 0.0)
+        D = spec.d_log - 0.5 * np.log(r2)
+        excluded = (r2 == 0.0) | (D <= 0)      # the column; beyond D = 0
+        s = np.maximum(np.abs(ts) - spec.t_halfwidth, 0.0)
         v = c ** (-1.0 / g) + j ** a * s * s + j / D
-        dv_dt = 2 * j ** a * s * math.copysign(1.0, ts)
+        dv_dt = 2 * j ** a * s * np.copysign(1.0, ts)
         grad2 = j * j / (r2 * D ** 4)
         lap_v = j * ((n - 2) * D + 2.0) / (r2 * D ** 3)
         bracket = v * lap_v - (g * m + 1) * grad2 \
             - (1.0 / m) * v ** (1.0 + g * (m - 1)) * dv_dt
         pref = g * m * v ** (-g * m - 2.0)
-        scale = 1.0 + pref * (abs(v * lap_v) + (g * m + 1) * grad2
-                              + abs(v ** (1.0 + g * (m - 1)) * dv_dt) / m)
-        return pref * bracket, scale
-
-    if spec.kind == "earliest_super":
+        r = pref * bracket
+        scale = 1.0 + pref * (np.abs(v * lap_v) + (g * m + 1) * grad2
+                              + np.abs(v ** (1.0 + g * (m - 1)) * dv_dt) / m)
+    elif spec.kind == "earliest_super":
         A = c ** m + j * r2 + j ** (2 * m - 1) * ts
-        if A <= 0:
-            return math.nan, 1.0
+        excluded = A <= 0
         time_term = (j ** (2 * m - 1) / m) * A ** ((1.0 - m) / m)
         lap_term = 2.0 * j * n
-        return time_term - lap_term, 1.0 + time_term + lap_term
-
-    if spec.kind == "earliest_sub":
+        r, scale = time_term - lap_term, 1.0 + time_term + lap_term
+    elif spec.kind == "earliest_sub":
         a = spec.a_earliest
         A = c ** m - j * r2 - j * a * ts
-        if abs(A) <= _BAND_REL * c ** m:
-            return math.nan, 1.0
-        if A < 0:
-            return 0.0, 1.0         # identically zero outside the support
+        excluded = np.abs(A) <= _BAND_REL * c ** m     # the support edge
+        zero = A < 0                # identically zero outside the support
         time_term = -(j * a / m) * A ** ((1.0 - m) / m)
         lap_term = -2.0 * j * n
-        return time_term - lap_term, 1.0 + abs(time_term) + abs(lap_term)
-
-    v = spec._torsion_value(np.atleast_1d(np.asarray(x, dtype=float)))
-    if spec.kind == "torsion_super":
+        r = time_term - lap_term
+        scale = 1.0 + np.abs(time_term) + abs(lap_term)
+    elif spec.kind == "torsion_super":
         a = spec.a_torsion
-        A = c ** m + j * v + a * j * ts * ts
+        A = c ** m + j * spec.torsion_field.value_at(X) + a * j * ts * ts
         time_term = (2 * a * j * ts / m) * A ** ((1.0 - m) / m)
-        return time_term + j, 1.0 + abs(time_term) + j    # lap(w^m) = -j exactly
+        # lap(w^m) = -j exactly
+        r, scale = time_term + j, 1.0 + np.abs(time_term) + j
+    else:
+        b = spec.b_torsion
+        A = c ** m - j * spec.torsion_field.value_at(X) \
+            - b * j ** (1.0 / m) * ts * ts
+        floor = 1.0 / j
+        excluded = np.abs(A - floor) <= _BAND_REL * max(c ** m, floor)
+        zero = A < floor            # the constant floor solves the equation
+        time_term = -(2 * b * j ** (1.0 / m) * ts / m) * A ** ((1.0 - m) / m)
+        # lap(w^m) = +j exactly
+        r, scale = time_term - j, 1.0 + np.abs(time_term) + j
+    r = np.where(excluded, np.nan, np.where(zero, 0.0, r))
+    scale = np.where(excluded | zero, 1.0, scale)
+    return r.reshape(shape)[()], scale.reshape(shape)[()]
 
-    b = spec.b_torsion
-    A = c ** m - j * v - b * j ** (1.0 / m) * ts * ts
-    floor = 1.0 / j
-    if abs(A - floor) <= _BAND_REL * max(c ** m, floor):
-        return math.nan, 1.0
-    if A < floor:
-        return 0.0, 1.0             # constant floor solves the equation
-    time_term = -(2 * b * j ** (1.0 / m) * ts / m) * A ** ((1.0 - m) / m)
-    return time_term - j, 1.0 + abs(time_term) + j        # lap(w^m) = +j exactly
 
-
-def residual(spec: BarrierSpec, x, t: float) -> float:
-    """d/dt w - lap(w^m) at (x, t); nan marks an excluded sample."""
+def residual(spec: BarrierSpec, x, t):
+    """d/dt w - lap(w^m) at points (..., n); nan marks an excluded sample."""
     return _residual_terms(spec, x, t)[0]
 
 
@@ -298,39 +323,40 @@ class SignReport:
 
 
 def _region_samples(region: SpaceTimeDomain, policy: SamplingPolicy):
+    """Sample points X (N, n) and times T (N,) over the region.
+
+    Nodes, level-major: at level L the cell centers of the bases of steps
+    L - 1 and L.  Then per node ``jitter_factor`` Philox draws of a step k,
+    a cell of its base (dropped if empty), a uniform point of that cell and
+    a time in [t_k, t_k + dt).
+    """
+    if region.num_steps == 0:
+        raise BarrierError("empty sample set")
     rng = np.random.Generator(np.random.Philox(policy.seed))
-    centers = region.grid.centers()
-    nodes = []
+    grid, times = region.grid, region.level_times()
+    centers = grid.centers().reshape(-1, grid.n)
+    bases = np.array([region.step_base_mask(k).ravel()
+                      for k in range(region.num_steps)])
+    level = cell = np.zeros(0, dtype=int)
     if policy.include_nodes:
-        seen = set()
-        for k in range(region.num_steps):
-            mask = region.step_base_mask(k)
-            for level in (k, k + 1):
-                t = region.level_time(level)
-                for idx in np.argwhere(mask):
-                    key = (level, *map(int, idx))
-                    if key not in seen:
-                        seen.add(key)
-                        nodes.append((centers[tuple(idx)], t))
-    jitter = []
-    n_jit = policy.jitter_factor * max(len(nodes), 1)
-    h = region.grid.h
-    step_masks = [np.argwhere(region.step_base_mask(k))
-                  for k in range(region.num_steps)]
-    for _ in range(n_jit):
-        k = int(rng.integers(region.num_steps))
-        cells = step_masks[k]
-        if len(cells) == 0:
-            continue
-        idx = tuple(cells[int(rng.integers(len(cells)))])
-        x = centers[idx] + (rng.random(region.grid.n) - 0.5) * h
-        t = region.level_time(k) + rng.random() * region.dt
-        jitter.append((x, t))
-    samples = nodes + jitter
-    if policy.max_samples is not None and len(samples) > policy.max_samples:
-        keep = rng.choice(len(samples), size=policy.max_samples, replace=False)
-        samples = [samples[i] for i in sorted(keep)]
-    return samples
+        none = np.zeros_like(bases[:1])
+        at_level = np.concatenate([bases, none]) | np.concatenate([none, bases])
+        level, cell = np.nonzero(at_level)
+    X, T = [centers[cell]], [times[level]]
+    n_jit = policy.jitter_factor * max(len(level), 1)
+    counts = bases.sum(axis=1)
+    first = np.cumsum(counts) - counts          # step k's cells in step_cells
+    step_cells = np.nonzero(bases)[1]
+    k = rng.integers(region.num_steps, size=n_jit)
+    k = k[counts[k] > 0]
+    cell = step_cells[first[k] + rng.integers(0, counts[k])]
+    X.append(centers[cell] + (rng.random((len(k), grid.n)) - 0.5) * grid.h)
+    T.append(times[k] + rng.random(len(k)) * region.dt)
+    X, T = np.concatenate(X), np.concatenate(T)
+    if policy.max_samples is not None and len(T) > policy.max_samples:
+        keep = np.sort(rng.choice(len(T), policy.max_samples, replace=False))
+        X, T = X[keep], T[keep]
+    return X, T
 
 
 def verify_sign(spec: BarrierSpec, region: SpaceTimeDomain,
@@ -339,38 +365,33 @@ def verify_sign(spec: BarrierSpec, region: SpaceTimeDomain,
 
     Violations are residuals beyond 1e-10 x local scale on the wrong side
     of the claimed sign.  Samples where the closed form is not
-    differentiable are excluded and counted.
+    differentiable, or within the exclusion radius of the anchor, are
+    excluded and counted.
     """
     policy = policy or SamplingPolicy()
     sign = CLAIMED_SIGN[spec.kind]
-    samples = _region_samples(region, policy)
-    if not samples:
+    X, T = _region_samples(region, policy)
+    total = len(T)
+    if not total:
         raise BarrierError("empty sample set")
     excl_r = policy.exclusion_radius
     if excl_r is None and spec.kind == "log_super":
         excl_r = region.grid.h
-    lo, hi = math.inf, -math.inf
-    excluded = 0
-    checked = 0
-    violations = []
-    for x, t in samples:
-        if excl_r is not None:
-            xs, _ = spec.shifted(x, t)
-            if float(xs @ xs) < excl_r * excl_r:
-                excluded += 1
-                continue
-        r, scale = _residual_terms(spec, x, t)
-        if math.isnan(r):
-            excluded += 1
-            continue
-        checked += 1
-        lo, hi = min(lo, r), max(hi, r)
-        tol = _SIGN_TOL_REL * scale
-        if (sign < 0 and r > tol) or (sign > 0 and r < -tol):
-            violations.append((tuple(map(float, np.atleast_1d(x))), float(t), float(r)))
-    if checked == 0:
+    if excl_r is not None:
+        xs, _ = spec.shifted(X, T)
+        far = (xs * xs).sum(-1) >= excl_r * excl_r
+        X, T = X[far], T[far]
+    r, scale = _residual_terms(spec, X, T)
+    ok = ~np.isnan(r)
+    X, T, r, scale = X[ok], T[ok], r[ok], scale[ok]
+    if not len(r):
         raise BarrierError("all samples were excluded")
-    return SignReport(spec.kind, sign, lo, hi, violations, checked, excluded)
+    tol = _SIGN_TOL_REL * scale
+    bad = r > tol if sign < 0 else r < -tol
+    violations = [(tuple(map(float, x)), float(t), float(v))
+                  for x, t, v in zip(X[bad], T[bad], r[bad])]
+    return SignReport(spec.kind, sign, float(r.min()), float(r.max()),
+                      violations, len(r), total - len(r))
 
 
 def min_valid_j(kind: str, c: float, m: float, n: int, diam: float,
@@ -379,8 +400,8 @@ def min_valid_j(kind: str, c: float, m: float, n: int, diam: float,
     """Smallest j for which the family's sufficient sign condition holds.
 
     Only the two kinds with a j-threshold are admitted.  The condition is
-    scanned ascending from j = 1 and the first hit returned; if no
-    j <= j_cap works, an error reports the cap.
+    evaluated on ascending blocks of 4096 indices from j = 1 and the first
+    hit returned; if no j <= j_cap works, an error reports the cap.
     """
     if kind == "earliest_super":
         if m <= 1:
@@ -388,7 +409,7 @@ def min_valid_j(kind: str, c: float, m: float, n: int, diam: float,
         delta = max(diam, 1.0)
         rhs_den = (2 * n * m) ** (m / (m - 1))
 
-        def ok(j: float) -> bool:
+        def ok(j: np.ndarray) -> np.ndarray:
             return c ** m + 2 * j ** (2 * m - 1) * delta ** 2 <= j ** (2 * m) / rhs_den
 
     elif kind == "log_super":
@@ -400,7 +421,7 @@ def min_valid_j(kind: str, c: float, m: float, n: int, diam: float,
             raise BarrierError("need 0 < alpha < gamma < 1/m")
         coef = 2 * (c ** (-1.0 / gamma) + diam ** 2 + 1) ** (gamma * (m - 1)) * diam
 
-        def ok(j: float) -> bool:
+        def ok(j: np.ndarray) -> np.ndarray:
             return (1 - gamma * m) * j / (8 * diam ** 2) \
                 >= coef * j ** (alpha + gamma * (m - 1))
 
@@ -410,9 +431,9 @@ def min_valid_j(kind: str, c: float, m: float, n: int, diam: float,
     j = 1
     while j <= j_cap:
         block = np.arange(j, min(j + 4096, j_cap + 1), dtype=float)
-        hits = [int(b) for b in block if ok(b)]
-        if hits:
-            return hits[0]
+        hits = np.flatnonzero(ok(block))
+        if hits.size:
+            return int(block[hits[0]])
         j += len(block)
     raise BarrierError(f"no j <= {j_cap} satisfies the {kind} condition")
 

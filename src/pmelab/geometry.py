@@ -63,11 +63,15 @@ class Grid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1)
 
-    def cell_of(self, x) -> tuple[int, ...]:
-        """Index of the cell containing the point x (clipped to the grid)."""
+    def cell_of(self, x) -> tuple:
+        """Index of the cell containing each point (clipped to the grid).
+
+        For points ``x`` of shape ``(..., n)`` the result is a tuple of n
+        index arrays of shape ``x.shape[:-1]`` (n integers for one point).
+        """
         raw = (np.asarray(x, dtype=float) - np.asarray(self.origin)) / self.h
         idx = np.clip(np.floor(raw).astype(int), 0, np.asarray(self.extents) - 1)
-        return tuple(int(i) for i in idx)
+        return tuple(idx[..., a] for a in range(self.n))
 
     def compatible_with(self, other: "Grid") -> bool:
         return (self.n == other.n and self.h == other.h
@@ -184,13 +188,8 @@ class SpatialDomain:
     def cell_count(self) -> int:
         return int(self.mask.sum())
 
-    def cells(self) -> list[tuple[int, ...]]:
-        return [tuple(map(int, idx)) for idx in np.argwhere(self.mask)]
-
-    def centers(self, which: str = "mask") -> np.ndarray:
-        sel = {"mask": self.mask, "boundary": self.boundary_mask,
-               "core": self.core_mask}[which]
-        return self.grid.centers()[sel]
+    def centers(self) -> np.ndarray:
+        return self.grid.centers()[self.mask]
 
     def is_connected(self) -> bool:
         from scipy import ndimage
@@ -199,12 +198,6 @@ class SpatialDomain:
         structure = ndimage.generate_binary_structure(self.mask.ndim, 1)
         _, num = ndimage.label(self.mask, structure=structure)
         return num == 1
-
-    def __contains__(self, idx) -> bool:
-        idx = tuple(idx)
-        if any(i < 0 or i >= e for i, e in zip(idx, self.grid.extents)):
-            return False
-        return bool(self.mask[idx])
 
 
 @dataclass(frozen=True)
@@ -219,11 +212,16 @@ class SpatialField:
             raise GeometryError("field values must cover the full grid")
         self.values.setflags(write=False)
 
-    def value_at(self, x) -> float:
+    def value_at(self, x):
+        """Values at points ``x`` (..., n), of shape ``x.shape[:-1]``."""
         idx = self.domain.grid.cell_of(x)
-        if idx not in self.domain:
-            raise GeometryError(f"point {x} is outside the field's domain")
-        return float(self.values[idx])
+        outside = ~self.domain.mask[idx]
+        if outside.any():
+            pts = np.reshape(x, (-1, self.domain.grid.n))
+            bad = pts[np.flatnonzero(outside)[0]]
+            raise GeometryError(f"point {tuple(map(float, bad))} is outside "
+                                "the field's domain")
+        return self.values[idx]
 
     def min_within(self, x0, radius: float) -> float:
         """Min over domain cells whose centers lie within radius of x0."""
@@ -343,9 +341,6 @@ class ParabolicBoundary:
     @property
     def mask(self) -> np.ndarray:
         return self.kind != PB_NONE
-
-    def contains(self, level: int, idx: tuple[int, ...]) -> bool:
-        return bool(self.kind[(level, *idx)] != PB_NONE)
 
     def samples(self):
         """Yield (level, time, cell index, center) for every boundary sample."""

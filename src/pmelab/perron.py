@@ -228,21 +228,12 @@ def check_upper_member(spec: BarrierSpec, d: SpaceTimeDomain,
     for k in range(d.num_levels):
         pts, t = centers[on_pb[k]], d.level_time(k)
         if len(pts):
-            gaps = ([barrier_evaluate(spec, x, t) for x in pts]
-                    - data.sample(pts, t))
+            gaps = barrier_evaluate(spec, pts, t) - data.sample(pts, t)
             margin = min(margin, float(gaps.min()))
     if margin < -1e-9 * max(1.0, data.bounds[1]):
         raise PerronError(
             f"barrier does not dominate the boundary data (margin {margin:.3e})")
     return margin
-
-
-def _envelope_min(field_value: float, members: list[BarrierSpec],
-                  x: np.ndarray, t: float) -> float:
-    out = field_value
-    for spec in members:
-        out = min(out, barrier_evaluate(spec, x, t))
-    return out
 
 
 def _min_over_ball(field: Field, members: list[BarrierSpec],
@@ -255,17 +246,14 @@ def _min_over_ball(field: Field, members: list[BarrierSpec],
     sel = field._ball_mask(xi, r)
     if not sel.any():
         raise PerronError("no interior samples within the given radius")
-    best = math.inf
-    centers = field.domain.grid.centers()
-    times = field.domain.level_times()
-    for flat in np.argwhere(sel):
-        lev, idx = int(flat[0]), tuple(map(int, flat[1:]))
-        v = float(field.values[(lev, *idx)]) - eps
-        if members:
-            v = min(v, _envelope_min(math.inf, members, centers[idx],
-                                     times[lev]))
-        best = min(best, v)
-    return best
+    vals = field.values[sel] - eps
+    if members:
+        level, *cell = np.nonzero(sel)
+        pts = field.domain.grid.centers()[tuple(cell)]
+        t = field.domain.level_times()[level]
+        for spec in members:
+            vals = np.minimum(vals, barrier_evaluate(spec, pts, t))
+    return float(vals.min())
 
 
 @dataclass(frozen=True)

@@ -279,12 +279,9 @@ def _json_default(o):
 
 
 def _field_rows(field):
-    d = field.domain
-    for lev in range(d.num_levels):
-        t = d.level_time(lev)
-        for idx in np.argwhere(field.defined[lev]):
-            idx = tuple(map(int, idx))
-            yield (t, *idx, field.values[(lev, *idx)])
+    lev, *idx = np.nonzero(field.defined)
+    return zip(field.domain.level_times()[lev], *idx,
+               field.values[field.defined])
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +543,10 @@ def _op_torsion(doc, report, rng):
     grid = build_grid(doc["grid"])
     U = build_spatial(op["base"], grid)
     field = capacity.torsion_profile(U, tuple(op["x0"]))
-    rows = []
-    for idx in np.argwhere(U.mask):
-        idx = tuple(map(int, idx))
-        rows.append((*idx, field.values[idx]))
+    cells = np.nonzero(U.mask)
     report.write_csv("torsion.csv",
-                     [f"i{a}" for a in range(grid.n)] + ["value"], rows)
+                     [f"i{a}" for a in range(grid.n)] + ["value"],
+                     zip(*cells, field.values[cells]))
     x0 = np.asarray(op["x0"], dtype=float)
     centers = grid.centers()
     phi = np.linalg.norm(centers - x0, axis=-1)

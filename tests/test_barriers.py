@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from pmelab.barriers import (
+    KINDS,
     BarrierError,
     BarrierSpec,
     SamplingPolicy,
@@ -13,6 +15,7 @@ from pmelab.barriers import (
     evaluate,
     min_valid_j,
     residual,
+    _region_samples,
     verify_sign,
 )
 from pmelab.capacity import torsion_profile
@@ -178,6 +181,134 @@ def test_log_family_excludes_singular_column():
     rep = verify_sign(spec, square_region(), SamplingPolicy(seed=3))
     assert rep.samples_excluded > 0
     assert rep.certified
+
+
+# -- the array contract ----------------------------------------------------------
+
+def array_case(kind):
+    """A member of ``kind`` and 49 points with times (7 x 7 grid in [0, 0.75]^2).
+
+    The log member's anchor is a grid point (its singular column), and some
+    times put samples on the clip interfaces of earliest_sub (support edge)
+    and torsion_sub (floor), so every exclusion branch is exercised.
+    """
+    lin = np.linspace(0.0, 0.75, 7)
+    pts = np.stack(np.meshgrid(lin, lin, indexing="ij"), axis=-1).reshape(-1, 2)
+    t = np.linspace(0.0, 0.5, 49)
+    extra = {}
+    if kind.startswith("torsion"):
+        g = Grid(n=2, h=1 / 16, origin=(0, 0), extents=(16, 16))
+        U = SpatialDomain(g, np.ones((16, 16), dtype=bool))
+        extra = dict(torsion_field=torsion_profile(U, np.array([0.5, 0.0])),
+                     anchor=((0.5, 0.0), 0.0))
+    j = {"log_super": 50, "earliest_super": 129}.get(kind, 2)
+    spec = BarrierSpec(kind, c=1.0, j=j, m=2.0, n=2, diam=1.5, **extra)
+    c, m = spec.c, spec.m
+    if kind == "earliest_sub":
+        r2 = (pts * pts).sum(-1)
+        t[::4] = (c ** m - j * r2[::4]) / (j * spec.a_earliest)
+    elif kind == "torsion_sub":
+        lift = c ** m - j * spec.torsion_field.value_at(pts) - 1.0 / j
+        edge = np.flatnonzero(lift > 0)[::3]
+        t[edge] = np.sqrt(lift[edge] / (spec.b_torsion * j ** (1.0 / m)))
+    return spec, pts, t
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_array_calls_match_point_calls_bit_for_bit(kind):
+    spec, pts, t = array_case(kind)
+    for fn in (evaluate, residual):
+        single = np.array([fn(spec, x, s) for x, s in zip(pts, t)])
+        batch = fn(spec, pts, t)
+        assert batch.shape == (49,)
+        np.testing.assert_array_equal(batch.view(np.int64),
+                                      single.view(np.int64))
+        grid = fn(spec, pts.reshape(7, 7, 2), t.reshape(7, 7))
+        np.testing.assert_array_equal(grid.view(np.int64),
+                                      single.reshape(7, 7).view(np.int64))
+        # a scalar time broadcasts over the grid
+        at = np.array([fn(spec, x, 0.25) for x in pts]).reshape(7, 7)
+        np.testing.assert_array_equal(
+            fn(spec, pts.reshape(7, 7, 2), 0.25).view(np.int64),
+            at.view(np.int64))
+    r = residual(spec, pts, t)
+    if kind in ("log_super", "earliest_sub", "torsion_sub"):
+        assert np.isnan(r).any()             # the excluded branch was hit
+    if kind in ("earliest_sub", "torsion_sub"):
+        assert (r == 0.0).any()              # and the exact-solution branch
+
+
+def test_out_of_region_array_names_the_point():
+    spec = BarrierSpec("log_super", c=1.0, j=3, m=2.0, n=2, diam=1.0)
+    # D = 2 - log|x| <= 0 beyond |x| = e^2
+    pts = np.array([[0.1, 0.0], [0.0, 0.0], [9.0, 0.5], [10.0, 0.0]])
+    with pytest.raises(BarrierError, match=r"x=\(9\.0, 0\.5\), t=0\.25"):
+        evaluate(spec, pts, 0.25)
+    early = BarrierSpec("earliest_super", c=1.0, j=2, m=2.0, n=2, diam=1.0)
+    t = np.array([0.0, 0.1, -5.0, -6.0])
+    with pytest.raises(BarrierError, match=r"x=\(0\.0, 0\.0\), t=-5\.0"):
+        evaluate(early, pts[[0, 1, 1, 0]], t)
+
+
+def _reference_nodes(region):
+    """(level, cell) node set of a per-cell loop over every step's base."""
+    nodes = set()
+    for k in range(region.num_steps):
+        for idx in map(tuple, np.argwhere(region.step_base_mask(k))):
+            nodes |= {(k, *idx), (k + 1, *idx)}
+    return nodes
+
+
+@st.composite
+def _monotone_unions(draw):
+    """Growing bases, one cylinder per step; one inner step may be empty."""
+    n = draw(st.integers(1, 2))
+    ext = tuple(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)))
+    steps = draw(st.integers(1, 5))
+    grid = Grid(n=n, h=0.25, origin=(-0.5,) * n, extents=ext)
+    size = int(np.prod(ext))
+    base = np.zeros(size, dtype=bool)
+    base[draw(st.integers(0, size - 1))] = True
+    gap = draw(st.integers(1, steps - 2)) if steps >= 3 and draw(
+        st.booleans()) else None
+    cylinders = []
+    for k in range(steps):
+        grow = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        base = base | np.array(grow)
+        if k != gap:
+            cylinders.append(Cylinder(SpatialDomain(grid, base.reshape(ext)),
+                                      k * 0.125, (k + 1) * 0.125))
+    return SpaceTimeDomain(cylinders, dt=0.125)
+
+
+@settings(max_examples=60, deadline=None)
+@given(region=_monotone_unions(), seed=st.integers(0, 2 ** 32 - 1),
+       factor=st.integers(1, 3))
+def test_region_samples_nodes_and_jitter(region, seed, factor):
+    grid, times = region.grid, region.level_times()
+    ref = _reference_nodes(region)
+    X, T = _region_samples(region, SamplingPolicy(seed=seed, jitter_factor=0))
+    levels = np.rint((T - region.t_min) / region.dt).astype(int)
+    np.testing.assert_array_equal(T, times[levels])
+    got = [(lev, *idx) for lev, idx in
+           zip(levels.tolist(), zip(*(a.tolist() for a in grid.cell_of(X))))]
+    assert len(got) == len(ref) and set(got) == ref
+    np.testing.assert_array_equal(X, grid.centers()[grid.cell_of(X)])
+
+    X, T = _region_samples(region, SamplingPolicy(seed=seed,
+                                                  jitter_factor=factor))
+    # draws on a step with an empty base are dropped
+    bases = np.array([region.step_base_mask(k)
+                      for k in range(region.num_steps)])
+    steps = np.random.Generator(np.random.Philox(seed)).integers(
+        region.num_steps, size=factor * len(ref))
+    dropped = int((~bases.reshape(len(bases), -1).any(1))[steps].sum())
+    assert len(T) == len(ref) + factor * len(ref) - dropped
+    jx, jt = X[len(ref):], T[len(ref):]
+    cells = grid.cell_of(jx)
+    in_step = [(times[k] <= jt) & (jt <= times[k] + region.dt) & bases[k][cells]
+               for k in range(region.num_steps)]
+    assert np.logical_or.reduce(in_step).all()
 
 
 # -- minimal index scans -------------------------------------------------------

@@ -230,6 +230,13 @@ def ramped_tent():
     return BoundaryData(fn=fn, bounds=(0.0, 1.0))
 
 
+def assert_pinned_solve_positive_near_puncture(dp, data):
+    # zero data would give the same verdicts as the tent, so the solve
+    # pinned to the data must carry the tent next to the puncture column
+    u = solve_union(dp, data, CFG, M_EXP)
+    assert u.ball_extremum(np.array([0.0, 0.0, 0.125]), 0.07, "min") > 0.5
+
+
 def test_removability_certificate_validation():
     dp, de, cert = punctured_setup()
     assert cert.verdict.classification == "thin"
@@ -253,6 +260,7 @@ def test_puncture_dichotomy_drops_with_certificate():
                           removability=cert)
     assert res.branch == "drops-to-zero"
     assert res.liminf_estimate <= res.tol
+    assert_pinned_solve_positive_near_puncture(dp, ramped_tent())
 
 
 def test_verdict_monotone_under_family_growth():
@@ -298,3 +306,4 @@ def test_puncture_probe_flags_irregular():
     # the pinned solve tracks the reinstated (unpunctured) solve nowhere
     # near the data value at the puncture: the lower gap stays order one
     assert min(probe.lower_gaps[0]) > 0.5
+    assert_pinned_solve_positive_near_puncture(dp, shifted)
