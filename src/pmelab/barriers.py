@@ -286,11 +286,9 @@ def residual(spec: BarrierSpec, x, t):
 class SamplingPolicy:
     """Where verify_sign samples: grid nodes plus jittered interior points."""
 
-    include_nodes: bool = True
     jitter_factor: int = 10
     max_samples: int | None = None
     seed: int = 0
-    exclusion_radius: float | None = None   # spatial radius around the anchor
 
 
 @dataclass(frozen=True)
@@ -337,13 +335,11 @@ def _region_samples(region: SpaceTimeDomain, policy: SamplingPolicy):
     centers = grid.centers().reshape(-1, grid.n)
     bases = np.array([region.step_base_mask(k).ravel()
                       for k in range(region.num_steps)])
-    level = cell = np.zeros(0, dtype=int)
-    if policy.include_nodes:
-        none = np.zeros_like(bases[:1])
-        at_level = np.concatenate([bases, none]) | np.concatenate([none, bases])
-        level, cell = np.nonzero(at_level)
+    none = np.zeros_like(bases[:1])
+    at_level = np.concatenate([bases, none]) | np.concatenate([none, bases])
+    level, cell = np.nonzero(at_level)
     X, T = [centers[cell]], [times[level]]
-    n_jit = policy.jitter_factor * max(len(level), 1)
+    n_jit = policy.jitter_factor * len(level)
     counts = bases.sum(axis=1)
     first = np.cumsum(counts) - counts          # step k's cells in step_cells
     step_cells = np.nonzero(bases)[1]
@@ -365,8 +361,8 @@ def verify_sign(spec: BarrierSpec, region: SpaceTimeDomain,
 
     Violations are residuals beyond 1e-10 x local scale on the wrong side
     of the claimed sign.  Samples where the closed form is not
-    differentiable, or within the exclusion radius of the anchor, are
-    excluded and counted.
+    differentiable, or (log family) within one cell of the singular column,
+    are excluded and counted.
     """
     policy = policy or SamplingPolicy()
     sign = CLAIMED_SIGN[spec.kind]
@@ -374,12 +370,9 @@ def verify_sign(spec: BarrierSpec, region: SpaceTimeDomain,
     total = len(T)
     if not total:
         raise BarrierError("empty sample set")
-    excl_r = policy.exclusion_radius
-    if excl_r is None and spec.kind == "log_super":
-        excl_r = region.grid.h
-    if excl_r is not None:
+    if spec.kind == "log_super":
         xs, _ = spec.shifted(X, T)
-        far = (xs * xs).sum(-1) >= excl_r * excl_r
+        far = (xs * xs).sum(-1) >= region.grid.h * region.grid.h
         X, T = X[far], T[far]
     r, scale = _residual_terms(spec, X, T)
     ok = ~np.isnan(r)

@@ -177,11 +177,12 @@ def _complement_mask_in_ball(U: SpatialDomain, x0: np.ndarray, r: float,
     # ambient grids are lattice-aligned with U's grid, so cells map by offset
     offset = np.round((np.asarray(amb_grid.origin) - np.asarray(U.grid.origin))
                       / U.grid.h).astype(int)
+    lo = np.maximum(offset, 0)
+    hi = np.minimum(offset + np.asarray(amb_grid.extents), U.grid.extents)
     in_U = np.zeros(amb_grid.extents, dtype=bool)
-    for idx in np.argwhere(inside_ball):
-        iu = tuple(idx + offset)
-        if all(0 <= iu[a] < U.grid.extents[a] for a in range(U.grid.n)):
-            in_U[tuple(idx)] = U.mask[iu]
+    if (lo < hi).all():                 # the overlap of the two boxes
+        in_U[tuple(map(slice, lo - offset, hi - offset))] = \
+            U.mask[tuple(map(slice, lo, hi))]
     return inside_ball & ~in_U
 
 

@@ -342,16 +342,6 @@ class ParabolicBoundary:
     def mask(self) -> np.ndarray:
         return self.kind != PB_NONE
 
-    def samples(self):
-        """Yield (level, time, cell index, center) for every boundary sample."""
-        grid = self.domain.grid
-        centers = grid.centers()
-        for k in range(self.kind.shape[0]):
-            t = self.domain.level_time(k)
-            for idx in np.argwhere(self.kind[k] != PB_NONE):
-                idx = tuple(map(int, idx))
-                yield k, t, idx, centers[idx]
-
     @property
     def sample_count(self) -> int:
         return int((self.kind != PB_NONE).sum())

@@ -317,6 +317,16 @@ def _fit_intercept(radii: list[float], gaps: list[float]) -> float:
     return max(float(coef[1]), 0.0)
 
 
+def _approach_radii(radii: list[float]) -> list[float]:
+    """Distinct approach radii, largest first; at least 3, all positive."""
+    radii = sorted(set(radii), reverse=True)
+    if len(radii) < 3:
+        raise PerronError("need at least 3 approach radii")
+    if radii[-1] <= 0:
+        raise PerronError("approach radii must be positive")
+    return radii
+
+
 def _check_on_parabolic_boundary(d: SpaceTimeDomain, xi0) -> None:
     x0, t0 = np.asarray(xi0[0], dtype=float), float(xi0[1])
     tol_x = 0.75 * d.grid.h * math.sqrt(d.grid.n)
@@ -384,8 +394,8 @@ def regularity_probe(d: SpaceTimeDomain, xi0, family: list[BoundaryData],
                      disc_est: float | None = None,
                      family_labels: list[str] | None = None,
                      upper_members: list[BarrierSpec] | None = None,
-                     removability: RemovabilityCertificate | None = None,
-                     _skip_boundary_check: bool = False) -> RegularityProbe:
+                     removability: RemovabilityCertificate | None = None
+                     ) -> RegularityProbe:
     """Probe upper/lower boundary regularity at xi0 with a data family.
 
     For each member f the upper gap at radius r estimates
@@ -400,13 +410,8 @@ def regularity_probe(d: SpaceTimeDomain, xi0, family: list[BoundaryData],
     estimates, which is what exposes irregularity at boundary columns of
     vanishing capacity.
     """
-    if not _skip_boundary_check:
-        _check_on_parabolic_boundary(d, xi0)
-    radii = sorted(set(radii), reverse=True)
-    if len(radii) < 3:
-        raise PerronError("need at least 3 approach radii")
-    if any(r <= 0 for r in radii):
-        raise PerronError("approach radii must be positive")
+    _check_on_parabolic_boundary(d, xi0)
+    radii = _approach_radii(radii)
     x0, t0 = np.asarray(xi0[0], dtype=float), float(xi0[1])
     xi = np.append(x0, t0)
     sup_f = max(f.bounds[1] for f in family)
@@ -511,9 +516,7 @@ def dichotomy_check(d: SpaceTimeDomain, xi0, f: BoundaryData,
     f_xi = float(f.sample(x0, t0))
     if f_xi <= 0:
         raise PerronError("dichotomy needs f(xi0) > 0")
-    radii = sorted(set(radii), reverse=True)
-    if len(radii) < 3:
-        raise PerronError("need at least 3 approach radii")
+    radii = _approach_radii(radii)
     if eps is None:
         eps = 0.025 * max(f.bounds[1], f_xi)
     solve_domain = d
@@ -532,12 +535,7 @@ def dichotomy_check(d: SpaceTimeDomain, xi0, f: BoundaryData,
         tol = max(0.1 * f_xi, 2 * disc_est)
     tol = min(tol, 0.4 * f_xi)
     mins = [(r, _min_over_ball(upper, members, xi, r, eps)) for r in radii]
-    # liminf estimate: fit min(r) in sqrt(r) over the 3 smallest radii
-    small = sorted(mins)[:3]
-    r = np.sqrt([p[0] for p in small])
-    v = np.array([p[1] for p in small])
-    coef = np.polyfit(r, v, 1)
-    est = max(float(coef[1]), 0.0)
+    est = _fit_intercept(radii, [v for _, v in mins])     # liminf estimate
     if est >= f_xi - tol:
         branch = "attains"
     elif est <= tol:
@@ -570,10 +568,10 @@ def future_truncation_probe(d: SpaceTimeDomain, xi0,
         on_boundary = False
     if on_boundary:
         trunc_probe = regularity_probe(trunc, xi0, family, radii, cfg, m,
-                                       _skip_boundary_check=True, **kwargs)
+                                       **kwargs)
     else:
         trunc_probe = RegularityProbe(
-            (tuple(map(float, x0)), t0), sorted(set(radii), reverse=True),
+            (tuple(map(float, x0)), t0), _approach_radii(radii),
             [], [], [], [], [], "regular evidence", [], 0.0,
             note="earliest point of the truncated domain; regular outright")
     return full, trunc_probe, full.verdict == trunc_probe.verdict

@@ -7,14 +7,20 @@ On unions of cylinders with nondecreasing time sections the solve proceeds
 slab by slab; cells appearing at a junction take their initial values from
 the parabolic boundary data at the junction time.
 
-Boundary data are array-valued (see ``BoundaryData``): each level's new
-boundary cells are sampled in one call.  The stencil
-(``geometry.face_stencil``) and the constant Jacobian part ``2n*I - A`` are
-built only when a step's core mask differs from the previous step's, so
-once per slab; ``Field.stats`` counts the builds as ``assemblies``.  Core
-values are gathered and scattered through the stencil's flat grid indices,
-and the Dirichlet contributions of the pinned neighbours are array sums per
-stencil direction.
+One builder (``_sample_masks``) gives the defined and the interior samples
+of every level, for solves and for wrapped closed forms alike.  Boundary
+data are array-valued (see ``BoundaryData``): each level's pinned samples
+are drawn in one call.  The stencil (``geometry.face_stencil``) is built
+only when a level's interior mask differs from the previous one's, so once
+per slab; in a solve the constant Jacobian part ``2n*I - A`` goes with it,
+and ``Field.stats`` counts the builds as ``assemblies``.  Core values are
+gathered and scattered through the stencil's flat grid indices, and the
+Dirichlet contributions of the pinned neighbours are array sums per stencil
+direction.
+
+``scheme_residual`` is the scheme as an array over every interior sample,
+for the field's own scheme; it shares the stencil walk and the Laplacian
+expression with the solve, so reports check exactly what was solved.
 
 Powers of the field use the odd extension sign(u)*|u|^m so Newton iterates
 may transiently cross zero; converged solutions are nonnegative because the
@@ -151,23 +157,9 @@ class Field:
     def from_values(cls, domain: SpaceTimeDomain, values: np.ndarray, m: float,
                     config: SolverConfig | None = None) -> "Field":
         """Wrap externally produced values (e.g. a sampled closed form)."""
-        config = config or SolverConfig()
-        L = domain.num_levels
-        defined = np.zeros((L, *domain.grid.extents), dtype=bool)
-        scheme = np.zeros_like(defined)
-        defined[0] = domain.step_base_mask(0)
-        for k in range(domain.num_steps):
-            base = domain.step_base(k)
-            defined[k] |= base.mask
-            defined[k + 1] = base.mask
-            scheme[k + 1] = base.core_mask
+        defined, scheme = _sample_masks(domain)
         vals = np.where(defined, values, np.nan)
-        return cls(domain, vals, defined, scheme, m, config)
-
-    def value(self, level: int, idx: tuple[int, ...]) -> float:
-        if not self.defined[(level, *idx)]:
-            raise SolverError(f"field is undefined at level {level}, cell {idx}")
-        return float(self.values[(level, *idx)])
+        return cls(domain, vals, defined, scheme, m, config or SolverConfig())
 
     def sup(self) -> float:
         return float(np.nanmax(np.abs(self.values[self.defined])))
@@ -200,6 +192,22 @@ class Field:
                      self.scheme_mask, self.m, self.config, dict(self.stats))
 
 
+def _sample_masks(d: SpaceTimeDomain) -> tuple[np.ndarray, np.ndarray]:
+    """Defined and interior samples, each of shape ``(levels, *extents)``.
+
+    Level k is defined on the bases of steps k - 1 and k; the step ending
+    at level k enforces the scheme on the core of its base.
+    """
+    defined = np.zeros((d.num_levels, *d.grid.extents), dtype=bool)
+    interior = np.zeros_like(defined)
+    for k in range(d.num_steps):
+        base = d.step_base(k)
+        defined[k] |= base.mask
+        defined[k + 1] = base.mask
+        interior[k + 1] = base.core_mask
+    return defined, interior
+
+
 def cfl_max_dt(L: float, h: float, m: float, n: int) -> float:
     """Largest stable forward-Euler step for fields bounded by L.
 
@@ -222,6 +230,28 @@ def _step_matrices(core_mask: np.ndarray) -> Stencil:
     return face_stencil(core_mask)
 
 
+def _level_stencils(interior: np.ndarray):
+    """Yield (level, stencil) for every level with interior samples.
+
+    The stencil is rebuilt only when the level's interior mask differs from
+    the last one built, so once per slab.
+    """
+    stencil, core = None, None
+    for k in range(1, len(interior)):
+        sel = interior[k]
+        if not sel.any():
+            continue
+        if core is None or not np.array_equal(sel, core):
+            stencil, core = _step_matrices(sel), sel
+        yield k, stencil
+
+
+def _lap_h2(A: sp.csr_matrix, w: np.ndarray, bdry_w: np.ndarray,
+            deg: float) -> np.ndarray:
+    """h^2 * lap_h(w) on the core: A w + pinned neighbours - 2n w."""
+    return A @ w + bdry_w - deg * w
+
+
 def _newton_step(prev: np.ndarray, bdry_w: np.ndarray, A: sp.csr_matrix,
                  M: sp.csr_matrix, deg: float, c: float, m: float,
                  cfg: SolverConfig, res_scale: float,
@@ -236,7 +266,7 @@ def _newton_step(prev: np.ndarray, bdry_w: np.ndarray, A: sp.csr_matrix,
 
     def residual(uv: np.ndarray) -> np.ndarray:
         w = _pow_odd(uv, m)
-        return uv - c * (A @ w + bdry_w - deg * w) - prev
+        return uv - c * _lap_h2(A, w, bdry_w, deg) - prev
 
     F = residual(u)
     target = cfg.newton_tol * res_scale * dt
@@ -296,58 +326,37 @@ def solve_union(d: SpaceTimeDomain, data: BoundaryData, cfg: SolverConfig,
 
     centers = grid.centers()
     levels = d.num_levels
-    values = np.full((levels, *grid.extents), np.nan)
-    defined = np.zeros((levels, *grid.extents), dtype=bool)
-    scheme_mask = np.zeros_like(defined)
-
-    def fill_data(level: int, mask: np.ndarray):
-        values[level][mask] = data.sample(centers[mask], d.level_time(level))
-        defined[level][mask] = True
-
-    base0 = d.step_base(0)
-    fill_data(0, base0.mask)
+    defined, scheme_mask = _sample_masks(d)
+    values = np.full(defined.shape, np.nan)
+    for k in range(levels):     # parabolic boundary and junction cells
+        pinned = defined[k] & ~scheme_mask[k]
+        values[k][pinned] = data.sample(centers[pinned], d.level_time(k))
 
     newton_iters: list[int] = []
-    prev_mask = base0.mask
     flat_values = values.reshape(levels, -1)
     deg = 2 * grid.n
     c = mu * dt / h ** 2
-    stencil, stencil_core, assemblies = None, None, 0
-    for k in range(d.num_steps):
-        base = d.step_base(k)
-        new_cells = base.mask & ~prev_mask & ~defined[k]
-        if new_cells.any():
-            fill_data(k, new_cells)       # junction cells take boundary data
-        fill_data(k + 1, base.boundary_mask)
-
-        core = base.core_mask
-        if not core.any():
-            prev_mask = base.mask
-            continue
-        if stencil_core is None or not np.array_equal(core, stencil_core):
-            stencil, stencil_core = _step_matrices(core), core
-            A = stencil.adjacency
+    stencil, assemblies = None, 0
+    for k, st in _level_stencils(scheme_mask):
+        if st is not stencil:
+            stencil, A = st, st.adjacency
             M = sp.diags(np.full(A.shape[0], float(deg))) - A   # 2n*I - A
             assemblies += 1
-        prev_core = flat_values[k, stencil.flat]
+        prev_core = flat_values[k - 1, stencil.flat]
         if np.isnan(prev_core).any():
             raise SolverError("missing initial values on a slab core")
 
         if cfg.scheme == "implicit":
-            bdry_w = pinned_sum(stencil, _pow_odd(values[k + 1], m))
+            bdry_w = pinned_sum(stencil, _pow_odd(values[k], m))
             u_new, its = _newton_step(prev_core, bdry_w, A, M, deg, c, m,
                                       cfg, res_scale, dt)
             newton_iters.append(its)
         else:
             w_prev = _pow_odd(prev_core, m)
-            bdry_w = pinned_sum(stencil, _pow_odd(values[k], m))
-            u_new = prev_core + c * (A @ w_prev + bdry_w - deg * w_prev)
+            bdry_w = pinned_sum(stencil, _pow_odd(values[k - 1], m))
+            u_new = prev_core + c * _lap_h2(A, w_prev, bdry_w, deg)
             u_new = np.maximum(u_new, 0.0)
-
-        flat_values[k + 1, stencil.flat] = u_new
-        defined[k + 1][base.mask] = True
-        scheme_mask[k + 1][core] = True
-        prev_mask = base.mask
+        flat_values[k, stencil.flat] = u_new
 
     stats = {
         "newton_iterations": newton_iters,
@@ -372,27 +381,26 @@ def solve_cylinder(cyl: Cylinder, data: BoundaryData, cfg: SolverConfig,
     return solve_union(d, data, cfg, m)
 
 
-def discrete_residual(f: Field, idx: tuple[int, ...], level: int) -> float:
-    """Pointwise scheme residual (u_k - u_{k-1})/dt - mu*lap_h(u_k^m).
+def scheme_residual(f: Field) -> np.ndarray:
+    """The scheme residual (u_k - u_{k-1})/dt - mu*lap_h(w) per sample.
 
-    Only valid at interior samples (cells where the step enforced the
-    scheme); boundary samples are rejected.
+    w = u^m at level k for the implicit scheme and at level k - 1 for the
+    explicit one, as ``f.config.scheme`` says.  The result has shape
+    ``(levels, *extents)`` and is nan off ``f.scheme_mask`` (boundary
+    samples and level 0).
     """
-    if level < 1 or not f.scheme_mask[(level, *idx)]:
-        raise SolverError(f"({idx}, level {level}) is not an interior sample")
     d = f.domain
-    h = d.grid.h
-    u_now = f.values[(level, *idx)]
-    u_prev = f.values[(level - 1, *idx)]
-    lap = 0.0
-    w0 = _pow_odd(u_now, f.m)
-    for ax in range(d.grid.n):
-        for step in (-1, 1):
-            nb = list(idx)
-            nb[ax] += step
-            lap += _pow_odd(f.values[(level, *tuple(nb))], f.m) - w0
-    lap /= h * h
-    return float((u_now - u_prev) / d.dt - f.config.diffusion * lap)
+    lag = 0 if f.config.scheme == "implicit" else 1
+    out = np.full(f.values.shape, np.nan)
+    flat_out = out.reshape(d.num_levels, -1)
+    flat_values = f.values.reshape(d.num_levels, -1)
+    for k, st in _level_stencils(f.scheme_mask):
+        w = _pow_odd(f.values[k - lag], f.m)
+        lap = _lap_h2(st.adjacency, w.ravel()[st.flat], pinned_sum(st, w),
+                      2 * d.grid.n) / d.grid.h ** 2
+        du = flat_values[k, st.flat] - flat_values[k - 1, st.flat]
+        flat_out[k, st.flat] = du / d.dt - f.config.diffusion * lap
+    return out
 
 
 def comparison_check(u: Field, v: Field, tol: float = 1e-10) -> tuple[bool, list]:

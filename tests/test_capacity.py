@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmelab.capacity import (
     CapacityError,
     CompactMask,
+    _complement_mask_in_ball,
     capacity,
     classify_thickness,
     dilate,
@@ -246,3 +248,34 @@ def test_torsion_rejects_bad_inputs():
     two[10:13, 10:13] = True
     with pytest.raises(CapacityError):
         torsion_profile(SpatialDomain(g, two), np.array([2 / 32, 2 / 32]))
+
+
+def _reference_complement_in_ball(U, x0, r, amb_grid):
+    """Per-cell loop: ambient cells in B(x0, r) that are not cells of U."""
+    centers = amb_grid.centers()
+    inside_ball = np.linalg.norm(centers - x0, axis=-1) < r
+    offset = np.round((np.asarray(amb_grid.origin) - np.asarray(U.grid.origin))
+                      / U.grid.h).astype(int)
+    in_U = np.zeros(amb_grid.extents, dtype=bool)
+    for idx in np.argwhere(inside_ball):
+        iu = tuple(idx + offset)
+        if all(0 <= iu[a] < U.grid.extents[a] for a in range(U.grid.n)):
+            in_U[tuple(idx)] = U.mask[iu]
+    return inside_ball & ~in_U
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_complement_in_ball_matches_per_cell_loop(n, seed):
+    # ambient boxes that contain U, overlap it partly or miss it entirely
+    rng = np.random.default_rng(seed)
+    h = 0.1
+    ext = tuple(int(e) for e in rng.integers(2, 9, size=n))
+    U = SpatialDomain(Grid(n=n, h=h, origin=(0.0,) * n, extents=ext),
+                      rng.random(ext) < 0.6)
+    offset = rng.integers(-12, 12, size=n)
+    amb = Grid(n=n, h=h, origin=tuple(float(o * h) for o in offset),
+               extents=tuple(int(e) for e in rng.integers(1, 14, size=n)))
+    x0, r = rng.uniform(-1.0, 1.0, size=n), rng.uniform(0.1, 1.5)
+    assert np.array_equal(_complement_mask_in_ball(U, x0, r, amb),
+                          _reference_complement_in_ball(U, x0, r, amb))

@@ -127,6 +127,27 @@ def test_capacity_operation_with_refinement_ladder(tmp_path):
     assert refine["cauchy_diffs"][1] <= refine["cauchy_diffs"][0]
 
 
+def test_explicit_solve_passes_its_residual_check(tmp_path):
+    # dt = 2.5e-4 is under the CFL bound 4.88e-4; the report checks the
+    # explicit scheme (w at the previous level), the one that was solved
+    doc = {
+        "name": "explicit-tent-solve",
+        "seed": 0,
+        "grid": {"n": 2, "h": 0.0625, "origin": [-0.5, -0.5],
+                 "extents": [16, 16]},
+        "domain": {"dt": 2.5e-4, "cylinders": [
+            {"base": {"shape": "box"}, "t1": 0.0, "t2": 0.01}]},
+        "data": {"profile": "tent", "center": [0.0, 0.0], "width": 0.6,
+                 "peak": 1.0},
+        "solver": {"scheme": "explicit"},
+        "operation": {"kind": "solve", "m": 2.0},
+    }
+    report = run_scenario(doc, tmp_path)
+    assert report["all_pass"]
+    (check,) = report["checks"]
+    assert check["detail"]["worst"] <= 1e-10 * check["detail"]["scale"]
+
+
 def test_slit_scenario_runs(tmp_path):
     report = run_scenario(bundled_scenario("slit-box-wiener"), tmp_path)
     assert report["all_pass"]

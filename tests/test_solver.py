@@ -22,7 +22,7 @@ from pmelab.solver import (
     SolverError,
     cfl_max_dt,
     comparison_check,
-    discrete_residual,
+    scheme_residual,
     solve_cylinder,
     solve_union,
 )
@@ -45,7 +45,7 @@ def test_constant_data_gives_constant_solution():
     u = solve_union(d, BoundaryData.constant(1.5), SolverConfig(), M_EXP)
     vals = u.values[u.defined]
     assert vals.min() == vals.max() == pytest.approx(1.5)
-    assert discrete_residual(u, (8, 8), 5) == 0.0
+    assert scheme_residual(u)[5, 8, 8] == 0.0
 
 
 def test_stationary_affine_power_profile():
@@ -79,8 +79,11 @@ def test_solver_output_nonnegative_and_boundary_pinned():
         bounds=(0.0, 2.0))
     u = solve_union(d, data, SolverConfig(), M_EXP)
     assert np.nanmin(u.values[u.defined]) >= 0.0
-    for k, t, idx, center in u.pb.samples():
-        assert u.values[(k, *idx)] == pytest.approx(data.sample(center, t))
+    centers = U.grid.centers()
+    for k, *idx in zip(*np.nonzero(u.pb.mask)):
+        t = d.level_time(k)
+        assert u.values[(k, *idx)] == pytest.approx(
+            data.sample(centers[tuple(idx)], t))
 
 
 def test_solve_cylinder_matches_union_route():
@@ -131,9 +134,9 @@ def test_barenblatt_truncation_order():
             for idx in np.argwhere(U.mask):
                 idx = tuple(idx)
                 vals[(k, *idx)] = barenblatt(centers[idx], t, m, n, C)
-        f = Field.from_values(d, vals, m)
+        res = scheme_residual(Field.from_values(d, vals, m))
         mid = cells // 2
-        worst.append(max(abs(discrete_residual(f, (mid, mid), lv))
+        worst.append(max(abs(res[lv, mid, mid])
                          for lv in (1, d.num_steps // 2, d.num_steps)))
     ratio = worst[0] / worst[1]
     assert 1.5 < ratio < 3.5
@@ -277,13 +280,88 @@ def test_degenerate_vacuum_region_stays_put():
     assert np.nanmin(u.values[u.defined]) >= 0.0
 
 
-def test_discrete_residual_rejects_boundary_samples():
+def test_scheme_residual_is_nan_off_interior_samples():
     d, _ = box_cylinder()
     u = solve_union(d, BoundaryData.constant(1.0), SolverConfig(), M_EXP)
-    with pytest.raises(SolverError):
-        discrete_residual(u, (0, 5), 3)      # lateral cell
-    with pytest.raises(SolverError):
-        discrete_residual(u, (8, 8), 0)      # bottom level
+    res = scheme_residual(u)
+    assert np.isnan(res[3, 0, 5])        # lateral cell
+    assert np.isnan(res[0, 8, 8])        # bottom level
+    assert np.array_equal(~np.isnan(res), u.scheme_mask)
+
+
+def _reference_residual(f):
+    """Per-cell walk of the scheme at every interior sample, with the size
+    of its terms: w = u^m at level k (implicit) or k - 1 (explicit)."""
+    d = f.domain
+    lag = 0 if f.config.scheme == "implicit" else 1
+
+    def w(u):
+        return np.sign(u) * np.abs(u) ** f.m
+
+    res = np.full(f.values.shape, np.nan)
+    size = np.zeros(f.values.shape)
+    for k, *idx in np.argwhere(f.scheme_mask):
+        u_now, u_prev = f.values[(k, *idx)], f.values[(k - 1, *idx)]
+        w0 = w(f.values[(k - lag, *idx)])
+        lap, mag = 0.0, 0.0
+        for ax in range(d.grid.n):
+            for step in (-1, 1):
+                nb = list(idx)
+                nb[ax] += step
+                w_nb = w(f.values[(k - lag, *nb)])
+                lap += w_nb - w0
+                mag += abs(w_nb) + abs(w0)
+        res[(k, *idx)] = ((u_now - u_prev) / d.dt
+                          - f.config.diffusion * lap / d.grid.h ** 2)
+        size[(k, *idx)] = ((abs(u_now) + abs(u_prev)) / d.dt
+                           + f.config.diffusion * mag / d.grid.h ** 2)
+    return res, size
+
+
+@st.composite
+def _monotone_unions(draw):
+    """Cylinders with random (nonempty) bases starting at increasing times
+    and ending together, so the time sections grow; n = 1 or 2."""
+    n = draw(st.integers(1, 2))
+    extents = tuple(draw(st.integers(3, 7)) for _ in range(n))
+    g = Grid(n=n, h=1 / 8, origin=(0.0,) * n, extents=extents)
+    dt = 1 / 1024
+    starts = sorted(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    end = starts[-1] + draw(st.integers(1, 3))
+    cyls = []
+    for start in starts:
+        bits = draw(st.lists(st.booleans(), min_size=math.prod(extents),
+                             max_size=math.prod(extents)))
+        mask = np.array(bits, dtype=bool).reshape(extents)
+        mask.flat[draw(st.integers(0, mask.size - 1))] = True
+        cyls.append(Cylinder(SpatialDomain(g, mask), start * dt, end * dt))
+    return SpaceTimeDomain(cyls, dt=dt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=_monotone_unions(), scheme=st.sampled_from(["implicit", "explicit"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_scheme_residual_matches_per_cell_walk(d, scheme, seed):
+    cfg = SolverConfig(scheme=scheme)
+    data = BoundaryData(
+        fn=lambda x, t: 0.5 + 0.4 * np.sin(3 * x[..., 0] + 7 * t),
+        bounds=(0.1, 0.9))
+    u = solve_union(d, data, cfg, M_EXP)
+    wrapped = Field.from_values(d, u.values, M_EXP, cfg)
+    assert np.array_equal(u.defined, wrapped.defined)
+    assert np.array_equal(u.scheme_mask, wrapped.scheme_mask)
+    # the solve satisfies its own scheme at every interior sample
+    res = scheme_residual(u)
+    bound = 10 * cfg.linear_tol * u.stats["residual_scale"]
+    assert (np.abs(res[u.scheme_mask]) <= bound).all()
+    vals = np.random.default_rng(seed).uniform(-0.5, 2.0, u.values.shape)
+    for f in (u, Field.from_values(d, vals, M_EXP, cfg)):
+        res = scheme_residual(f)
+        ref, size = _reference_residual(f)
+        assert np.array_equal(np.isnan(res), ~f.scheme_mask)
+        assert np.array_equal(np.isnan(ref), ~f.scheme_mask)
+        diff = np.abs(res - ref)[f.scheme_mask]
+        assert (diff <= 1e-12 * size[f.scheme_mask]).all()
 
 
 def test_comparison_ordered_pair_and_equal_fields():
@@ -356,20 +434,14 @@ def _supersolution_field(k_cells=12):
     return Field.from_values(d, vals, M_EXP), U
 
 
-def _super_residual(field, idx, level):
-    # supersolution sign check: time derivative minus laplacian >= 0
-    return discrete_residual(field, idx, level)
-
-
 @settings(max_examples=15, deadline=None)
 @given(k=st.floats(min_value=0.2, max_value=3.0))
 def test_pasting_min_with_constant_is_supersolution(k):
     field, U = _supersolution_field()
     pasted = np.minimum(field.values, k)
     w = Field.from_values(field.domain, pasted, M_EXP)
-    for level in range(1, field.domain.num_levels):
-        for idx in map(tuple, np.argwhere(w.scheme_mask[level])):
-            assert _super_residual(w, idx, level) >= -1e-11
+    # supersolution sign check: time derivative minus laplacian >= 0
+    assert (scheme_residual(w)[w.scheme_mask] >= -1e-11).all()
 
 
 def test_stability_under_data_perturbation():
@@ -431,5 +503,6 @@ def test_scaling_identity_on_the_stencil():
                        v.scheme_mask.copy(), M_EXP,
                        SolverConfig(diffusion=1.0), dict(v.stats))
         scale = u_a.stats["residual_scale"] * a ** (1.0 / (M_EXP - 1))
+        res = scheme_residual(v_unit)
         for idx in [(4, 4), (2, 6)]:
-            assert abs(discrete_residual(v_unit, idx, 3)) <= 1e-10 * scale
+            assert abs(res[(3, *idx)]) <= 1e-10 * scale
