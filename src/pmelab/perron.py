@@ -327,15 +327,20 @@ def _approach_radii(radii: list[float]) -> list[float]:
     return radii
 
 
-def _check_on_parabolic_boundary(d: SpaceTimeDomain, xi0) -> None:
+def _on_parabolic_boundary(d: SpaceTimeDomain, xi0) -> bool:
+    """Whether a parabolic-boundary sample of d lies within a cell of xi0."""
     x0, t0 = np.asarray(xi0[0], dtype=float), float(xi0[1])
     tol_x = 0.75 * d.grid.h * math.sqrt(d.grid.n)
     near_t = np.abs(d.level_times() - t0) <= 0.51 * d.dt
     near_x = np.linalg.norm(d.grid.centers() - x0, axis=-1) <= tol_x
-    if (parabolic_boundary(d).mask[near_t] & near_x).any():
-        return
-    raise PerronError(
-        f"xi0=({tuple(x0)}, {t0}) does not match any parabolic-boundary sample")
+    return bool((parabolic_boundary(d).mask[near_t] & near_x).any())
+
+
+def _check_on_parabolic_boundary(d: SpaceTimeDomain, xi0) -> None:
+    if not _on_parabolic_boundary(d, xi0):
+        x0, t0 = np.asarray(xi0[0], dtype=float), float(xi0[1])
+        raise PerronError(f"xi0=({tuple(x0)}, {t0}) does not match any "
+                          "parabolic-boundary sample")
 
 
 def _is_flat(gaps: list[float]) -> bool:
@@ -411,6 +416,18 @@ def regularity_probe(d: SpaceTimeDomain, xi0, family: list[BoundaryData],
     vanishing capacity.
     """
     _check_on_parabolic_boundary(d, xi0)
+    return _probe(d, xi0, family, radii, cfg, m, eps, disc_est,
+                  family_labels, upper_members, removability)
+
+
+def _probe(d: SpaceTimeDomain, xi0, family: list[BoundaryData],
+           radii: list[float], cfg: SolverConfig, m: float,
+           eps: float | None = None, disc_est: float | None = None,
+           family_labels: list[str] | None = None,
+           upper_members: list[BarrierSpec] | None = None,
+           removability: RemovabilityCertificate | None = None
+           ) -> RegularityProbe:
+    """``regularity_probe`` at a point already known to be on the boundary."""
     radii = _approach_radii(radii)
     x0, t0 = np.asarray(xi0[0], dtype=float), float(xi0[1])
     xi = np.append(x0, t0)
@@ -561,14 +578,8 @@ def future_truncation_probe(d: SpaceTimeDomain, xi0,
     trunc = d.truncate(t0) if t0 < d.t_max else d
     if not trunc.cylinders or trunc.num_steps < 1:
         raise PerronError("truncation at t0 is empty")
-    try:
-        _check_on_parabolic_boundary(trunc, xi0)
-        on_boundary = True
-    except PerronError:
-        on_boundary = False
-    if on_boundary:
-        trunc_probe = regularity_probe(trunc, xi0, family, radii, cfg, m,
-                                       **kwargs)
+    if _on_parabolic_boundary(trunc, xi0):
+        trunc_probe = _probe(trunc, xi0, family, radii, cfg, m, **kwargs)
     else:
         trunc_probe = RegularityProbe(
             (tuple(map(float, x0)), t0), _approach_radii(radii),

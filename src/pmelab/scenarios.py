@@ -284,6 +284,13 @@ def _field_rows(field):
                field.values[field.defined])
 
 
+# Newton stops once every step residual is within newton_tol * scale; the
+# reports recompute the residual in another association order, whose
+# rounding (about 1e-9 of that bound at the default tolerances) this
+# relative margin covers.
+_ROUNDING_MARGIN = 1 + 1e-6
+
+
 def _worst_residual(field) -> float:
     """Largest |scheme residual| over every interior sample (0 if none)."""
     res = scheme_residual(field)[field.scheme_mask]
@@ -304,13 +311,15 @@ def _op_solve(doc, report, rng):
     report.write_csv("field.csv", header, _field_rows(field))
     worst = _worst_residual(field)
     scale = field.stats["residual_scale"]
-    report.check("interior residual within linear_tol x scale",
-                 worst <= cfg.linear_tol * scale * 10,
+    report.check("interior residual within newton_tol x scale",
+                 worst <= cfg.newton_tol * scale * _ROUNDING_MARGIN,
                  {"worst": worst, "scale": scale})
+    stats = field.stats
     report.payload["solve"] = {
         "residual_scale": scale,
-        "newton_iterations_max": max(field.stats["newton_iterations"],
-                                     default=0),
+        "newton_iterations_max": max(stats["newton_iterations"], default=0),
+        "linear_iterations": sum(stats["linear_iterations"]),
+        "line_search_failures": stats["line_search_failures"],
         "cfl_max_dt": cfl_max_dt(data.bounds[1], d.grid.h, m, d.grid.n),
         "sup": field.sup(), "min": field.min(),
     }
@@ -711,7 +720,7 @@ def _op_scaling_check(doc, report, rng):
                        replace(u_a.config, diffusion=1.0), v.stats)
         worst = _worst_residual(v_unit)
         scale = u_a.stats["residual_scale"] * a ** (1.0 / (m - 1))
-        tol = build_config(doc.get("solver")).linear_tol * scale
+        tol = cfg_a.newton_tol * scale * _ROUNDING_MARGIN
         report.check(f"transformed field solves the unit scheme (a={a})",
                      worst <= tol, {"worst": worst, "tol": tol})
         worst_overall = max(worst_overall, worst)

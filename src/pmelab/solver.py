@@ -2,7 +2,7 @@
 
 The scheme uses the standard 2n+1-point Laplacian applied to w = u^m and
 either backward-Euler time stepping (damped Newton per step, symmetrized
-Jacobian solved by unpreconditioned CG) or forward Euler under a CFL bound.
+Jacobian solved by CG) or forward Euler under a CFL bound.
 On unions of cylinders with nondecreasing time sections the solve proceeds
 slab by slab; cells appearing at a junction take their initial values from
 the parabolic boundary data at the junction time.
@@ -18,6 +18,24 @@ gathered and scattered through the stencil's flat grid indices, and the
 Dirichlet contributions of the pinned neighbours are array sums per stencil
 direction.
 
+Newton's symmetrized Jacobian is ``I + c*S M S`` with ``M = 2n*I - A``
+and ``S = diag(sqrt(m|u|^(m-1)))``.  M and the row, diagonal and banded
+positions of its stored entries are kept with the stencil, so each Newton
+iteration builds the Jacobian by scaling M's stored data.  Cells are
+numbered in C order, so the Jacobian is banded; its bandwidth is the
+largest index distance between neighbours (a row of the core in 2-D).
+When that is at most ``_BAND_MAX`` (32), CG is preconditioned by the
+exact banded Cholesky factor of the Jacobian and converges in one
+iteration; wider bands keep plain CG.  The factor costs about n*bw^2, so
+the cutoff was taken from the benchmark's Barenblatt ladder and criterion 5
+runs: 32 factors the h = 1/32 systems (band 30) and beat 16 and 64, where
+factoring the h = 1/64 systems (band 62) cost more than their CG
+iterations.  Either way CG stops on ``linear_tol`` relative to the
+right-hand side, so the tolerances keep their meaning.  ``Field.stats``
+counts the CG iterations per step (``linear_iterations``) and the Newton
+line searches in which no halving met the Armijo test
+(``line_search_failures``; the last halved step is kept).
+
 ``scheme_residual`` is the scheme as an array over every interior sample,
 for the field's own scheme; it shares the stencil walk and the Laplacian
 expression with the solve, so reports check exactly what was solved.
@@ -32,11 +50,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .geometry import (
     Cylinder,
@@ -55,6 +74,7 @@ class SolverError(RuntimeError):
 
 
 _DEGENERACY_FLOOR = 1e-12   # Jacobian regularization for cells with u ~ 0
+_BAND_MAX = 32              # widest Jacobian band factored for CG
 
 
 def _pow_odd(u: np.ndarray, m: float) -> np.ndarray:
@@ -252,17 +272,79 @@ def _lap_h2(A: sp.csr_matrix, w: np.ndarray, bdry_w: np.ndarray,
     return A @ w + bdry_w - deg * w
 
 
+class _SlabJacobian(NamedTuple):
+    """Where the Jacobian ``I + c*S M S`` of one slab puts M's stored data.
+
+    ``M = 2n*I - A`` is built once per slab.  ``rows`` is the CSR row of
+    each stored entry of M and ``diag`` the positions of the diagonal ones.
+    ``upper`` lists the entries on or above the diagonal and ``band`` their
+    flat index into the ``(bw + 1, n)`` upper banded storage (row
+    ``bw + row - col``), where ``bw`` is the largest ``col - row``.
+    """
+
+    M: sp.csr_matrix
+    rows: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+    band: np.ndarray
+    bw: int
+
+
+def _slab_jacobian(A: sp.csr_matrix, deg: float) -> _SlabJacobian:
+    """The constant part ``M = deg*I - A`` and its Jacobian pattern."""
+    M = (sp.diags(np.full(A.shape[0], deg)) - A).tocsr()
+    n = M.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(M.indptr))
+    offset = M.indices - rows
+    bw = int(offset.max(initial=0))
+    upper = np.flatnonzero(offset >= 0)
+    band = (bw - offset[upper]) * n + M.indices[upper]
+    return _SlabJacobian(M, rows, np.flatnonzero(offset == 0), upper, band,
+                         bw)
+
+
+def _scaled_jacobian(jac: _SlabJacobian, s: np.ndarray,
+                     c: float) -> sp.csr_matrix:
+    """``I + c*S M S`` with ``S = diag(s)``, on M's own sparsity pattern."""
+    M = jac.M
+    data = c * (s[jac.rows] * M.data * s[M.indices])
+    data[jac.diag] += 1.0
+    return sp.csr_matrix((data, M.indices, M.indptr), shape=M.shape)
+
+
+def _band_preconditioner(J: sp.csr_matrix,
+                         jac: _SlabJacobian) -> LinearOperator:
+    """The exact inverse of the SPD banded J, through its Cholesky factor."""
+    n = J.shape[0]
+    ab = np.zeros((jac.bw + 1) * n)
+    ab[jac.band] = J.data[jac.upper]
+    try:
+        cb = cholesky_banded(ab.reshape(jac.bw + 1, n), check_finite=False)
+    except LinAlgError as exc:
+        raise SolverError(
+            f"banded Cholesky factorization of the Jacobian failed: {exc}"
+        ) from None
+    return LinearOperator(
+        J.shape, dtype=float,
+        matvec=lambda r: cho_solve_banded((cb, False), r, check_finite=False))
+
+
 def _newton_step(prev: np.ndarray, bdry_w: np.ndarray, A: sp.csr_matrix,
-                 M: sp.csr_matrix, deg: float, c: float, m: float,
+                 jac: _SlabJacobian, deg: float, c: float, m: float,
                  cfg: SolverConfig, res_scale: float,
-                 dt: float) -> tuple[np.ndarray, int]:
+                 dt: float) -> tuple[np.ndarray, int, int, int]:
     """Solve u - c*(A w(u) + g - deg*w(u)) = prev for one implicit step.
 
     c = mu*dt/h^2, g = bdry_w (Dirichlet contributions), w = odd power m,
-    M = deg*I - A (the SPD part of the Jacobian, built once per slab).
-    Returns (u, newton iterations).
+    ``jac`` holds M = deg*I - A (the SPD part of the Jacobian, built once
+    per slab).  Returns (u, Newton iterations, CG iterations, line
+    searches in which no halving met the Armijo test).
     """
     u = prev.copy()
+    linear_iters = [0]
+
+    def count(_xk):
+        linear_iters[0] += 1
 
     def residual(uv: np.ndarray) -> np.ndarray:
         w = _pow_odd(uv, m)
@@ -270,16 +352,17 @@ def _newton_step(prev: np.ndarray, bdry_w: np.ndarray, A: sp.csr_matrix,
 
     F = residual(u)
     target = cfg.newton_tol * res_scale * dt
+    failures = 0
     for it in range(cfg.newton_max):
         if np.max(np.abs(F)) <= target:
-            return np.maximum(u, 0.0), it
+            return np.maximum(u, 0.0), it, linear_iters[0], failures
         d = m * np.maximum(np.abs(u), _DEGENERACY_FLOOR) ** (m - 1)
         s = np.sqrt(d)
-        S = sp.diags(s)
-        J_sym = sp.identity(len(u), format="csr") + c * (S @ M @ S)
-        rhs = s * (-F)
-        y, info = cg(J_sym, rhs, rtol=cfg.linear_tol, atol=0.0,
-                     maxiter=10 * len(u) + 100)
+        J_sym = _scaled_jacobian(jac, s, c)
+        precond = (_band_preconditioner(J_sym, jac)
+                   if jac.bw <= _BAND_MAX else None)
+        y, info = cg(J_sym, s * (-F), rtol=cfg.linear_tol, atol=0.0,
+                     maxiter=10 * len(u) + 100, M=precond, callback=count)
         if info != 0:
             raise SolverError(f"inner CG failed to converge (info={info})")
         delta = y / s
@@ -291,9 +374,11 @@ def _newton_step(prev: np.ndarray, bdry_w: np.ndarray, A: sp.csr_matrix,
             if np.linalg.norm(F_try) <= (1 - 1e-4 * step) * norm0:
                 break
             step *= 0.5
+        else:
+            failures += 1
         u, F = u_try, F_try
     if np.max(np.abs(F)) <= target:
-        return np.maximum(u, 0.0), cfg.newton_max
+        return np.maximum(u, 0.0), cfg.newton_max, linear_iters[0], failures
     raise SolverError(
         f"Newton did not converge in {cfg.newton_max} iterations; "
         f"worst step residual {np.max(np.abs(F)) / dt:.3e} "
@@ -333,6 +418,8 @@ def solve_union(d: SpaceTimeDomain, data: BoundaryData, cfg: SolverConfig,
         values[k][pinned] = data.sample(centers[pinned], d.level_time(k))
 
     newton_iters: list[int] = []
+    linear_iters: list[int] = []
+    ls_failures = 0
     flat_values = values.reshape(levels, -1)
     deg = 2 * grid.n
     c = mu * dt / h ** 2
@@ -340,7 +427,7 @@ def solve_union(d: SpaceTimeDomain, data: BoundaryData, cfg: SolverConfig,
     for k, st in _level_stencils(scheme_mask):
         if st is not stencil:
             stencil, A = st, st.adjacency
-            M = sp.diags(np.full(A.shape[0], float(deg))) - A   # 2n*I - A
+            jac = _slab_jacobian(A, float(deg))
             assemblies += 1
         prev_core = flat_values[k - 1, stencil.flat]
         if np.isnan(prev_core).any():
@@ -348,9 +435,11 @@ def solve_union(d: SpaceTimeDomain, data: BoundaryData, cfg: SolverConfig,
 
         if cfg.scheme == "implicit":
             bdry_w = pinned_sum(stencil, _pow_odd(values[k], m))
-            u_new, its = _newton_step(prev_core, bdry_w, A, M, deg, c, m,
-                                      cfg, res_scale, dt)
+            u_new, its, lin, fails = _newton_step(
+                prev_core, bdry_w, A, jac, deg, c, m, cfg, res_scale, dt)
             newton_iters.append(its)
+            linear_iters.append(lin)
+            ls_failures += fails
         else:
             w_prev = _pow_odd(prev_core, m)
             bdry_w = pinned_sum(stencil, _pow_odd(values[k - 1], m))
@@ -360,6 +449,8 @@ def solve_union(d: SpaceTimeDomain, data: BoundaryData, cfg: SolverConfig,
 
     stats = {
         "newton_iterations": newton_iters,
+        "linear_iterations": linear_iters,
+        "line_search_failures": ls_failures,
         "assemblies": assemblies,
         "residual_scale": res_scale,
         "dt": dt,

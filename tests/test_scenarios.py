@@ -148,6 +148,32 @@ def test_explicit_solve_passes_its_residual_check(tmp_path):
     assert check["detail"]["worst"] <= 1e-10 * check["detail"]["scale"]
 
 
+def test_implicit_solve_passes_its_newton_tolerance(tmp_path):
+    # Newton stops at newton_tol * scale, so that is what the report checks;
+    # a check at linear_tol * scale failed this solve at worst 5.0e-5
+    doc = {
+        "name": "loose-newton-tent-solve",
+        "seed": 0,
+        "grid": {"n": 2, "h": 0.0625, "origin": [-0.5, -0.5],
+                 "extents": [16, 16]},
+        "domain": {"dt": 0.01, "cylinders": [
+            {"base": {"shape": "box"}, "t1": 0.0, "t2": 0.1}]},
+        "data": {"profile": "tent", "center": [0.0, 0.0], "width": 0.6,
+                 "peak": 1.0},
+        "solver": {"newton_tol": 1e-6},
+        "operation": {"kind": "solve", "m": 2.0},
+    }
+    report = run_scenario(doc, tmp_path)
+    assert report["all_pass"]
+    (check,) = report["checks"]
+    assert check["detail"]["worst"] > 1e-10 * check["detail"]["scale"]
+    solve = report["solve"]
+    assert solve["linear_iterations"] > 0
+    assert solve["line_search_failures"] == 0
+    header = (tmp_path / "field.csv").read_text().splitlines()[0]
+    assert "iterations" not in header and "failures" not in header
+
+
 def test_slit_scenario_runs(tmp_path):
     report = run_scenario(bundled_scenario("slit-box-wiener"), tmp_path)
     assert report["all_pass"]

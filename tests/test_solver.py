@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from pmelab import bundled, scenarios
+from pmelab import bundled, scenarios, solver
 from pmelab.barriers import barenblatt
 from pmelab.capacity import torsion_profile
 from pmelab.geometry import (
@@ -184,6 +185,70 @@ def test_newton_failure_carries_residual():
                         bounds=(0.01, 2.0))
     with pytest.raises(SolverError, match="worst step residual"):
         solve_union(d, data, SolverConfig(newton_max=1), M_EXP)
+
+
+def test_line_search_failures_are_counted():
+    # a jump to 20 from near vacuum at m = 4: one Newton step is kept
+    # although none of its 10 halvings meets the Armijo test
+    d, _ = box_cylinder(t2=0.25, dt=0.25)
+    data = BoundaryData(fn=lambda x, t: np.full(x.shape[:-1],
+                                                0.01 if t <= 0 else 20.0),
+                        bounds=(0.01, 20.0))
+    u = solve_union(d, data, SolverConfig(), 4.0)
+    assert u.stats["line_search_failures"] >= 1
+    smooth = solve_union(d, data, SolverConfig(), M_EXP)
+    assert smooth.stats["line_search_failures"] == 0
+
+
+def _recording_cg(monkeypatch):
+    """Record (matrix, rhs, solution, preconditioner) of each inner solve."""
+    calls, cg = [], solver.cg
+
+    def recording(J, b, **kwargs):
+        y, info = cg(J, b, **kwargs)
+        calls.append((J, b, y, kwargs.get("M")))
+        return y, info
+
+    monkeypatch.setattr(solver, "cg", recording)
+    return calls
+
+
+def test_banded_factor_takes_one_cg_iteration_per_newton_iteration(
+        monkeypatch):
+    # the 16x16 box of the bundled scaling scenario: 14x14 core, band 14
+    doc = bundled.bundled_scenario("scaling-exactness")
+    m = float(doc["operation"]["m"])
+    calls = _recording_cg(monkeypatch)
+    u = solve_union(scenarios.build_domain(doc),
+                    scenarios.build_data(doc["data"], m), SolverConfig(), m)
+    assert sum(u.stats["newton_iterations"]) > 0
+    assert u.stats["linear_iterations"] == u.stats["newton_iterations"]
+    assert u.stats["line_search_failures"] == 0
+    assert all(M is not None for *_, M in calls)
+
+
+def test_wide_band_cg_meets_linear_tol_on_the_true_residual(monkeypatch):
+    # a 36x36 box has a 34x34 core: its band is wider than _BAND_MAX
+    cells = solver._BAND_MAX + 4
+    d, _ = box_cylinder(h=1 / cells, cells=cells, t2=0.02, dt=0.01)
+    data = BoundaryData(fn=lambda x, t: 1.0 + 0.5 * np.sin(3 * x[..., 0]),
+                        bounds=(0.5, 1.5))
+    cfg = SolverConfig()
+    calls = _recording_cg(monkeypatch)
+    u = solve_union(d, data, cfg, M_EXP)
+    assert len(calls) == sum(u.stats["newton_iterations"]) > 0
+    for J, b, y, M in calls:
+        assert M is None
+        true_res = np.linalg.norm(b - J @ y)
+        assert true_res <= cfg.linear_tol * np.linalg.norm(b)
+
+
+def test_band_factor_of_non_spd_matrix_raises():
+    # M = 1*I - A with off-diagonal 2 is indefinite (eigenvalues -1 and 3)
+    A = sp.csr_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
+    jac = solver._slab_jacobian(A, 1.0)
+    with pytest.raises(SolverError, match="Cholesky"):
+        solver._band_preconditioner(jac.M, jac)
 
 
 def test_union_constant_on_expanding_stack():
