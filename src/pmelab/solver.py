@@ -36,6 +36,11 @@ counts the CG iterations per step (``linear_iterations``) and the Newton
 line searches in which no halving met the Armijo test
 (``line_search_failures``; the last halved step is kept).
 
+The declared ``BoundaryData.bounds`` set the residual scale and the CFL
+check, so every level's pinned samples are checked against them: a value
+outside raises ``SolverError``, and ``Field.stats["data_bounds"]`` records
+the declared and the observed ``[min, max]``.
+
 ``scheme_residual`` is the scheme as an array over every interior sample,
 for the field's own scheme; it shares the stencil walk and the Laplacian
 expression with the solve, so reports check exactly what was solved.
@@ -413,9 +418,19 @@ def solve_union(d: SpaceTimeDomain, data: BoundaryData, cfg: SolverConfig,
     levels = d.num_levels
     defined, scheme_mask = _sample_masks(d)
     values = np.full(defined.shape, np.nan)
+    lo, hi = map(float, data.bounds)
+    observed = [math.inf, -math.inf]
     for k in range(levels):     # parabolic boundary and junction cells
         pinned = defined[k] & ~scheme_mask[k]
-        values[k][pinned] = data.sample(centers[pinned], d.level_time(k))
+        sampled = data.sample(centers[pinned], d.level_time(k))
+        s_lo = float(sampled.min(initial=math.inf))
+        s_hi = float(sampled.max(initial=-math.inf))
+        if s_lo < lo or s_hi > hi:
+            raise SolverError(
+                f"boundary data at t={d.level_time(k)} span [{s_lo}, {s_hi}], "
+                f"outside the declared bounds [{lo}, {hi}]")
+        observed = [min(observed[0], s_lo), max(observed[1], s_hi)]
+        values[k][pinned] = sampled
 
     newton_iters: list[int] = []
     linear_iters: list[int] = []
@@ -453,6 +468,7 @@ def solve_union(d: SpaceTimeDomain, data: BoundaryData, cfg: SolverConfig,
         "line_search_failures": ls_failures,
         "assemblies": assemblies,
         "residual_scale": res_scale,
+        "data_bounds": {"declared": [lo, hi], "observed": observed},
         "dt": dt,
         "h": h,
     }

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.fft import next_fast_len
+from scipy.sparse.linalg import spsolve
 
+from pmelab import capacity as capacity_module
 from pmelab.capacity import (
     CapacityError,
     CompactMask,
+    _box_preconditioner,
     _complement_mask_in_ball,
+    _energy,
     capacity,
     classify_thickness,
     dilate,
@@ -13,7 +19,7 @@ from pmelab.capacity import (
     torsion_profile,
     wiener_profile,
 )
-from pmelab.geometry import Grid, SpatialDomain
+from pmelab.geometry import Grid, SpatialDomain, face_stencil, pinned_sum
 
 
 def ambient_box(h=0.1, cells=25, origin=None, n=2):
@@ -279,3 +285,148 @@ def test_complement_in_ball_matches_per_cell_loop(n, seed):
     x0, r = rng.uniform(-1.0, 1.0, size=n), rng.uniform(0.1, 1.5)
     assert np.array_equal(_complement_mask_in_ball(U, x0, r, amb),
                           _reference_complement_in_ball(U, x0, r, amb))
+
+
+# -- the box-preconditioned CG against a direct solve --------------------------
+
+def _direct(sel, diag, off, rhs_of):
+    """spsolve of (diag*I - off*A) x = rhs on the cells of ``sel``."""
+    st_ = face_stencil(sel)
+    A = sp.diags(np.full(len(st_.flat), diag)) - off * st_.adjacency
+    return spsolve(A.tocsc(), rhs_of(st_))
+
+
+def reference_capacity(E):
+    V = E.ambient
+    h, n = E.grid.h, E.grid.n
+    one = E.dilated
+    free = V.mask & ~one & ~V.boundary_mask
+    u = np.zeros(E.grid.extents)
+    u[one] = 1.0
+    if free.any():
+        u[free] = _direct(free, 2 * n / h ** 2 + 1.0, 1 / h ** 2,
+                          lambda s: pinned_sum(s, one.astype(float)) / h ** 2)
+    return _energy(u, V.mask, h, n)
+
+
+def reference_torsion(U, x0):
+    h = U.grid.h
+    phi = np.linalg.norm(U.grid.centers() - x0, axis=-1)
+    return _direct(U.core_mask, 2 * U.grid.n / h ** 2, 1 / h ** 2,
+                   lambda s: 1.0 + pinned_sum(s, phi) / h ** 2)
+
+
+def disk_ambient(cells, h=0.1):
+    g = Grid(n=2, h=h, origin=(-(cells / 2) * h,) * 2, extents=(cells, cells))
+    mask = np.linalg.norm(g.centers(), axis=-1) < cells * h / 2
+    return g, SpatialDomain(g, mask)
+
+
+@pytest.mark.parametrize("cells", [25, 24])
+def test_capacity_on_disk_ambient_matches_direct_solve(cells):
+    # the free cells do not fill their bounding box, so the inverse is
+    # inexact; the box is 23 cells wide at 25 and 22, padded to 23, at 24
+    g, V = disk_ambient(cells)
+    E = np.zeros(g.extents, dtype=bool)
+    E[10:13, 11:14] = True
+    E[9, 12] = True
+    cm = CompactMask(g, E, V)
+    assert capacity(cm) == pytest.approx(reference_capacity(cm), rel=1e-9)
+
+
+@pytest.mark.parametrize("extents", [(14, 14), (24, 15), (15, 44)])
+def test_capacity_with_padded_box_matches_direct_solve(extents):
+    # free boxes of 12, 22, 13 and 42 cells: N + 1 = 13, 23, 14, 43 are not
+    # 5-smooth, so the transform box is padded on its high end
+    g = Grid(n=2, h=0.1, origin=(0.0, 0.0), extents=extents)
+    V = SpatialDomain(g, np.ones(extents, dtype=bool))
+    E = single_cell(g)
+    cm = CompactMask(g, E, V)
+    assert capacity(cm) == pytest.approx(reference_capacity(cm), rel=1e-9)
+
+
+def test_three_dimensional_capacity_matches_direct_solve():
+    ext = (12, 9, 14)                  # free boxes of 10, 7 and 12 cells
+    g = Grid(n=3, h=0.2, origin=(0.0,) * 3, extents=ext)
+    V = SpatialDomain(g, np.ones(ext, dtype=bool))
+    E = np.zeros(ext, dtype=bool)
+    E[5:7, 4, 6:8] = True
+    cm = CompactMask(g, E, V)
+    assert capacity(cm) == pytest.approx(reference_capacity(cm), rel=1e-9)
+
+
+def test_torsion_on_disk_matches_direct_solve():
+    g, U = disk_ambient(27, h=1 / 13)
+    x0 = g.centers()[U.boundary_mask][0]
+    v = torsion_profile(U, x0)
+    ref = reference_torsion(U, x0)
+    assert np.allclose(v.values[U.core_mask], ref, rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("cells", [14, 16])
+def test_box_preconditioner_is_the_restricted_box_inverse(cells):
+    # explicit R A_box^-1 R^T on a disk's core: its 12-cell box is padded to
+    # 14 (13 is prime, 15 = 3 * 5); its 14-cell box is not padded
+    g, V = disk_ambient(cells)
+    sel = V.core_mask
+    st_ = face_stencil(sel)
+    diag, off = 4.5, 1.0
+    P = _box_preconditioner(st_, sel.shape, diag, off)
+    dense = P @ np.eye(len(st_.flat))
+    coords = np.argwhere(sel)
+    lo = coords.min(axis=0)
+    box = tuple(next_fast_len(int(w) + 1, real=True) - 1
+                for w in coords.max(axis=0) - lo + 1)
+    full = face_stencil(np.ones(box, dtype=bool))
+    A_box = (diag * np.eye(len(full.flat))
+             - off * full.adjacency.toarray())
+    at = np.ravel_multi_index(tuple((coords - lo).T), box)
+    expected = np.linalg.inv(A_box)[np.ix_(at, at)]
+    assert np.allclose(dense, expected, rtol=0.0, atol=1e-12)
+    assert np.allclose(dense, dense.T, rtol=0.0, atol=1e-12)
+
+
+def staircase_ambient(heights, width):
+    """Column i of the ambient box holds rows [0, heights[i])."""
+    g = Grid(n=2, h=0.1, origin=(0.0, 0.0), extents=(len(heights), width))
+    mask = np.arange(width)[None, :] < np.asarray(heights)[:, None]
+    return g, SpatialDomain(g, mask)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_capacity_in_monotone_ambient_matches_direct_solve(seed):
+    # ambient masks with nonincreasing column heights (a staircase) and a
+    # random set E whose dilation stays inside the ambient core
+    rng = np.random.default_rng(seed)
+    cols, width = (int(v) for v in rng.integers(7, 19, size=2))
+    heights = np.sort(rng.integers(7, width + 1, size=cols))[::-1]
+    g, V = staircase_ambient(heights, width)
+    room = ~dilate(~V.core_mask)
+    E = room & (rng.random(g.extents) < rng.uniform(0.05, 0.5))
+    if not E.any():
+        E[tuple(np.argwhere(room)[0])] = True
+    cm = CompactMask(g, E, V)
+    assert capacity(cm) == pytest.approx(reference_capacity(cm), rel=1e-6)
+
+
+def test_box_inverse_is_exact_on_a_full_box(monkeypatch):
+    # a 33 x 33 square has a 31 x 31 core and 32 is 5-smooth: no padding,
+    # the preconditioner is the exact inverse and CG takes one iteration
+    iterations = []
+    original = capacity_module.cg
+
+    def counted(*args, **kwargs):
+        calls = [0]
+
+        def count(_xk):
+            calls[0] += 1
+
+        out = original(*args, callback=count, **kwargs)
+        iterations.append(calls[0])
+        return out
+
+    monkeypatch.setattr(capacity_module, "cg", counted)
+    U = square_domain(h=1 / 32, cells=33)
+    torsion_profile(U, np.array([0.0, 0.5]))
+    assert iterations == [1]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -483,6 +484,21 @@ def test_boundary_data_validation():
     point_indexed = BoundaryData(fn=lambda x, t: 1.0 + x[0], bounds=(1.0, 2.0))
     with pytest.raises(SolverError, match="broadcast"):
         point_indexed.sample(np.zeros((3, 2)), 0.0)
+
+
+def test_declared_data_bounds_are_checked_against_the_samples():
+    # a tent centred on a cell at t = 0 samples exactly its peak and floor
+    d, _ = box_cylinder(t2=0.1)
+    tent = scenarios.build_data({"profile": "tent", "center": [8.5 / 16] * 2,
+                                 "width": 0.5, "floor": 0.2, "peak": 1.5},
+                                M_EXP)
+    u = solve_union(d, tent, SolverConfig(), M_EXP)
+    assert u.stats["data_bounds"] == {"declared": [0.2, 1.5],
+                                      "observed": [0.2, 1.5]}
+    # declared one ulp inside the sampled range, at either end
+    for bounds in ((0.2, np.nextafter(1.5, 0.0)), (np.nextafter(0.2, 1.0), 1.5)):
+        with pytest.raises(SolverError, match="outside the declared bounds"):
+            solve_union(d, replace(tent, bounds=bounds), SolverConfig(), M_EXP)
 
 
 # -- pasting with a constant keeps the supersolution sign ---------------------
