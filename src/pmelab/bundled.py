@@ -1,369 +1,35 @@
 """The shipped scenario corpus: one ready-to-run experiment per headline
-property of the laboratory.  ``bundled_scenario(name)`` returns a scenario
-document; ``list_bundled()`` enumerates names with one-line descriptions.
+property of the laboratory, kept as one scenario file per name in
+``corpus/<name>.json``.  ``bundled_scenario(name)`` reads a file through
+:func:`pmelab.scenarios.load_scenario`, the path user files take, so a
+bundled document is read and validated like any other; ``list_bundled()``
+enumerates names with one-line descriptions.
 """
 
 from __future__ import annotations
 
-import json
+from importlib.resources import files
+
+from .scenarios import load_scenario
 
 
-def _square_grid(h: float, side: float = 1.0, n: int = 2) -> dict:
-    cells = int(round(side / h))
-    return {"n": n, "h": h, "origin": [-side / 2] * n,
-            "extents": [cells] * n}
-
-
-def _disk_grid(h: float, halfwidth: float) -> dict:
-    cells = int(round(2 * halfwidth / h))
-    if cells % 2 == 0:
-        cells += 1          # odd cell count centres a cell on the origin
-    return {"n": 2, "h": h, "origin": [-cells * h / 2] * 2,
-            "extents": [cells] * 2}
-
-
-def _barenblatt_convergence() -> dict:
-    return {
-        "name": "barenblatt-convergence",
-        "description": ("implicit solve against the self-similar source "
-                        "solution; L1 error must fall with order >= 0.8 "
-                        "across h = 1/32, 1/64, 1/128"),
-        "seed": 0,
-        "operation": {
-            "kind": "barenblatt", "m": 2.0, "n": 2, "C": 0.05,
-            "levels": [0, 1, 2], "base_cells": 32, "base_steps": 50,
-            "box_halfwidth": 0.5, "t1": 1.0, "t2": 1.5,
-            "runtime_budget_s": 60,
-        },
-    }
-
-
-def _barrier_certification() -> dict:
-    h = 1 / 16
-    return {
-        "name": "barrier-certification",
-        "description": ("signs of the quadratic subparabolic family over a "
-                        "3x3 (c, j) grid at 1e4 samples, plus the minimal-"
-                        "index scan for the earliest-point family"),
-        "seed": 7,
-        "grid": _square_grid(h),
-        "domain": {"dt": 0.05, "cylinders": [
-            {"base": {"shape": "box"}, "t1": 0.0, "t2": 0.5}]},
-        "operation": {
-            "kind": "verify-barrier",
-            "barrier": {"kind": "quadratic_sub", "c": 1.0, "j": 1,
-                        "m": 2.0, "n": 2, "diam": None},
-            "max_samples": 10000,
-            "expect": "certified",
-        },
-    }
-
-
-def _comparison_campaign() -> dict:
-    h = 1 / 16
-    return {
-        "name": "comparison-campaign",
-        "description": ("100 seeded random ordered boundary-data pairs on a "
-                        "square cylinder; solutions must order with zero "
-                        "interior violations"),
-        "seed": 12345,
-        "grid": _square_grid(h),
-        "domain": {"dt": 0.01, "cylinders": [
-            {"base": {"shape": "box"}, "t1": 0.0, "t2": 0.2}]},
-        "operation": {"kind": "comparison-campaign", "m": 2.0, "trials": 100},
-    }
-
-
-def _bottom_regularity() -> dict:
-    h = 1 / 32
-    return {
-        "name": "bottom-regularity",
-        "description": ("initial-time boundary points attain their data: "
-                        "probe gaps shrink with extrapolated intercepts "
-                        "within twice the discretization estimate for three "
-                        "data profiles"),
-        "seed": 3,
-        "grid": _square_grid(h),
-        "domain": {"dt": 1 / 64, "cylinders": [
-            {"base": {"shape": "box"}, "t1": 0.0, "t2": 0.25}]},
-        "operation": {
-            "kind": "probe", "m": 2.0,
-            "x0": [h / 2, h / 2], "t0": 0.0,
-            "radii": [0.25, 0.2, 0.15, 0.1, 0.07],
-            "family": [
-                {"profile": "constant", "value": 2.0, "label": "constant-2"},
-                {"profile": "linear", "a": 1.5, "b": 1.0,
-                 "label": "linear-x"},
-                {"profile": "power_linear", "a": 0.01, "b": 1.4, "axis": 0,
-                 "label": "stationary-vanishing"},
-            ],
-            "expect": "regular evidence",
-            "require_intercepts_within_disc": True,
-        },
-    }
-
-
-def _punctured_disk() -> dict:
-    h = 1 / 64
-    grid = _disk_grid(h, 1.3)
-    return {
-        "name": "punctured-disk",
-        "description": ("one deleted cell column in a disk: the complement "
-                        "classifies thin and the boundary value at the "
-                        "puncture drops to zero once the thin column is "
-                        "reinstated in the envelope"),
-        "seed": 11,
-        "grid": grid,
-        "domain": {"dt": 1 / 128, "cylinders": [
-            {"base": {"shape": "punctured_ball", "center": [0.0, 0.0],
-                      "radius": 1.2}, "t1": 0.0, "t2": 0.25}]},
-        "data": {"profile": "ramped_tent", "center": [0.0, 0.0],
-                 "width": 0.45, "ramp": 0.05},
-        "operation": {
-            "kind": "dichotomy", "m": 2.0,
-            "x0": [0.0, 0.0], "t0": 0.125,
-            "radii": [0.3, 0.2, 0.15, 0.1, 0.07],
-            "removability": {
-                "base": {"shape": "ball", "center": [0.0, 0.0],
-                         "radius": 1.2},
-                "x0": [0.0, 0.0], "k_max": 5,
-            },
-            "expect": "drops-to-zero",
-            "expect_thickness": "thin",
-        },
-    }
-
-
-def _square_cylinder() -> dict:
-    h = 1 / 64
-    return {
-        "name": "square-cylinder",
-        "description": ("lateral mid-edge point of a square cylinder: the "
-                        "complement classifies thick and the probe returns "
-                        "regular evidence"),
-        "seed": 5,
-        "grid": _square_grid(h),
-        "domain": {"dt": 1 / 64, "cylinders": [
-            {"base": {"shape": "box"}, "t1": 0.0, "t2": 0.25}]},
-        "operation": {
-            "kind": "probe", "m": 2.0,
-            "x0": [-0.5 + h / 2, h / 2], "t0": 0.125,
-            "radii": [0.25, 0.2, 0.15, 0.1, 0.07],
-            "expect": "regular evidence",
-        },
-    }
-
-
-def _square_cylinder_wiener() -> dict:
-    h = 1 / 64
-    return {
-        "name": "square-cylinder-wiener",
-        "description": ("dyadic capacity profile at a square's edge "
-                        "midpoint: fat complement, partial sums grow, "
-                        "classified thick"),
-        "seed": 5,
-        "grid": _square_grid(h),
-        "operation": {
-            "kind": "wiener",
-            "base": {"shape": "box"},
-            "x0": [-0.5, 0.0], "k_max": 5,
-            "expect": "thick",
-        },
-    }
-
-
-def _wiener_puncture_vs_slit() -> dict:
-    h = 1 / 32
-    grid = _disk_grid(h, 1.3)
-    return {
-        "name": "wiener-puncture-vs-slit",
-        "description": ("capacity profile of a one-cell puncture "
-                        "(classifies thin); compare with the slit profile "
-                        "from box-minus-segment runs, which diverges slowly"),
-        "seed": 2,
-        "grid": grid,
-        "operation": {
-            "kind": "wiener",
-            "base": {"shape": "punctured_ball", "center": [0.0, 0.0],
-                     "radius": 1.2},
-            "x0": [0.0, 0.0], "k_max": 4,
-            "expect": "thin",
-        },
-    }
-
-
-def _slit_box_wiener() -> dict:
-    h = 1 / 32
-    return {
-        "name": "slit-box-wiener",
-        "description": ("capacity profile at the tip of a one-cell-wide "
-                        "slit in a box; harmonic-like slowly growing sums, "
-                        "classified thick with low confidence"),
-        "seed": 2,
-        "grid": _square_grid(h, side=2.0),
-        "operation": {
-            "kind": "wiener",
-            "base": {"shape": "box_minus_segment",
-                     "seg_from": [0.0, 0.0], "seg_to": [1.0, 0.0]},
-            "x0": [0.0, 0.0], "k_max": 4,
-            "expect": "thick",
-        },
-    }
-
-
-def _union_resolutivity() -> dict:
-    h = 1 / 32
-    return {
-        "name": "union-resolutivity",
-        "description": ("expanding two-cylinder stack with positive "
-                        "continuous data: the envelope bracket gap stays "
-                        "within 2*eps + 3*disc and shrinks along the eps "
-                        "ladder"),
-        "seed": 9,
-        "grid": _square_grid(h),
-        "domain": {"dt": 1 / 64, "cylinders": [
-            {"base": {"shape": "box", "lo": [-0.25, -0.25],
-                      "hi": [0.25, 0.25]}, "t1": 0.0, "t2": 0.125},
-            {"base": {"shape": "box"}, "t1": 0.125, "t2": 0.25},
-        ]},
-        "data": {"profile": "linear", "a": 1.5, "b": 1.0},
-        "operation": {"kind": "perron", "m": 2.0,
-                      "eps_ladder": [0.25, 0.125, 0.0625]},
-    }
-
-
-def _future_independence() -> dict:
-    h = 1 / 32
-    return {
-        "name": "future-independence",
-        "description": ("paired probes, full domain versus its past "
-                        "truncation, must agree at a lateral point of a "
-                        "square cylinder"),
-        "seed": 4,
-        "grid": _square_grid(h),
-        "domain": {"dt": 1 / 64, "cylinders": [
-            {"base": {"shape": "box"}, "t1": 0.0, "t2": 0.25}]},
-        "operation": {
-            "kind": "future-probe", "m": 2.0,
-            "x0": [-0.5 + h / 2, h / 2], "t0": 0.125,
-            "radii": [0.25, 0.2, 0.15, 0.1, 0.07],
-        },
-    }
-
-
-def _future_independence_stack() -> dict:
-    h = 1 / 32
-    return {
-        "name": "future-independence-stack",
-        "description": ("paired probes at an expanding stack's junction "
-                        "annulus: truncation makes the point earliest, "
-                        "hence regular outright; verdicts must agree"),
-        "seed": 4,
-        "grid": _square_grid(h),
-        "domain": {"dt": 1 / 64, "cylinders": [
-            {"base": {"shape": "box", "lo": [-0.25, -0.25],
-                      "hi": [0.25, 0.25]}, "t1": 0.0, "t2": 0.125},
-            {"base": {"shape": "box"}, "t1": 0.125, "t2": 0.25},
-        ]},
-        "operation": {
-            "kind": "future-probe", "m": 2.0,
-            "x0": [0.4 - h / 2, h / 2], "t0": 0.125,
-            "radii": [0.2, 0.15, 0.1, 0.07, 0.05],
-            "family": [
-                {"profile": "constant", "value": 2.0, "label": "constant-2"},
-                {"profile": "linear", "a": 1.5, "b": 1.0,
-                 "label": "linear-x"},
-                {"profile": "power_linear", "a": 0.01, "b": 1.4, "axis": 0,
-                 "label": "stationary-vanishing"},
-            ],
-        },
-    }
-
-
-def _degiorgi_barenblatt() -> dict:
-    h = 1 / 32
-    return {
-        "name": "degiorgi-barenblatt",
-        "description": ("level-set iteration and supremum estimate on a "
-                        "solver field driven by source-solution data: exact "
-                        "level inequalities, nonincreasing energies, finite "
-                        "fitted constants"),
-        "seed": 6,
-        "grid": {"n": 2, "h": h, "origin": [-1.0, -1.0],
-                 "extents": [64, 64]},
-        "domain": {"dt": 1 / 32, "cylinders": [
-            {"base": {"shape": "box"}, "t1": 1.0, "t2": 3.0}]},
-        "data": {"profile": "barenblatt", "C": 0.1, "n": 2, "sup": 0.32},
-        "operation": {
-            "kind": "degiorgi", "m": 2.0,
-            "x0": [0.0, 0.0], "t0": 2.0, "rho": 0.9, "sigma": 0.5,
-            "M": 0.0, "k": 0.05,
-        },
-    }
-
-
-def _scaling_exactness() -> dict:
-    h = 1 / 16
-    return {
-        "name": "scaling-exactness",
-        "description": ("solutions of the multiplied equation map exactly "
-                        "onto unit-equation solutions under the power "
-                        "transform, for multipliers 1/4 and 4"),
-        "seed": 8,
-        "grid": _square_grid(h),
-        "domain": {"dt": 0.01, "cylinders": [
-            {"base": {"shape": "box"}, "t1": 0.0, "t2": 0.2}]},
-        "data": {"profile": "linear", "a": 1.0, "b": 0.5},
-        "operation": {"kind": "scaling-check", "m": 2.0,
-                      "multipliers": [0.25, 4.0]},
-    }
-
-
-def _constant_solve() -> dict:
-    h = 1 / 16
-    return {
-        "name": "constant-solve",
-        "description": ("constant boundary data propagates exactly; "
-                        "interior residuals at solver tolerance"),
-        "seed": 1,
-        "grid": _square_grid(h),
-        "domain": {"dt": 0.025, "cylinders": [
-            {"base": {"shape": "box"}, "t1": 0.0, "t2": 0.25}]},
-        "data": {"profile": "constant", "value": 1.5},
-        "operation": {"kind": "solve", "m": 2.0},
-    }
-
-
-_BUNDLED = {
-    s["name"]: s for s in (
-        _barenblatt_convergence(),
-        _barrier_certification(),
-        _comparison_campaign(),
-        _bottom_regularity(),
-        _punctured_disk(),
-        _square_cylinder(),
-        _square_cylinder_wiener(),
-        _wiener_puncture_vs_slit(),
-        _slit_box_wiener(),
-        _union_resolutivity(),
-        _future_independence(),
-        _future_independence_stack(),
-        _degiorgi_barenblatt(),
-        _scaling_exactness(),
-        _constant_solve(),
-    )
-}
+def _corpus() -> dict:
+    """Corpus file per scenario name (the file stem)."""
+    return {p.name.removesuffix(".json"): p
+            for p in (files(__package__) / "corpus").iterdir()
+            if p.name.endswith(".json")}
 
 
 def list_bundled() -> list[tuple[str, str]]:
-    """Names and one-line descriptions of the shipped corpus."""
-    return [(name, doc["description"]) for name, doc in _BUNDLED.items()]
+    """Names and one-line descriptions of the shipped corpus, by name."""
+    return [(name, load_scenario(path)["description"])
+            for name, path in sorted(_corpus().items())]
 
 
 def bundled_scenario(name: str) -> dict:
-    try:
-        doc = _BUNDLED[name]
-    except KeyError:
-        known = ", ".join(sorted(_BUNDLED))
+    """A fresh copy of the bundled scenario ``name``."""
+    corpus = _corpus()
+    if name not in corpus:      # never join an unchecked name into a path
+        known = ", ".join(sorted(corpus))
         raise KeyError(f"no bundled scenario {name!r}; known: {known}")
-    return json.loads(json.dumps(doc))    # deep copy
+    return load_scenario(corpus[name])

@@ -1,5 +1,7 @@
-"""Scenario files: schema, named domain/data builders, the bundled corpus,
-and the runner that dispatches one operation and writes its reports.
+"""Scenario files: schema, reading and validation, named domain/data
+builders, and the runner that dispatches one operation and writes its
+reports.  The bundled corpus (``pmelab.bundled``) is read through
+:func:`load_scenario` like any user file.
 
 A scenario is a JSON object with a name, a seed, one operation, and the
 geometry/data it needs.  Domains come either as named primitives (ball,
@@ -54,10 +56,12 @@ SCHEMA = {
         "name": {"type": "string"},
         "description": {"type": "string"},
         "seed": {"type": "integer"},
+        "threads": {"type": "integer", "minimum": 1},
         "operation": {
             "type": "object",
             "required": ["kind"],
-            "properties": {"kind": {"enum": list(OPERATIONS)}},
+            "properties": {"kind": {"enum": list(OPERATIONS)},
+                           "trials": {"type": "integer", "minimum": 1}},
         },
         "grid": {
             "type": "object",
@@ -153,24 +157,27 @@ def build_domain(doc: dict) -> SpaceTimeDomain:
     return SpaceTimeDomain(cyls, dt)
 
 
-def build_data(spec: dict, m: float) -> BoundaryData:
+def build_data(spec: dict, m: float, grid: Grid) -> BoundaryData:
+    """Boundary data of a named profile; ``grid`` bounds the affine
+    profiles, whose declared sup is their maximum over the grid's box."""
     kind = spec.get("profile", "constant")
     if kind == "constant":
         return BoundaryData.constant(float(spec["value"]))
-    if kind == "linear":
+    if kind in ("linear", "power_linear"):
         a, b = float(spec["a"]), float(spec["b"])
         axis = int(spec.get("axis", 0))
-        lo = float(spec.get("clip", 0.0))
-        return BoundaryData(
-            fn=lambda x, t: np.maximum(a + b * x[..., axis], lo),
-            bounds=(max(lo, 0.0), abs(a) + abs(b) * 100))
-    if kind == "power_linear":
+        x_lo = grid.origin[axis]
+        x_hi = x_lo + grid.extents[axis] * grid.h
+        top = max(a + b * x_lo, a + b * x_hi)
+        if kind == "linear":
+            lo = float(spec.get("clip", 0.0))
+            return BoundaryData(
+                fn=lambda x, t: np.maximum(a + b * x[..., axis], lo),
+                bounds=(max(lo, 0.0), max(top, lo)))
         # (a + b*x_axis)^(1/m): u^m affine, hence a stationary solution
-        a, b = float(spec["a"]), float(spec["b"])
-        axis = int(spec.get("axis", 0))
         return BoundaryData(
             fn=lambda x, t: np.maximum(a + b * x[..., axis], 0.0) ** (1.0 / m),
-            bounds=(0.0, (abs(a) + abs(b) * 100) ** (1.0 / m)))
+            bounds=(0.0, max(top, 0.0) ** (1.0 / m)))
     if kind == "barenblatt":
         C = float(spec["C"])
         n = int(spec["n"])
@@ -304,7 +311,7 @@ def _op_solve(doc, report, rng):
     op = doc["operation"]
     m = float(op["m"])
     d = build_domain(doc)
-    data = build_data(doc["data"], m)
+    data = build_data(doc["data"], m, d.grid)
     cfg = build_config(doc.get("solver"))
     field = solve_union(d, data, cfg, m)
     header = ["t"] + [f"i{a}" for a in range(d.grid.n)] + ["value"]
@@ -361,7 +368,7 @@ def _op_perron(doc, report, rng):
     op = doc["operation"]
     m = float(op["m"])
     d = build_domain(doc)
-    data = build_data(doc["data"], m)
+    data = build_data(doc["data"], m, d.grid)
     cfg = build_config(doc.get("solver"))
     ladder = op.get("eps_ladder")
     if ladder is None:
@@ -384,7 +391,7 @@ def _op_perron(doc, report, rng):
 
 def _family_from_op(op, d, xi0, m):
     if "family" in op:
-        fam = [build_data(s, m) for s in op["family"]]
+        fam = [build_data(s, m, d.grid) for s in op["family"]]
         labels = [s.get("label", s.get("profile", f"member-{i}"))
                   for i, s in enumerate(op["family"])]
         return fam, labels
@@ -452,7 +459,7 @@ def _op_dichotomy(doc, report, rng):
     m = float(op["m"])
     d = build_domain(doc)
     cfg = build_config(doc.get("solver"))
-    data = build_data(doc["data"], m)
+    data = build_data(doc["data"], m, d.grid)
     xi0 = _xi0_of(op)
     radii = [float(r) for r in op["radii"]]
     rem = _removability_from_op(doc, op, d)
@@ -573,7 +580,7 @@ def _op_degiorgi(doc, report, rng):
     op = doc["operation"]
     m = float(op["m"])
     d = build_domain(doc)
-    data = build_data(doc["data"], m)
+    data = build_data(doc["data"], m, d.grid)
     cfg = build_config(doc.get("solver"))
     field = solve_union(d, data, cfg, m)
     x0 = tuple(op["x0"])
@@ -710,7 +717,7 @@ def _op_scaling_check(doc, report, rng):
     op = doc["operation"]
     m = float(op["m"])
     d = build_domain(doc)
-    data = build_data(doc["data"], m)
+    data = build_data(doc["data"], m, d.grid)
     worst_overall = 0.0
     for a in op.get("multipliers", [0.25, 4.0]):
         cfg_a = replace(build_config(doc.get("solver")), diffusion=a)

@@ -1,29 +1,41 @@
 import json
+from importlib.resources import files
 
 import pytest
 
 from pmelab.bundled import bundled_scenario, list_bundled
 from pmelab.cli import main
-from pmelab.scenarios import ScenarioError, load_scenario, validate_scenario
+from pmelab.scenarios import ScenarioError, load_scenario
+
+
+CORPUS = sorted((files("pmelab") / "corpus").glob("*.json"))
 
 
 def test_list_bundled_contains_the_corpus():
-    names = {name for name, _ in list_bundled()}
-    assert "barenblatt-convergence" in names
-    assert "wiener-puncture-vs-slit" in names
-    assert "degiorgi-barenblatt" in names
+    assert [name for name, _ in list_bundled()] == [
+        "barenblatt-convergence", "barrier-certification",
+        "bottom-regularity", "comparison-campaign", "constant-solve",
+        "degiorgi-barenblatt", "future-independence",
+        "future-independence-stack", "punctured-disk", "scaling-exactness",
+        "slit-box-wiener", "square-cylinder", "square-cylinder-wiener",
+        "union-resolutivity", "wiener-puncture-vs-slit"]
     for _, desc in list_bundled():
         assert desc      # every scenario explains what it exercises
 
 
 def test_bundled_scenarios_validate():
-    for name, _ in list_bundled():
-        validate_scenario(bundled_scenario(name))
+    # each corpus file loads as a user file would, under its own name
+    assert len(CORPUS) == 15
+    for path in CORPUS:
+        doc = load_scenario(path)
+        assert doc["name"] == path.stem
+        assert bundled_scenario(path.stem) == doc
 
 
 def test_unknown_bundled_name():
-    with pytest.raises(KeyError):
-        bundled_scenario("no-such-scenario")
+    for name in ("no-such-scenario", "../pyproject", "corpus/constant-solve"):
+        with pytest.raises(KeyError, match="known: barenblatt-convergence"):
+            bundled_scenario(name)
 
 
 def test_schema_violation_names_field(tmp_path):
@@ -48,9 +60,22 @@ def test_cli_list_and_run(tmp_path, capsys):
 
 def test_cli_exit_codes(tmp_path):
     assert main(["run", "--bundled", "no-such", "--out", str(tmp_path)]) == 2
+    assert main(["run", "--bundled", "../pyproject",
+                 "--out", str(tmp_path)]) == 2
     missing = tmp_path / "missing.json"
     assert main(["run", "--scenario", str(missing),
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("doc", "threads", "x"), ("doc", "threads", 2.5), ("doc", "threads", 0),
+    ("operation", "trials", "abc"), ("operation", "trials", 0)])
+def test_cli_rejects_malformed_counts(tmp_path, where, key, value):
+    doc = bundled_scenario("comparison-campaign")
+    (doc if where == "doc" else doc["operation"])[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 2
 
 
 def test_cli_subcommand_guards_operation_kind(tmp_path):

@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -10,11 +8,12 @@ from pmelab.perron import default_data_family
 from pmelab.scenarios import (
     ScenarioError,
     build_data,
+    build_domain,
     build_grid,
     build_spatial,
-    load_scenario,
     run_scenario,
 )
+from pmelab.solver import SolverConfig, solve_union
 
 
 GRID = {"n": 2, "h": 0.25, "origin": [0.0, 0.0], "extents": [8, 8]}
@@ -50,26 +49,38 @@ def test_box_minus_segment_removes_one_cell_line():
     assert removed[:, 4].sum() == 6
 
 
+def test_affine_profile_sup_is_its_maximum_over_the_grid():
+    # the declared sup sets Newton's residual scale, so it must be what the
+    # data reach on the grid, not a constant far above every sample
+    doc = bundled_scenario("scaling-exactness")
+    m = float(doc["operation"]["m"])
+    d = build_domain(doc)
+    u = solve_union(d, build_data(doc["data"], m, d.grid), SolverConfig(), m)
+    (_, declared), (_, observed) = u.stats["data_bounds"].values()
+    slack = abs(doc["data"]["b"]) * d.grid.h
+    assert observed <= declared <= observed + slack
+
 def test_unknown_shape_and_profile_rejected():
     g = build_grid(GRID)
     with pytest.raises(ScenarioError):
         build_spatial({"shape": "pentagon"}, g)
     with pytest.raises(ScenarioError):
-        build_data({"profile": "mystery"}, 2.0)
+        build_data({"profile": "mystery"}, 2.0, g)
 
 
 def test_data_profiles_evaluate():
     m = 2.0
-    lin = build_data({"profile": "linear", "a": 1.0, "b": 2.0}, m)
+    g = build_grid(GRID)
+    lin = build_data({"profile": "linear", "a": 1.0, "b": 2.0}, m, g)
     assert lin.sample(np.array([0.25, 0.0]), 0.0) == pytest.approx(1.5)
-    pl = build_data({"profile": "power_linear", "a": 1.0, "b": 2.0}, m)
+    pl = build_data({"profile": "power_linear", "a": 1.0, "b": 2.0}, m, g)
     assert pl.sample(np.array([0.25, 0.0]), 0.0) == pytest.approx(1.5 ** 0.5)
     tent = build_data({"profile": "tent", "center": [0.0, 0.0],
-                       "width": 1.0, "peak": 2.0}, m)
+                       "width": 1.0, "peak": 2.0}, m, g)
     assert tent.sample(np.zeros(2), 0.0) == pytest.approx(2.0)
     assert tent.sample(np.array([3.0, 0.0]), 0.0) == 0.0
     rt = build_data({"profile": "ramped_tent", "center": [0.0, 0.0],
-                     "width": 1.0, "ramp": 0.1}, m)
+                     "width": 1.0, "ramp": 0.1}, m, g)
     assert rt.sample(np.zeros(2), 0.0) == 0.0
     assert rt.sample(np.zeros(2), 0.2) == pytest.approx(1.0)
 
@@ -79,15 +90,15 @@ def test_data_profiles_evaluate():
     pts = np.stack(np.meshgrid(xs, xs[::-1] + 0.05), axis=-1).reshape(-1, 2)
     times = (0.02, 0.07, 1.3)
     profiles = [
-        build_data({"profile": "constant", "value": 0.4}, m),
+        build_data({"profile": "constant", "value": 0.4}, m, g),
         lin, pl, tent, rt,
         build_data({"profile": "linear", "a": 0.5, "b": -1.0, "axis": 1,
-                    "clip": 0.1}, m),
-        build_data({"profile": "barenblatt", "C": 0.1, "n": 2}, m),
+                    "clip": 0.1}, m, g),
+        build_data({"profile": "barenblatt", "C": 0.1, "n": 2}, m, g),
         build_data({"profile": "tent", "center": [0.2, -0.1], "t0": 0.05,
-                    "width": 0.8, "floor": 0.05}, m),
+                    "width": 0.8, "floor": 0.05}, m, g),
     ]
-    U = build_spatial({"shape": "box"}, build_grid(GRID))
+    U = build_spatial({"shape": "box"}, g)
     d = SpaceTimeDomain([Cylinder(U, 0.0, 0.5)], dt=0.25)
     family, _ = default_data_family(d, ((0.125, 1.0), 0.25))
     for data in profiles + family:
@@ -179,12 +190,3 @@ def test_slit_scenario_runs(tmp_path):
     assert report["all_pass"]
     assert report["wiener"]["classification"]["classification"] == "thick"
     assert report["wiener"]["classification"]["confidence"] == "low"
-
-
-def test_shipped_scenario_files_match_bundled():
-    root = Path(__file__).resolve().parents[1] / "scenarios"
-    files = sorted(root.glob("*.json"))
-    assert files, "shipped scenario files are missing"
-    for path in files:
-        doc = load_scenario(path)
-        assert doc == bundled_scenario(doc["name"])

@@ -220,8 +220,9 @@ def test_banded_factor_takes_one_cg_iteration_per_newton_iteration(
     doc = bundled.bundled_scenario("scaling-exactness")
     m = float(doc["operation"]["m"])
     calls = _recording_cg(monkeypatch)
-    u = solve_union(scenarios.build_domain(doc),
-                    scenarios.build_data(doc["data"], m), SolverConfig(), m)
+    d = scenarios.build_domain(doc)
+    u = solve_union(d, scenarios.build_data(doc["data"], m, d.grid),
+                    SolverConfig(), m)
     assert sum(u.stats["newton_iterations"]) > 0
     assert u.stats["linear_iterations"] == u.stats["newton_iterations"]
     assert u.stats["line_search_failures"] == 0
@@ -276,7 +277,7 @@ def test_single_cylinder_builds_the_stencil_once():
 def test_union_builds_one_stencil_per_core_mask():
     doc = bundled.bundled_scenario("union-resolutivity")
     d = scenarios.build_domain(doc)
-    data = scenarios.build_data(doc["data"], 2.0)
+    data = scenarios.build_data(doc["data"], 2.0, d.grid)
     u = solve_union(d, data, SolverConfig(), 2.0)
     cores = {d.step_base(k).core_mask.tobytes() for k in range(d.num_steps)}
     assert len(cores) == 2
@@ -491,7 +492,7 @@ def test_declared_data_bounds_are_checked_against_the_samples():
     d, _ = box_cylinder(t2=0.1)
     tent = scenarios.build_data({"profile": "tent", "center": [8.5 / 16] * 2,
                                  "width": 0.5, "floor": 0.2, "peak": 1.5},
-                                M_EXP)
+                                M_EXP, d.grid)
     u = solve_union(d, tent, SolverConfig(), M_EXP)
     assert u.stats["data_bounds"] == {"declared": [0.2, 1.5],
                                       "observed": [0.2, 1.5]}
