@@ -166,7 +166,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (scenarios.ScenarioError, KeyError, FileNotFoundError) as exc:
+    except (scenarios.ScenarioError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, GeometryError, BarrierError, CapacityError,

@@ -49,6 +49,13 @@ OPERATIONS = ("solve", "verify-barrier", "perron", "probe", "dichotomy",
               "future-probe", "capacity", "wiener", "torsion", "degiorgi",
               "barenblatt", "comparison-campaign", "scaling-check")
 
+# Operation fields that the handlers read as numbers; the schema types
+# them so that a malformed value is an input error, not a crash.
+_OP_NUMBERS = ("m", "C", "M", "t0", "t1", "t2", "rho", "sigma", "k",
+               "box_halfwidth", "runtime_budget_s")
+_OP_INTEGERS = ("n", "k_max", "j_max", "base_cells", "base_steps",
+                "max_samples")
+
 SCHEMA = {
     "type": "object",
     "required": ["name", "operation"],
@@ -60,8 +67,12 @@ SCHEMA = {
         "operation": {
             "type": "object",
             "required": ["kind"],
-            "properties": {"kind": {"enum": list(OPERATIONS)},
-                           "trials": {"type": "integer", "minimum": 1}},
+            "properties": {
+                "kind": {"enum": list(OPERATIONS)},
+                "trials": {"type": "integer", "minimum": 1},
+                **{key: {"type": "number"} for key in _OP_NUMBERS},
+                **{key: {"type": "integer"} for key in _OP_INTEGERS},
+            },
         },
         "grid": {
             "type": "object",
@@ -94,7 +105,9 @@ def validate_scenario(doc: dict) -> None:
 def load_scenario(path) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario file: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
     validate_scenario(doc)
     return doc
@@ -326,6 +339,7 @@ def _op_solve(doc, report, rng):
         "residual_scale": scale,
         "newton_iterations_max": max(stats["newton_iterations"], default=0),
         "linear_iterations": sum(stats["linear_iterations"]),
+        "line_search_backtracks": stats["line_search_backtracks"],
         "line_search_failures": stats["line_search_failures"],
         "cfl_max_dt": cfl_max_dt(data.bounds[1], d.grid.h, m, d.grid.n),
         "sup": field.sup(), "min": field.min(),

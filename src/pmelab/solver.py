@@ -32,9 +32,21 @@ runs: 32 factors the h = 1/32 systems (band 30) and beat 16 and 64, where
 factoring the h = 1/64 systems (band 62) cost more than their CG
 iterations.  Either way CG stops on ``linear_tol`` relative to the
 right-hand side, so the tolerances keep their meaning.  ``Field.stats``
-counts the CG iterations per step (``linear_iterations``) and the Newton
-line searches in which no halving met the Armijo test
-(``line_search_failures``; the last halved step is kept).
+counts the CG iterations per step (``linear_iterations``), every halving
+of a Newton line search (``line_search_backtracks``) and the line searches
+in which no halving met the Armijo test (``line_search_failures``; the
+last halved step is kept).
+
+Newton starts each implicit step from the linear extrapolation
+``2*u_{k-1} - u_{k-2}`` of the last two levels, whose error is O(dt^2)
+where that of ``u_{k-1}`` is O(dt).  On the finest Barenblatt level of
+the benchmark ladder (h = 1/128) it cuts every step from the third on to
+one Newton iteration, from two.  It does not apply at a slab start (the
+first step of a solve or the first step after a junction, the steps that
+build a new stencil), where level k - 2 has no values on the new core:
+there Newton starts from ``u_{k-1}``.  The explicit scheme has no Newton
+solve.  The start is not clipped, since the odd power extension below
+takes negative iterates, and the stopping test is unchanged.
 
 The declared ``BoundaryData.bounds`` set the residual scale and the CFL
 check, so every level's pinned samples are checked against them: a value
@@ -334,18 +346,27 @@ def _band_preconditioner(J: sp.csr_matrix,
         matvec=lambda r: cho_solve_banded((cb, False), r, check_finite=False))
 
 
-def _newton_step(prev: np.ndarray, bdry_w: np.ndarray, A: sp.csr_matrix,
-                 jac: _SlabJacobian, deg: float, c: float, m: float,
-                 cfg: SolverConfig, res_scale: float,
-                 dt: float) -> tuple[np.ndarray, int, int, int]:
+class _NewtonResult(NamedTuple):
+    """One implicit step's solution and how Newton got there."""
+
+    u: np.ndarray
+    iterations: int
+    linear_iterations: int
+    backtracks: int         # line-search halvings
+    failures: int           # line searches where no halving met Armijo
+
+
+def _newton_step(prev: np.ndarray, start: np.ndarray, bdry_w: np.ndarray,
+                 A: sp.csr_matrix, jac: _SlabJacobian, deg: float, c: float,
+                 m: float, cfg: SolverConfig, res_scale: float,
+                 dt: float) -> _NewtonResult:
     """Solve u - c*(A w(u) + g - deg*w(u)) = prev for one implicit step.
 
-    c = mu*dt/h^2, g = bdry_w (Dirichlet contributions), w = odd power m,
-    ``jac`` holds M = deg*I - A (the SPD part of the Jacobian, built once
-    per slab).  Returns (u, Newton iterations, CG iterations, line
-    searches in which no halving met the Armijo test).
+    Newton starts from ``start``.  c = mu*dt/h^2, g = bdry_w (Dirichlet
+    contributions), w = odd power m, ``jac`` holds M = deg*I - A (the SPD
+    part of the Jacobian, built once per slab).
     """
-    u = prev.copy()
+    u = start
     linear_iters = [0]
 
     def count(_xk):
@@ -357,10 +378,11 @@ def _newton_step(prev: np.ndarray, bdry_w: np.ndarray, A: sp.csr_matrix,
 
     F = residual(u)
     target = cfg.newton_tol * res_scale * dt
-    failures = 0
+    backtracks = failures = 0
     for it in range(cfg.newton_max):
         if np.max(np.abs(F)) <= target:
-            return np.maximum(u, 0.0), it, linear_iters[0], failures
+            return _NewtonResult(np.maximum(u, 0.0), it, linear_iters[0],
+                                 backtracks, failures)
         d = m * np.maximum(np.abs(u), _DEGENERACY_FLOOR) ** (m - 1)
         s = np.sqrt(d)
         J_sym = _scaled_jacobian(jac, s, c)
@@ -379,11 +401,13 @@ def _newton_step(prev: np.ndarray, bdry_w: np.ndarray, A: sp.csr_matrix,
             if np.linalg.norm(F_try) <= (1 - 1e-4 * step) * norm0:
                 break
             step *= 0.5
+            backtracks += 1
         else:
             failures += 1
         u, F = u_try, F_try
     if np.max(np.abs(F)) <= target:
-        return np.maximum(u, 0.0), cfg.newton_max, linear_iters[0], failures
+        return _NewtonResult(np.maximum(u, 0.0), cfg.newton_max,
+                             linear_iters[0], backtracks, failures)
     raise SolverError(
         f"Newton did not converge in {cfg.newton_max} iterations; "
         f"worst step residual {np.max(np.abs(F)) / dt:.3e} "
@@ -434,13 +458,14 @@ def solve_union(d: SpaceTimeDomain, data: BoundaryData, cfg: SolverConfig,
 
     newton_iters: list[int] = []
     linear_iters: list[int] = []
-    ls_failures = 0
+    backtracks = ls_failures = 0
     flat_values = values.reshape(levels, -1)
     deg = 2 * grid.n
     c = mu * dt / h ** 2
     stencil, assemblies = None, 0
     for k, st in _level_stencils(scheme_mask):
-        if st is not stencil:
+        rebuilt = st is not stencil
+        if rebuilt:
             stencil, A = st, st.adjacency
             jac = _slab_jacobian(A, float(deg))
             assemblies += 1
@@ -449,12 +474,18 @@ def solve_union(d: SpaceTimeDomain, data: BoundaryData, cfg: SolverConfig,
             raise SolverError("missing initial values on a slab core")
 
         if cfg.scheme == "implicit":
+            # A reused stencil means step k - 1 solved on this same core,
+            # so level k - 2 is defined there: extrapolate linearly.
+            start = (prev_core if rebuilt
+                     else 2 * prev_core - flat_values[k - 2, stencil.flat])
             bdry_w = pinned_sum(stencil, _pow_odd(values[k], m))
-            u_new, its, lin, fails = _newton_step(
-                prev_core, bdry_w, A, jac, deg, c, m, cfg, res_scale, dt)
-            newton_iters.append(its)
-            linear_iters.append(lin)
-            ls_failures += fails
+            sol = _newton_step(prev_core, start, bdry_w, A, jac, deg, c, m,
+                               cfg, res_scale, dt)
+            u_new = sol.u
+            newton_iters.append(sol.iterations)
+            linear_iters.append(sol.linear_iterations)
+            backtracks += sol.backtracks
+            ls_failures += sol.failures
         else:
             w_prev = _pow_odd(prev_core, m)
             bdry_w = pinned_sum(stencil, _pow_odd(values[k - 1], m))
@@ -465,6 +496,7 @@ def solve_union(d: SpaceTimeDomain, data: BoundaryData, cfg: SolverConfig,
     stats = {
         "newton_iterations": newton_iters,
         "linear_iterations": linear_iters,
+        "line_search_backtracks": backtracks,
         "line_search_failures": ls_failures,
         "assemblies": assemblies,
         "residual_scale": res_scale,

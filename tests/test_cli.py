@@ -55,6 +55,7 @@ def test_cli_list_and_run(tmp_path, capsys):
     report = json.loads((tmp_path / "constant-solve" / "report.json")
                         .read_text())
     assert report["all_pass"]
+    assert report["solve"]["line_search_backtracks"] == 0
     assert (tmp_path / "constant-solve" / "field.csv").exists()
 
 
@@ -64,6 +65,8 @@ def test_cli_exit_codes(tmp_path):
                  "--out", str(tmp_path)]) == 2
     missing = tmp_path / "missing.json"
     assert main(["run", "--scenario", str(missing),
+                 "--out", str(tmp_path)]) == 2
+    assert main(["run", "--scenario", str(tmp_path),
                  "--out", str(tmp_path)]) == 2
 
 
@@ -76,6 +79,15 @@ def test_cli_rejects_malformed_counts(tmp_path, where, key, value):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+
+
+def test_cli_rejects_non_numeric_operation_field(tmp_path, capsys):
+    doc = bundled_scenario("constant-solve")
+    doc["operation"] = {"kind": "solve", "m": "x"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert "operation/m" in capsys.readouterr().err
 
 
 def test_cli_subcommand_guards_operation_kind(tmp_path):

@@ -1,10 +1,11 @@
 import math
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pmelab import bundled, scenarios, solver
 from pmelab.barriers import barenblatt
@@ -197,8 +198,29 @@ def test_line_search_failures_are_counted():
                         bounds=(0.01, 20.0))
     u = solve_union(d, data, SolverConfig(), 4.0)
     assert u.stats["line_search_failures"] >= 1
+    assert u.stats["line_search_backtracks"] >= 10
     smooth = solve_union(d, data, SolverConfig(), M_EXP)
     assert smooth.stats["line_search_failures"] == 0
+
+
+def test_extrapolated_start_takes_one_newton_iteration_per_step():
+    # the cut finest Barenblatt level of the benchmark ladder: started from
+    # u_{k-1}, every step took 2 Newton iterations; started from
+    # 2 u_{k-1} - u_{k-2}, every step from the third on takes one
+    m, n, C = 2.0, 2, 0.05
+    g = Grid(n=2, h=1 / 128, origin=(-0.5, -0.5), extents=(128, 128))
+    U = SpatialDomain(g, np.ones((128, 128), dtype=bool))
+    d = SpaceTimeDomain([Cylinder(U, 1.0, 1.05)], dt=0.05 / 20)
+    data = BoundaryData(fn=lambda x, t: barenblatt(x, t, m, n, C),
+                        bounds=(0.0, float(barenblatt(np.zeros(n), 1.0, m,
+                                                      n, C))))
+    cfg = SolverConfig()
+    u = solve_union(d, data, cfg, m)
+    assert len(u.stats["newton_iterations"]) == 20
+    assert u.stats["newton_iterations"][2:] == [1] * 18
+    worst = np.abs(scheme_residual(u)[u.scheme_mask]).max()
+    assert worst <= (cfg.newton_tol * u.stats["residual_scale"]
+                     * scenarios._ROUNDING_MARGIN)
 
 
 def _recording_cg(monkeypatch):
@@ -429,6 +451,70 @@ def test_scheme_residual_matches_per_cell_walk(d, scheme, seed):
         assert np.array_equal(np.isnan(ref), ~f.scheme_mask)
         diff = np.abs(res - ref)[f.scheme_mask]
         assert (diff <= 1e-12 * size[f.scheme_mask]).all()
+
+
+@st.composite
+def _unions_with_junctions(draw):
+    """Nested 2-D boxes on at most a 12x12 grid, each starting later than
+    the one inside it and all ending together: every start is a junction,
+    where the core grows and the solve builds a new stencil."""
+    extents = (draw(st.integers(6, 12)), draw(st.integers(6, 12)))
+    g = Grid(n=2, h=1 / 12, origin=(0.0, 0.0), extents=extents)
+    # the innermost box has a nonempty core; each next box is larger
+    lo = [draw(st.integers(0, e - 3)) for e in extents]
+    hi = [draw(st.integers(a + 3, e)) for a, e in zip(lo, extents)]
+    boxes = [(lo, hi)]
+    while len(boxes) < 3 and (lo != [0, 0] or hi != list(extents)):
+        lo = [draw(st.integers(0, a)) for a in lo]
+        hi = [draw(st.integers(b, e)) for b, e in zip(hi, extents)]
+        if (lo, hi) == boxes[-1]:
+            break
+        boxes.append((lo, hi))
+    assume(len(boxes) >= 2)
+    dt = 1 / 256
+    starts = np.cumsum([0] + [draw(st.integers(1, 3))
+                              for _ in boxes[1:]])
+    end = starts[-1] + draw(st.integers(1, 3))
+    cyls = []
+    for (lo, hi), start in zip(boxes, starts):
+        mask = np.zeros(extents, dtype=bool)
+        mask[lo[0]:hi[0], lo[1]:hi[1]] = True
+        cyls.append(Cylinder(SpatialDomain(g, mask), start * dt, end * dt))
+    return SpaceTimeDomain(cyls, dt=dt)
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=_unions_with_junctions(), m=st.sampled_from([1.5, 2.0, 3.0]),
+       coefs=st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0),
+                       st.floats(-8.0, 8.0), st.floats(-30.0, 30.0)),
+       gap=st.floats(0.0, 0.5))
+def test_predictor_falls_back_at_junctions_and_keeps_the_scheme(d, m, coefs,
+                                                                gap):
+    a, b, kx, kt = coefs
+    data = BoundaryData(
+        fn=lambda x, t: np.maximum(a + b * np.sin(kx * x[..., 0] + kt * t
+                                                  + x[..., 1]), 0.0),
+        bounds=(0.0, a + abs(b)))
+    cfg = SolverConfig()
+    starts, newton_step = [], solver._newton_step
+
+    def recording(prev, start, *args):
+        starts.append(start is prev)
+        return newton_step(prev, start, *args)
+
+    with patch.object(solver, "_newton_step", recording):
+        lo = solve_union(d, data, cfg, m)
+    # u_{k-1} starts exactly the steps that build a stencil: the first step
+    # and the first step after each junction
+    assert sum(starts) == lo.stats["assemblies"] >= 2
+    assert len(starts) == len(lo.stats["newton_iterations"])
+    assert np.nanmin(lo.values[lo.defined]) >= 0.0
+    worst = np.abs(scheme_residual(lo)[lo.scheme_mask]).max()
+    assert worst <= (cfg.newton_tol * lo.stats["residual_scale"]
+                     * scenarios._ROUNDING_MARGIN)
+    hi = solve_union(d, data.shifted(gap), cfg, m)
+    ok, viol = comparison_check(hi, lo)
+    assert ok, viol[:3]
 
 
 def test_comparison_ordered_pair_and_equal_fields():
