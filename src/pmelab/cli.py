@@ -1,7 +1,8 @@
 """Command-line entry point: scenario runner and direct subcommands.
 
 Exit codes: 0 all declared checks pass, 1 a check failed or a numerical
-operation errored, 2 invalid input (bad scenario file, unknown name).
+operation errored, 2 invalid input (bad scenario file, unknown name or
+flag).
 Output directory resolution: --out flag, then PMELAB_OUT, then ./pmelab-out.
 """
 
@@ -36,8 +37,6 @@ def _load(args, op_kind: str | None = None) -> dict:
             "provide --scenario PATH or --bundled NAME")
     if args.seed is not None:
         doc["seed"] = args.seed
-    if args.threads and args.threads > 1:
-        doc["threads"] = args.threads
     if args.resolution is not None and "grid" in doc:
         h_old = doc["grid"]["h"]
         factor = h_old / args.resolution
@@ -111,8 +110,6 @@ def _add_common(p):
     p.add_argument("--bundled", help="name of a bundled scenario")
     p.add_argument("--out", help="output directory (default $PMELAB_OUT)")
     p.add_argument("--seed", type=int, help="override the scenario seed")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for ladder runs")
     p.add_argument("--resolution", type=float,
                    help="override the grid cell size h")
 

@@ -17,7 +17,7 @@ explicit fields of the returned report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,7 +154,7 @@ def discretization_estimate(d: SpaceTimeDomain, f: BoundaryData,
     if fine is None:
         fine = solve_union(d, f, cfg, m)
     d2 = coarsen_domain(d)
-    coarse = solve_union(d2, f, replace(cfg, dt=None), m)
+    coarse = solve_union(d2, f, cfg, m)
     return _block_compare(fine, coarse)
 
 
@@ -395,8 +395,6 @@ def default_data_family(d: SpaceTimeDomain, xi0, tent_width: float | None = None
 
 def regularity_probe(d: SpaceTimeDomain, xi0, family: list[BoundaryData],
                      radii: list[float], cfg: SolverConfig, m: float,
-                     eps: float | None = None,
-                     disc_est: float | None = None,
                      family_labels: list[str] | None = None,
                      upper_members: list[BarrierSpec] | None = None,
                      removability: RemovabilityCertificate | None = None
@@ -416,24 +414,10 @@ def regularity_probe(d: SpaceTimeDomain, xi0, family: list[BoundaryData],
     vanishing capacity.
     """
     _check_on_parabolic_boundary(d, xi0)
-    return _probe(d, xi0, family, radii, cfg, m, eps, disc_est,
-                  family_labels, upper_members, removability)
-
-
-def _probe(d: SpaceTimeDomain, xi0, family: list[BoundaryData],
-           radii: list[float], cfg: SolverConfig, m: float,
-           eps: float | None = None, disc_est: float | None = None,
-           family_labels: list[str] | None = None,
-           upper_members: list[BarrierSpec] | None = None,
-           removability: RemovabilityCertificate | None = None
-           ) -> RegularityProbe:
-    """``regularity_probe`` at a point already known to be on the boundary."""
     radii = _approach_radii(radii)
     x0, t0 = np.asarray(xi0[0], dtype=float), float(xi0[1])
     xi = np.append(x0, t0)
-    sup_f = max(f.bounds[1] for f in family)
-    if eps is None:
-        eps = 0.025 * sup_f
+    eps = 0.025 * max(f.bounds[1] for f in family)
     labels = family_labels or [f"member-{i}" for i in range(len(family))]
 
     if removability is not None:
@@ -450,21 +434,18 @@ def _probe(d: SpaceTimeDomain, xi0, family: list[BoundaryData],
         upper = solve_union(d, f.shifted(eps), cfg, m)
         lower = solve_union(d, f.clipped_down(eps), cfg, m)
         envelope = None
-        if removability is not None:
+        if removability is None:
+            disc_m = discretization_estimate(d, f.shifted(eps), cfg, m,
+                                             fine=upper)
+        else:
             envelope = solve_union(removability.envelope_domain,
                                    f.shifted(eps), cfg, m)
-        if disc_est is not None:
-            disc_m = disc_est
-        elif envelope is not None:
             # a one-cell puncture does not survive block coarsening, so the
             # probed domain has no faithful coarse companion; calibrate on
             # the reinstated domain instead
             disc_m = discretization_estimate(removability.envelope_domain,
                                              f.shifted(eps), cfg, m,
                                              fine=envelope)
-        else:
-            disc_m = discretization_estimate(d, f.shifted(eps), cfg, m,
-                                             fine=upper)
         ug, lg = [], []
         for r in radii:
             up_est = upper.ball_extremum(xi, r, "max") - eps
@@ -507,8 +488,7 @@ class DichotomyResult:
 
 def dichotomy_check(d: SpaceTimeDomain, xi0, f: BoundaryData,
                     radii: list[float], cfg: SolverConfig, m: float,
-                    eps: float | None = None, tol: float | None = None,
-                    disc_est: float | None = None,
+                    tol: float | None = None,
                     upper_members: list[BarrierSpec] | None = None,
                     removability: RemovabilityCertificate | None = None
                     ) -> DichotomyResult:
@@ -534,8 +514,7 @@ def dichotomy_check(d: SpaceTimeDomain, xi0, f: BoundaryData,
     if f_xi <= 0:
         raise PerronError("dichotomy needs f(xi0) > 0")
     radii = _approach_radii(radii)
-    if eps is None:
-        eps = 0.025 * max(f.bounds[1], f_xi)
+    eps = 0.025 * max(f.bounds[1], f_xi)
     solve_domain = d
     if removability is not None:
         removability.validate(d)
@@ -545,9 +524,8 @@ def dichotomy_check(d: SpaceTimeDomain, xi0, f: BoundaryData,
         check_upper_member(spec, solve_domain, f.shifted(eps))
     xi = np.append(x0, t0)
     upper = solve_union(solve_domain, f.shifted(eps), cfg, m)
-    if disc_est is None:
-        disc_est = discretization_estimate(solve_domain, f.shifted(eps), cfg,
-                                           m, fine=upper)
+    disc_est = discretization_estimate(solve_domain, f.shifted(eps), cfg, m,
+                                       fine=upper)
     if tol is None:
         tol = max(0.1 * f_xi, 2 * disc_est)
     tol = min(tol, 0.4 * f_xi)
@@ -579,7 +557,8 @@ def future_truncation_probe(d: SpaceTimeDomain, xi0,
     if not trunc.cylinders or trunc.num_steps < 1:
         raise PerronError("truncation at t0 is empty")
     if _on_parabolic_boundary(trunc, xi0):
-        trunc_probe = _probe(trunc, xi0, family, radii, cfg, m, **kwargs)
+        trunc_probe = regularity_probe(trunc, xi0, family, radii, cfg, m,
+                                       **kwargs)
     else:
         trunc_probe = RegularityProbe(
             (tuple(map(float, x0)), t0), _approach_radii(radii),

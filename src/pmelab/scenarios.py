@@ -55,6 +55,11 @@ _OP_NUMBERS = ("m", "C", "M", "t0", "t1", "t2", "rho", "sigma", "k",
                "box_halfwidth", "runtime_budget_s")
 _OP_INTEGERS = ("n", "k_max", "j_max", "base_cells", "base_steps",
                 "max_samples")
+_OP_NUMBER_ARRAYS = ("radii", "x0", "eps_ladder", "multipliers")
+
+_NUMBER = {"type": "number"}
+_INTEGER = {"type": "integer"}
+_NUMBERS = {"type": "array", "items": _NUMBER}
 
 SCHEMA = {
     "type": "object",
@@ -63,15 +68,30 @@ SCHEMA = {
         "name": {"type": "string"},
         "description": {"type": "string"},
         "seed": {"type": "integer"},
-        "threads": {"type": "integer", "minimum": 1},
         "operation": {
             "type": "object",
             "required": ["kind"],
             "properties": {
                 "kind": {"enum": list(OPERATIONS)},
                 "trials": {"type": "integer", "minimum": 1},
-                **{key: {"type": "number"} for key in _OP_NUMBERS},
-                **{key: {"type": "integer"} for key in _OP_INTEGERS},
+                **dict.fromkeys(_OP_NUMBERS, _NUMBER),
+                **dict.fromkeys(_OP_INTEGERS, _INTEGER),
+                **dict.fromkeys(_OP_NUMBER_ARRAYS, _NUMBERS),
+                "levels": {"type": "array", "items": _INTEGER},
+                "removability": {
+                    "type": "object",
+                    "properties": {"k_max": _INTEGER, "x0": _NUMBERS},
+                },
+                "family": {"type": "array", "items": {"type": "object"}},
+                "barrier": {
+                    "type": "object",
+                    "properties": {
+                        "c": _NUMBER, "m": _NUMBER,
+                        "j": _INTEGER, "n": _INTEGER,
+                        # null: the diameter of the region
+                        "diam": {"type": ["number", "null"]},
+                    },
+                },
             },
         },
         "grid": {
@@ -87,7 +107,16 @@ SCHEMA = {
         },
         "domain": {"type": "object"},
         "data": {"type": "object"},
-        "solver": {"type": "object"},
+        "solver": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "scheme": {"enum": ["implicit", "explicit"]},
+                **dict.fromkeys(("newton_tol", "linear_tol", "diffusion"),
+                                {"type": "number", "exclusiveMinimum": 0}),
+                "newton_max": {"type": "integer", "minimum": 1},
+            },
+        },
     },
 }
 
@@ -225,15 +254,12 @@ def build_data(spec: dict, m: float, grid: Grid) -> BoundaryData:
 
 
 def build_config(spec: dict | None) -> SolverConfig:
-    spec = spec or {}
-    return SolverConfig(
-        scheme=spec.get("scheme", "implicit"),
-        dt=spec.get("dt"),
-        newton_tol=spec.get("newton_tol", 1e-10),
-        newton_max=spec.get("newton_max", 40),
-        linear_tol=spec.get("linear_tol", 1e-10),
-        diffusion=spec.get("diffusion", 1.0),
-    )
+    """The scenario's ``solver`` block, whose keys the schema limits to
+    ``SolverConfig``'s fields; JSON may write the integer ``newton_max``
+    as 2.0."""
+    spec = dict(spec or {})
+    spec["newton_max"] = int(spec.get("newton_max", SolverConfig.newton_max))
+    return SolverConfig(**spec)
 
 
 # ---------------------------------------------------------------------------
@@ -702,21 +728,12 @@ def _op_comparison_campaign(doc, report, rng):
     d = build_domain(doc)
     cfg = build_config(doc.get("solver"))
     trials = int(op.get("trials", 100))
-    threads = int(doc.get("threads", 1))
-    # trial parameters are drawn sequentially so the campaign is
-    # reproducible no matter how the solves are scheduled
     params = []
     for _ in range(trials):
         coefs = [(rng.uniform(-4, 4), rng.uniform(-4, 4),
                   rng.uniform(0, 0.3)) for _ in range(3)]
         params.append((coefs, rng.uniform(0.5, 1.5), rng.uniform(0.0, 0.7)))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(
-                lambda p: _campaign_pair(p, d, cfg, m), params))
-    else:
-        outcomes = [_campaign_pair(p, d, cfg, m) for p in params]
+    outcomes = [_campaign_pair(p, d, cfg, m) for p in params]
     ordered = sum(1 for ok, _ in outcomes if ok)
     violations = [{"trial": i, "count": len(viol)}
                   for i, (ok, viol) in enumerate(outcomes) if not ok]

@@ -75,7 +75,6 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .geometry import (
-    Cylinder,
     ParabolicBoundary,
     SpaceTimeDomain,
     Stencil,
@@ -102,7 +101,6 @@ def _pow_odd(u: np.ndarray, m: float) -> np.ndarray:
 @dataclass(frozen=True)
 class SolverConfig:
     scheme: str = "implicit"            # "implicit" | "explicit"
-    dt: float | None = None             # None = auto
     newton_tol: float = 1e-10           # on the per-unit-time step residual
     newton_max: int = 40
     linear_tol: float = 1e-10           # CG relative tolerance
@@ -505,19 +503,6 @@ def solve_union(d: SpaceTimeDomain, data: BoundaryData, cfg: SolverConfig,
         "h": h,
     }
     return Field(d, values, defined, scheme_mask, m, cfg, stats)
-
-
-def solve_cylinder(cyl: Cylinder, data: BoundaryData, cfg: SolverConfig,
-                   m: float, num_steps: int | None = None) -> Field:
-    """Dirichlet solve on a single cylinder (degenerate union)."""
-    if cfg.dt is not None:
-        dt = cfg.dt
-    elif num_steps is not None:
-        dt = (cyl.t2 - cyl.t1) / num_steps
-    else:
-        raise SolverError("either cfg.dt or num_steps must be given")
-    d = SpaceTimeDomain([cyl], dt)
-    return solve_union(d, data, cfg, m)
 
 
 def scheme_residual(f: Field) -> np.ndarray:

@@ -1,10 +1,12 @@
 import json
+import re
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
 from pmelab.bundled import bundled_scenario, list_bundled
-from pmelab.cli import main
+from pmelab.cli import build_parser, main
 from pmelab.scenarios import ScenarioError, load_scenario
 
 
@@ -68,17 +70,48 @@ def test_cli_exit_codes(tmp_path):
                  "--out", str(tmp_path)]) == 2
     assert main(["run", "--scenario", str(tmp_path),
                  "--out", str(tmp_path)]) == 2
+    # the campaign runs serially; there is no --threads flag
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--bundled", "comparison-campaign", "--threads", "2",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
+# The solver block is closed: a key SolverConfig lacks, such as dt, is an
+# input error rather than a setting that is silently ignored.
 @pytest.mark.parametrize("where, key, value", [
-    ("doc", "threads", "x"), ("doc", "threads", 2.5), ("doc", "threads", 0),
-    ("operation", "trials", "abc"), ("operation", "trials", 0)])
-def test_cli_rejects_malformed_counts(tmp_path, where, key, value):
+    ("operation", "trials", "abc"), ("operation", "trials", 0),
+    ("solver", "newton_tol", "x"), ("solver", "newton_max", 2.5),
+    ("solver", "scheme", "rk4"), ("solver", "dt", 0.01)])
+def test_cli_rejects_malformed_counts(tmp_path, capsys, where, key, value):
     doc = bundled_scenario("comparison-campaign")
-    (doc if where == "doc" else doc["operation"])[key] = value
+    doc.setdefault(where, {})[key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert where in err and key in err
+
+
+@pytest.mark.parametrize("name, path, value", [
+    ("punctured-disk", "operation/removability/k_max", "x"),
+    ("square-cylinder", "operation/radii", ["x"]),
+    ("barenblatt-convergence", "operation/levels", [0.5]),
+    ("barrier-certification", "operation/barrier/j", "x"),
+    ("bottom-regularity", "operation/family", [1.0]),
+])
+def test_cli_rejects_malformed_nested_fields(tmp_path, capsys, name, path,
+                                             value):
+    doc = bundled_scenario(name)
+    *parents, key = path.split("/")
+    target = doc
+    for part in parents:
+        target = target[part]
+    target[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
+    assert path in capsys.readouterr().err
 
 
 def test_cli_rejects_non_numeric_operation_field(tmp_path, capsys):
@@ -155,28 +188,19 @@ def test_reruns_are_byte_identical(tmp_path):
                              ["--scenario", str(path)])
     assert (tmp_path / "ladder" / "a" / "barenblatt-convergence"
             / "convergence.csv").exists()
+    # a short seeded campaign: the trial draws and verdicts repeat
+    doc = bundled_scenario("comparison-campaign")
+    doc["operation"]["trials"] = 6
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(doc))
+    _assert_reruns_identical(tmp_path / "campaign", "comparison-campaign",
+                             ["--scenario", str(path), "--seed", "3"])
 
 
 def test_out_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("PMELAB_OUT", str(tmp_path / "envout"))
     assert main(["run", "--bundled", "constant-solve"]) == 0
     assert (tmp_path / "envout" / "constant-solve" / "report.json").exists()
-
-
-def test_threads_flag_keeps_campaign_deterministic(tmp_path):
-    doc = bundled_scenario("comparison-campaign")
-    doc["operation"]["trials"] = 6
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(doc))
-    outs = []
-    for sub, threads in (("t1", "1"), ("t2", "2")):
-        code = main(["run", "--scenario", str(path), "--threads", threads,
-                     "--out", str(tmp_path / sub)])
-        assert code == 0
-        rep = json.loads((tmp_path / sub / "comparison-campaign" /
-                          "report.json").read_text())
-        outs.append(rep["campaign"])
-    assert outs[0] == outs[1]
 
 
 def test_resolution_override(tmp_path):
@@ -186,3 +210,13 @@ def test_resolution_override(tmp_path):
     rows = (tmp_path / "constant-solve" / "field.csv").read_text().splitlines()
     # 8x8 grid instead of 16x16: bottom level has 64 cells
     assert len([r for r in rows if r.startswith("0,")]) == 64
+
+
+def test_readme_flags_match_the_run_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = readme.split("Flags:", 1)[1].split(". ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", sentence))
+    run = build_parser()._subparsers._group_actions[0].choices["run"]
+    options = {s for a in run._actions for s in a.option_strings
+               if s.startswith("--") and s != "--help"}
+    assert documented == options

@@ -206,6 +206,27 @@ def test_check_upper_member_torsion():
             d, small)
 
 
+def test_dichotomy_upper_members():
+    g = Grid(n=2, h=1 / 16, origin=(0, 0), extents=(16, 16))
+    U = SpatialDomain(g, np.ones((16, 16), dtype=bool))
+    d = SpaceTimeDomain([Cylinder(U, -0.25, 0.25)], dt=1 / 16)
+    v = torsion_profile(U, np.array([0.0, 0.5]))
+    spec = BarrierSpec("torsion_super", c=0.5, j=1, m=2.0, n=2, diam=1.6,
+                       torsion_field=v, anchor=((0.0, 0.5), 0.0))
+    small = BoundaryData.constant(0.2)
+    xi0, radii = ((1 / 32, 15 / 32), 0.0), [0.3, 0.2, 0.15, 0.1]
+    with pytest.raises(PerronError, match="subparabolic"):
+        dichotomy_check(d, xi0, small, radii, CFG, M_EXP, upper_members=[
+            BarrierSpec("quadratic_sub", c=1.0, j=1, m=2.0, n=2, diam=1.6)])
+    bare = dichotomy_check(d, xi0, small, radii, CFG, M_EXP)
+    capped = dichotomy_check(d, xi0, small, radii, CFG, M_EXP,
+                             upper_members=[spec])
+    # a certified member can only lower the envelope estimate
+    for (_, low), (_, low_capped) in zip(bare.per_radius, capped.per_radius):
+        assert low_capped <= low
+    assert capped.liminf_estimate <= bare.liminf_estimate
+
+
 def punctured_setup(h=1 / 32):
     cells = int(round(2.6 / h))
     if cells % 2 == 0:

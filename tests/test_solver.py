@@ -26,7 +26,6 @@ from pmelab.solver import (
     cfl_max_dt,
     comparison_check,
     scheme_residual,
-    solve_cylinder,
     solve_union,
 )
 
@@ -87,16 +86,6 @@ def test_solver_output_nonnegative_and_boundary_pinned():
         t = d.level_time(k)
         assert u.values[(k, *idx)] == pytest.approx(
             data.sample(centers[tuple(idx)], t))
-
-
-def test_solve_cylinder_matches_union_route():
-    U = unit_box()
-    cyl = Cylinder(U, 0.0, 0.25)
-    data = BoundaryData.constant(0.7)
-    via_cyl = solve_cylinder(cyl, data, SolverConfig(), M_EXP, num_steps=10)
-    via_union = solve_union(SpaceTimeDomain([cyl], dt=0.025), data,
-                            SolverConfig(), M_EXP)
-    assert np.allclose(via_cyl.values, via_union.values, equal_nan=True)
 
 
 def test_barenblatt_oracle_convergence():
