@@ -86,15 +86,13 @@ def perron_bracket(d: SpaceTimeDomain, f: BoundaryData,
 # ---------------------------------------------------------------------------
 # discretization error estimate via a coarse companion solve
 
-def _coarsen_mask(mask: np.ndarray) -> np.ndarray:
-    nd = mask.ndim
-    padded = np.zeros(tuple(s + s % 2 for s in mask.shape), dtype=bool)
-    padded[tuple(slice(0, s) for s in mask.shape)] = mask
-    out = np.zeros(tuple(s // 2 for s in padded.shape), dtype=bool)
-    for offsets in np.ndindex(*(2,) * nd):
-        sl = tuple(slice(o, None, 2) for o in offsets)
-        out |= padded[sl]
-    return out
+def _blocks(a: np.ndarray) -> list[np.ndarray]:
+    """The 2^n strided views of ``a`` zero-padded to even extents, one per
+    offset of a 2x block; view ``o`` holds ``a[2*i + o]`` at coarse index i."""
+    padded = np.zeros(tuple(s + s % 2 for s in a.shape), dtype=a.dtype)
+    padded[tuple(slice(0, s) for s in a.shape)] = a
+    return [padded[tuple(slice(o, None, 2) for o in offsets)]
+            for offsets in np.ndindex(*(2,) * a.ndim)]
 
 
 def coarsen_domain(d: SpaceTimeDomain) -> SpaceTimeDomain:
@@ -102,8 +100,8 @@ def coarsen_domain(d: SpaceTimeDomain) -> SpaceTimeDomain:
     g = d.grid
     g2 = Grid(n=g.n, h=2 * g.h, origin=g.origin,
               extents=tuple((e + 1) // 2 for e in g.extents))
-    cyls = [Cylinder(SpatialDomain(g2, _coarsen_mask(c.base.mask)), c.t1, c.t2)
-            for c in d.cylinders]
+    cyls = [Cylinder(SpatialDomain(g2, np.logical_or.reduce(
+        _blocks(c.base.mask))), c.t1, c.t2) for c in d.cylinders]
     return SpaceTimeDomain(cyls, 2 * d.dt)
 
 
@@ -113,26 +111,16 @@ def _block_compare(fine: Field, coarse: Field) -> float:
     Fine values are block-averaged onto coarse cells; compared over coarse
     interior samples at shared levels.
     """
-    d = fine.domain
-    nd = d.grid.n
-    pad_shape = tuple(e + e % 2 for e in d.grid.extents)
     best = 0.0
     found = False
     for k2 in range(1, coarse.domain.num_levels):
         k = 2 * k2
         cdef = coarse.scheme_mask[k2]
-        block_sum = np.zeros_like(coarse.values[k2])
-        block_cnt = np.zeros(coarse.values[k2].shape, dtype=int)
-        fv = np.zeros(pad_shape)
-        fd = np.zeros(pad_shape, dtype=bool)
-        inner = tuple(slice(0, e) for e in d.grid.extents)
-        fv[inner] = np.where(fine.defined[k], fine.values[k], 0.0)
-        fd[inner] = fine.defined[k]
-        for offsets in np.ndindex(*(2,) * nd):
-            sl = tuple(slice(o, None, 2) for o in offsets)
-            block_sum += fv[sl]
-            block_cnt += fd[sl]
-        full = cdef & (block_cnt == 2 ** nd)
+        # sum adds the views in offset order, which fixes the rounding
+        block_sum = sum(_blocks(np.where(fine.defined[k], fine.values[k],
+                                         0.0)))
+        block_cnt = sum(_blocks(fine.defined[k]))
+        full = cdef & (block_cnt == 2 ** fine.domain.grid.n)
         if full.any():
             found = True
             mean = block_sum[full] / block_cnt[full]
@@ -184,10 +172,6 @@ class RegularityProbe:
     #   "regular evidence"; all upper (lower) sides pass -> "upper-regular
     #   (lower-regular) evidence"; otherwise "inconclusive".
 
-    @property
-    def disc_est(self) -> float:
-        return max(self.disc_ests) if self.disc_ests else 0.0
-
     def to_dict(self) -> dict:
         return {
             "point": {"x": list(self.point[0]), "t": self.point[1]},
@@ -236,19 +220,31 @@ def check_upper_member(spec: BarrierSpec, d: SpaceTimeDomain,
     return margin
 
 
+def _ball_masks(field: Field, xi: np.ndarray, radii) -> np.ndarray:
+    """Interior samples of ``field`` within each radius of xi = (x0, t0),
+    stacked as ``(len(radii), levels, *extents)``."""
+    d = field.domain
+    d2x = ((d.grid.centers() - xi[:-1]) ** 2).sum(axis=-1)
+    # scalar squares (pow), which can round otherwise than an array's x*x
+    d2t = np.array([(t - xi[-1]) ** 2 for t in d.level_times()])
+    r2 = np.array([r ** 2 for r in radii])
+    d2 = d2x + d2t.reshape(-1, *(1,) * d.grid.n)
+    balls = field.scheme_mask & (d2 <= r2.reshape(-1, *(1,) * d2.ndim))
+    if not all(ball.any() for ball in balls):
+        raise PerronError("no interior samples within the given radius")
+    return balls
+
+
 def _min_over_ball(field: Field, members: list[BarrierSpec],
-                   xi: np.ndarray, r: float, eps: float) -> float:
-    """Min over interior ball samples of min(pinned solve - eps, members).
+                   ball: np.ndarray, eps: float) -> float:
+    """Min over the ball's samples of min(pinned solve - eps, members).
 
     The pinned solve is debiased by its data shift eps; certified members
     are used as-is (conservative upper bounds for the envelope).
     """
-    sel = field._ball_mask(xi, r)
-    if not sel.any():
-        raise PerronError("no interior samples within the given radius")
-    vals = field.values[sel] - eps
+    vals = field.values[ball] - eps
     if members:
-        level, *cell = np.nonzero(sel)
+        level, *cell = np.nonzero(ball)
         pts = field.domain.grid.centers()[tuple(cell)]
         t = field.domain.level_times()[level]
         for spec in members:
@@ -327,20 +323,26 @@ def _approach_radii(radii: list[float]) -> list[float]:
     return radii
 
 
-def _on_parabolic_boundary(d: SpaceTimeDomain, xi0) -> bool:
-    """Whether a parabolic-boundary sample of d lies within a cell of xi0."""
+class OffBoundaryError(PerronError):
+    """The probed point matches no parabolic-boundary sample."""
+
+
+def _probe_setup(d: SpaceTimeDomain, xi0, radii: list[float],
+                 removability: RemovabilityCertificate | None):
+    """Checks shared by both probes: xi0 lies within a cell of a
+    parabolic-boundary sample of d, the radii are admissible and the
+    certificate fits d.  Returns (x0, t0, xi, radii)."""
     x0, t0 = np.asarray(xi0[0], dtype=float), float(xi0[1])
     tol_x = 0.75 * d.grid.h * math.sqrt(d.grid.n)
     near_t = np.abs(d.level_times() - t0) <= 0.51 * d.dt
     near_x = np.linalg.norm(d.grid.centers() - x0, axis=-1) <= tol_x
-    return bool((parabolic_boundary(d).mask[near_t] & near_x).any())
-
-
-def _check_on_parabolic_boundary(d: SpaceTimeDomain, xi0) -> None:
-    if not _on_parabolic_boundary(d, xi0):
-        x0, t0 = np.asarray(xi0[0], dtype=float), float(xi0[1])
-        raise PerronError(f"xi0=({tuple(x0)}, {t0}) does not match any "
-                          "parabolic-boundary sample")
+    if not (parabolic_boundary(d).mask[near_t] & near_x).any():
+        raise OffBoundaryError(f"xi0=({tuple(x0)}, {t0}) does not match any "
+                               "parabolic-boundary sample")
+    radii = _approach_radii(radii)
+    if removability is not None:
+        removability.validate(d)
+    return x0, t0, np.append(x0, t0), radii
 
 
 def _is_flat(gaps: list[float]) -> bool:
@@ -413,58 +415,47 @@ def regularity_probe(d: SpaceTimeDomain, xi0, family: list[BoundaryData],
     estimates, which is what exposes irregularity at boundary columns of
     vanishing capacity.
     """
-    _check_on_parabolic_boundary(d, xi0)
-    radii = _approach_radii(radii)
-    x0, t0 = np.asarray(xi0[0], dtype=float), float(xi0[1])
-    xi = np.append(x0, t0)
+    x0, t0, xi, radii = _probe_setup(d, xi0, radii, removability)
     eps = 0.025 * max(f.bounds[1] for f in family)
     labels = family_labels or [f"member-{i}" for i in range(len(family))]
-
-    if removability is not None:
-        removability.validate(d)
+    members = list(upper_members or [])
 
     up_gaps, low_gaps, up_ints, low_ints, disc_ests = [], [], [], [], []
     for f in family:
         f_xi = float(f.sample(x0, t0))
         if f_xi <= 0:
             raise PerronError("family members must be positive at xi0")
-        members = list(upper_members or [])
         for spec in members:
             check_upper_member(spec, d, f.shifted(eps))
         upper = solve_union(d, f.shifted(eps), cfg, m)
         lower = solve_union(d, f.clipped_down(eps), cfg, m)
-        envelope = None
-        if removability is None:
-            disc_m = discretization_estimate(d, f.shifted(eps), cfg, m,
-                                             fine=upper)
-        else:
-            envelope = solve_union(removability.envelope_domain,
-                                   f.shifted(eps), cfg, m)
-            # a one-cell puncture does not survive block coarsening, so the
-            # probed domain has no faithful coarse companion; calibrate on
-            # the reinstated domain instead
-            disc_m = discretization_estimate(removability.envelope_domain,
-                                             f.shifted(eps), cfg, m,
-                                             fine=envelope)
+        # a one-cell puncture does not survive block coarsening, so the
+        # probed domain has no faithful coarse companion; the estimate is
+        # calibrated on the envelope's domain
+        envelope = upper if removability is None else solve_union(
+            removability.envelope_domain, f.shifted(eps), cfg, m)
+        disc_ests.append(discretization_estimate(
+            envelope.domain, f.shifted(eps), cfg, m, fine=envelope))
+        balls = _ball_masks(upper, xi, radii)     # lower shares the domain
+        env_balls = (balls if envelope is upper
+                     else _ball_masks(envelope, xi, radii))
         ug, lg = [], []
-        for r in radii:
-            up_est = upper.ball_extremum(xi, r, "max") - eps
-            if envelope is not None:
-                up_est = min(up_est, envelope.ball_extremum(xi, r, "max") - eps)
-            ug.append(up_est - f_xi)
-            low_est = lower.ball_extremum(xi, r, "min") + eps
+        for ball, env_ball in zip(balls, env_balls):
+            up_est = min(upper.values[ball].max(),
+                         envelope.values[env_ball].max()) - eps
+            ug.append(float(up_est) - f_xi)
+            low_est = float(lower.values[ball].min()) + eps
             if members:
                 low_est = min(low_est,
-                              _min_over_ball(upper, members, xi, r, eps) + eps)
-            if envelope is not None:
+                              _min_over_ball(upper, members, ball, eps) + eps)
+            if envelope is not upper:
                 low_est = min(low_est,
-                              envelope.ball_extremum(xi, r, "min") - eps)
+                              float(envelope.values[env_ball].min()) - eps)
             lg.append(f_xi - low_est)
         up_gaps.append(ug)
         low_gaps.append(lg)
         up_ints.append(_fit_intercept(radii, ug))
         low_ints.append(_fit_intercept(radii, lg))
-        disc_ests.append(disc_m)
 
     verdict = _verdict(up_ints, low_ints, up_gaps, low_gaps, disc_ests)
     return RegularityProbe((tuple(map(float, x0)), t0), radii, labels,
@@ -508,28 +499,23 @@ def dichotomy_check(d: SpaceTimeDomain, xi0, f: BoundaryData,
     such columns; the pinned solve alone cannot see this because any
     nonempty voxel column carries positive capacity at fixed h).
     """
-    _check_on_parabolic_boundary(d, xi0)
-    x0, t0 = np.asarray(xi0[0], dtype=float), float(xi0[1])
+    x0, t0, xi, radii = _probe_setup(d, xi0, radii, removability)
     f_xi = float(f.sample(x0, t0))
     if f_xi <= 0:
         raise PerronError("dichotomy needs f(xi0) > 0")
-    radii = _approach_radii(radii)
     eps = 0.025 * max(f.bounds[1], f_xi)
-    solve_domain = d
-    if removability is not None:
-        removability.validate(d)
-        solve_domain = removability.envelope_domain
+    solve_domain = d if removability is None else removability.envelope_domain
     members = list(upper_members or [])
     for spec in members:
         check_upper_member(spec, solve_domain, f.shifted(eps))
-    xi = np.append(x0, t0)
     upper = solve_union(solve_domain, f.shifted(eps), cfg, m)
     disc_est = discretization_estimate(solve_domain, f.shifted(eps), cfg, m,
                                        fine=upper)
     if tol is None:
         tol = max(0.1 * f_xi, 2 * disc_est)
     tol = min(tol, 0.4 * f_xi)
-    mins = [(r, _min_over_ball(upper, members, xi, r, eps)) for r in radii]
+    mins = [(r, _min_over_ball(upper, members, ball, eps))
+            for r, ball in zip(radii, _ball_masks(upper, xi, radii))]
     est = _fit_intercept(radii, [v for _, v in mins])     # liminf estimate
     if est >= f_xi - tol:
         branch = "attains"
@@ -556,10 +542,10 @@ def future_truncation_probe(d: SpaceTimeDomain, xi0,
     trunc = d.truncate(t0) if t0 < d.t_max else d
     if not trunc.cylinders or trunc.num_steps < 1:
         raise PerronError("truncation at t0 is empty")
-    if _on_parabolic_boundary(trunc, xi0):
+    try:
         trunc_probe = regularity_probe(trunc, xi0, family, radii, cfg, m,
                                        **kwargs)
-    else:
+    except OffBoundaryError:
         trunc_probe = RegularityProbe(
             (tuple(map(float, x0)), t0), _approach_radii(radii),
             [], [], [], [], [], "regular evidence", [], 0.0,

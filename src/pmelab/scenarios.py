@@ -60,6 +60,43 @@ _OP_NUMBER_ARRAYS = ("radii", "x0", "eps_ladder", "multipliers")
 _NUMBER = {"type": "number"}
 _INTEGER = {"type": "integer"}
 _NUMBERS = {"type": "array", "items": _NUMBER}
+_OPTIONAL_NUMBER = {"type": ["number", "null"]}
+
+# The profiles ``build_data`` builds and the fields they read, typed.
+_DATA_PROFILE = {
+    "type": "object",
+    "properties": {
+        "profile": {"enum": ["constant", "linear", "power_linear",
+                             "barenblatt", "tent", "ramped_tent"]},
+        **dict.fromkeys(("value", "a", "b", "clip", "C", "sup", "t0", "width",
+                         "floor", "peak", "ramp"), _NUMBER),
+        "axis": _INTEGER, "n": _INTEGER,
+        "center": _NUMBERS,
+        "label": {"type": "string"},
+    },
+}
+
+# The fields of ``barriers.BarrierSpec``, with ``torsion`` (the base and
+# pole of a torsion profile) in place of the computed ``torsion_field``.
+_BARRIER = {
+    "type": "object",
+    "required": ["kind", "c", "j", "m", "n"],
+    "additionalProperties": False,
+    "properties": {
+        "kind": {"enum": list(barriers.KINDS)},
+        "c": _NUMBER, "m": _NUMBER, "j": _INTEGER, "n": _INTEGER,
+        # null: the diameter of the region
+        "diam": _OPTIONAL_NUMBER,
+        "alpha": _OPTIONAL_NUMBER, "gamma": _OPTIONAL_NUMBER,
+        "anchor": {"type": "array", "items": [_NUMBERS, _NUMBER],
+                   "minItems": 2, "maxItems": 2},
+        "t_halfwidth": _NUMBER,
+        "torsion": {"type": "object", "required": ["base", "x0"],
+                    "additionalProperties": False,
+                    "properties": {"base": {"type": "object"},
+                                   "x0": _NUMBERS}},
+    },
+}
 
 SCHEMA = {
     "type": "object",
@@ -82,16 +119,8 @@ SCHEMA = {
                     "type": "object",
                     "properties": {"k_max": _INTEGER, "x0": _NUMBERS},
                 },
-                "family": {"type": "array", "items": {"type": "object"}},
-                "barrier": {
-                    "type": "object",
-                    "properties": {
-                        "c": _NUMBER, "m": _NUMBER,
-                        "j": _INTEGER, "n": _INTEGER,
-                        # null: the diameter of the region
-                        "diam": {"type": ["number", "null"]},
-                    },
-                },
+                "family": {"type": "array", "items": _DATA_PROFILE},
+                "barrier": _BARRIER,
             },
         },
         "grid": {
@@ -106,7 +135,7 @@ SCHEMA = {
             },
         },
         "domain": {"type": "object"},
-        "data": {"type": "object"},
+        "data": _DATA_PROFILE,
         "solver": {
             "type": "object",
             "additionalProperties": False,
@@ -379,12 +408,11 @@ def _op_verify_barrier(doc, report, rng):
     region = build_domain(doc)
     if spec_args.get("diam") is None:
         spec_args["diam"] = diameter(region)
-    if spec_args.get("torsion"):
+    if "torsion" in spec_args:
         t_spec = spec_args.pop("torsion")
         U = build_spatial(t_spec["base"], build_grid(doc["grid"]))
         spec_args["torsion_field"] = capacity.torsion_profile(
             U, tuple(t_spec["x0"]))
-    spec_args.pop("torsion", None)
     spec = barriers.BarrierSpec(**spec_args)
     policy = barriers.SamplingPolicy(seed=doc.get("seed", 0),
                                      jitter_factor=op.get("jitter_factor", 10),
@@ -438,11 +466,16 @@ def _family_from_op(op, d, xi0, m):
     return perron.default_data_family(d, xi0)
 
 
-def _xi0_of(op):
-    return (tuple(op["x0"]), float(op["t0"]))
+def _probe_inputs(doc):
+    """(m, domain, config, xi0, radii) of a probe-type operation."""
+    op = doc["operation"]
+    return (float(op["m"]), build_domain(doc), build_config(doc.get("solver")),
+            (tuple(op["x0"]), float(op["t0"])), [float(r) for r in op["radii"]])
 
 
-def _removability_from_op(doc, op, d):
+def _removability_from_op(doc, op, d, report):
+    """The operation's removability certificate, if it asks for one; its
+    thickness verdict goes into the report payload."""
     rem = op.get("removability")
     if not rem:
         return None
@@ -454,21 +487,15 @@ def _removability_from_op(doc, op, d):
     prof = capacity.wiener_profile(U, tuple(rem["x0"]),
                                    k_max=int(rem.get("k_max", 5)))
     verdict = capacity.classify_thickness(prof)
-    return perron.RemovabilityCertificate(env, prof, verdict), verdict
+    report.payload["thickness"] = verdict.to_dict()
+    return perron.RemovabilityCertificate(env, prof, verdict)
 
 
 def _op_probe(doc, report, rng):
     op = doc["operation"]
-    m = float(op["m"])
-    d = build_domain(doc)
-    cfg = build_config(doc.get("solver"))
-    xi0 = _xi0_of(op)
+    m, d, cfg, xi0, radii = _probe_inputs(doc)
     fam, labels = _family_from_op(op, d, xi0, m)
-    radii = [float(r) for r in op["radii"]]
-    rem = _removability_from_op(doc, op, d)
-    cert = rem[0] if rem else None
-    if rem:
-        report.payload["thickness"] = rem[1].to_dict()
+    cert = _removability_from_op(doc, op, d, report)
     probe = perron.regularity_probe(d, xi0, fam, radii, cfg, m,
                                     family_labels=labels, removability=cert)
     report.payload["probe"] = probe.to_dict()
@@ -496,21 +523,13 @@ def _op_probe(doc, report, rng):
 
 def _op_dichotomy(doc, report, rng):
     op = doc["operation"]
-    m = float(op["m"])
-    d = build_domain(doc)
-    cfg = build_config(doc.get("solver"))
+    m, d, cfg, xi0, radii = _probe_inputs(doc)
     data = build_data(doc["data"], m, d.grid)
-    xi0 = _xi0_of(op)
-    radii = [float(r) for r in op["radii"]]
-    rem = _removability_from_op(doc, op, d)
-    cert = None
-    if rem:
-        cert = rem[0]
-        report.payload["thickness"] = rem[1].to_dict()
-        if "expect_thickness" in op:
-            report.check(f"complement classified {op['expect_thickness']!r}",
-                         rem[1].classification == op["expect_thickness"],
-                         rem[1].to_dict())
+    cert = _removability_from_op(doc, op, d, report)
+    if cert is not None and "expect_thickness" in op:
+        report.check(f"complement classified {op['expect_thickness']!r}",
+                     cert.verdict.classification == op["expect_thickness"],
+                     cert.verdict.to_dict())
     res = perron.dichotomy_check(d, xi0, data, radii, cfg, m,
                                  removability=cert)
     report.payload["dichotomy"] = res.to_dict()
@@ -524,13 +543,8 @@ def _op_dichotomy(doc, report, rng):
 
 
 def _op_future_probe(doc, report, rng):
-    op = doc["operation"]
-    m = float(op["m"])
-    d = build_domain(doc)
-    cfg = build_config(doc.get("solver"))
-    xi0 = _xi0_of(op)
-    fam, labels = _family_from_op(op, d, xi0, m)
-    radii = [float(r) for r in op["radii"]]
+    m, d, cfg, xi0, radii = _probe_inputs(doc)
+    fam, labels = _family_from_op(doc["operation"], d, xi0, m)
     full, trunc, agree = perron.future_truncation_probe(
         d, xi0, fam, radii, cfg, m, family_labels=labels)
     report.payload["future_probe"] = {

@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -75,12 +74,10 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .geometry import (
-    ParabolicBoundary,
     SpaceTimeDomain,
     Stencil,
     check_monotone_sections,
     face_stencil,
-    parabolic_boundary,
     pinned_sum,
 )
 
@@ -184,10 +181,6 @@ class Field:
         for arr in (values, defined, scheme_mask):
             arr.setflags(write=False)
 
-    @cached_property
-    def pb(self) -> ParabolicBoundary:
-        return parabolic_boundary(self.domain)
-
     @classmethod
     def from_values(cls, domain: SpaceTimeDomain, values: np.ndarray, m: float,
                     config: SolverConfig | None = None) -> "Field":
@@ -201,26 +194,6 @@ class Field:
 
     def min(self) -> float:
         return float(np.nanmin(self.values[self.defined]))
-
-    def ball_extremum(self, xi0: np.ndarray, radius: float,
-                      reduce: str = "max") -> float:
-        """Max/min over interior samples within a space-time ball of xi0."""
-        sel = self._ball_mask(xi0, radius)
-        if not sel.any():
-            raise SolverError("no interior samples within the given radius")
-        vals = self.values[sel]
-        return float(vals.max() if reduce == "max" else vals.min())
-
-    def _ball_mask(self, xi0: np.ndarray, radius: float) -> np.ndarray:
-        xi0 = np.asarray(xi0, dtype=float)
-        centers = self.domain.grid.centers()
-        d2x = ((centers - xi0[:-1]) ** 2).sum(axis=-1)
-        times = self.domain.level_times()
-        sel = np.zeros_like(self.scheme_mask)
-        for k in range(self.domain.num_levels):
-            d2 = d2x + (times[k] - xi0[-1]) ** 2
-            sel[k] = self.scheme_mask[k] & (d2 <= radius ** 2)
-        return sel
 
     def scaled(self, factor: float) -> "Field":
         return Field(self.domain, self.values * factor, self.defined,

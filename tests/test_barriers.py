@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
 
 from pmelab.barriers import (
     KINDS,
@@ -380,15 +379,23 @@ def test_barenblatt_outside_support():
 
 def test_barenblatt_mass_conservation():
     m, n, C = 2.0, 2, 0.05
+    beta = 1.0 / (n * (m - 1) + 2)
+    kappa = beta * (m - 1) / (2 * m)
+    xr, wr = np.polynomial.legendre.leggauss(40)
+    xa, wa = np.polynomial.legendre.leggauss(64)
+    theta = math.pi * (xa + 1)
+    circle = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
     def mass(t):
-        r = barenblatt_support_radius(t, m, n, C)
-        val, _ = integrate.dblquad(
-            lambda y, x: barenblatt([x, y], t, m, n, C),
-            -r, r, lambda x: -r, lambda x: r, epsabs=1e-10)
-        return val
+        # polar Gauss-Legendre rule on the support disk: r dr dtheta
+        R = barenblatt_support_radius(t, m, n, C)
+        r = 0.5 * R * (xr + 1)
+        u = barenblatt(r[:, None, None] * circle, t, m, n, C)
+        return (0.5 * R * wr * r) @ u @ (math.pi * wa)
 
     assert mass(1.0) == pytest.approx(mass(2.0), rel=1e-8)
+    assert mass(1.0) == pytest.approx(math.pi * C ** 2 / (2 * kappa),
+                                      rel=1e-12)
 
 
 def test_barenblatt_self_similarity():

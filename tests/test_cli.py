@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from importlib.resources import files
@@ -5,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from pmelab.barriers import KINDS, BarrierSpec
 from pmelab.bundled import bundled_scenario, list_bundled
 from pmelab.cli import build_parser, main
-from pmelab.scenarios import ScenarioError, load_scenario
+from pmelab.scenarios import SCHEMA, ScenarioError, load_scenario
 
 
 CORPUS = sorted((files("pmelab") / "corpus").glob("*.json"))
@@ -112,6 +114,37 @@ def test_cli_rejects_malformed_nested_fields(tmp_path, capsys, name, path,
     bad.write_text(json.dumps(doc))
     assert main(["run", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
     assert path in capsys.readouterr().err
+
+
+# Barrier and data-profile fields are typed, and the barrier block is
+# closed: each of these was an uncaught TypeError or ValueError.
+@pytest.mark.parametrize("name, path, value", [
+    ("barrier-certification", "operation/barrier/dima", 1.0),
+    ("bottom-regularity", "operation/family/0/value", "x"),
+    ("constant-solve", "data/value", "x"),
+])
+def test_cli_rejects_untyped_barrier_and_data_fields(tmp_path, capsys, name,
+                                                     path, value):
+    doc = bundled_scenario(name)
+    *parents, key = path.split("/")
+    target = doc
+    for part in parents:
+        target = target[int(part) if part.isdigit() else part]
+    target[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "/".join(parents) in err and key in err
+
+
+def test_barrier_schema_names_the_spec_fields():
+    barrier = SCHEMA["properties"]["operation"]["properties"]["barrier"]
+    spec_fields = {f.name for f in dataclasses.fields(BarrierSpec)}
+    assert set(barrier["properties"]) == (
+        spec_fields - {"torsion_field"} | {"torsion"})
+    assert barrier["properties"]["kind"]["enum"] == list(KINDS)
+    assert barrier["additionalProperties"] is False
 
 
 def test_cli_rejects_non_numeric_operation_field(tmp_path, capsys):

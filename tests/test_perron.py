@@ -7,6 +7,7 @@ from pmelab.geometry import Cylinder, Grid, SpaceTimeDomain, SpatialDomain
 from pmelab.perron import (
     PerronError,
     RemovabilityCertificate,
+    _ball_masks,
     check_upper_member,
     coarsen_domain,
     default_data_family,
@@ -17,7 +18,7 @@ from pmelab.perron import (
     regularity_probe,
     scale_transform,
 )
-from pmelab.solver import BoundaryData, SolverConfig, solve_union
+from pmelab.solver import BoundaryData, Field, SolverConfig, solve_union
 
 M_EXP = 2.0
 CFG = SolverConfig()
@@ -98,6 +99,23 @@ def test_coarsen_domain_halves_everything():
     assert d2.grid.h == 1 / 8
     assert d2.grid.extents == (8, 8)
     assert d2.dt == 2 * d.dt
+
+
+def test_ball_masks_match_a_per_sample_loop():
+    d = expanding_stack()
+    u = Field.from_values(d, np.zeros((d.num_levels, 16, 16)), M_EXP)
+    xi = np.array([0.4 - 1 / 32, 1 / 32, 0.125])
+    radii = [0.3, 0.2, 0.1, 0.05]
+    balls = _ball_masks(u, xi, radii)
+    assert balls.shape == (len(radii), *u.scheme_mask.shape)
+    centers, times = d.grid.centers(), d.level_times()
+    for (k, *cell), interior in np.ndenumerate(u.scheme_mask):
+        d2 = (((centers[tuple(cell)] - xi[:-1]) ** 2).sum()
+              + (times[k] - xi[-1]) ** 2)
+        for ball, r in zip(balls, radii):
+            assert ball[(k, *cell)] == (interior and d2 <= r ** 2)
+    with pytest.raises(PerronError, match="no interior samples"):
+        _ball_masks(u, xi, [0.3, 1e-3])
 
 
 def test_lateral_probe_regular():
@@ -255,7 +273,8 @@ def assert_pinned_solve_positive_near_puncture(dp, data):
     # zero data would give the same verdicts as the tent, so the solve
     # pinned to the data must carry the tent next to the puncture column
     u = solve_union(dp, data, CFG, M_EXP)
-    assert u.ball_extremum(np.array([0.0, 0.0, 0.125]), 0.07, "min") > 0.5
+    ball = _ball_masks(u, np.array([0.0, 0.0, 0.125]), [0.07])[0]
+    assert u.values[ball].min() > 0.5
 
 
 def test_removability_certificate_validation():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 from unittest.mock import patch
@@ -16,6 +17,7 @@ from pmelab.geometry import (
     SpaceTimeDomain,
     SpatialDomain,
     face_stencil,
+    parabolic_boundary,
     pinned_sum,
 )
 from pmelab.solver import (
@@ -82,7 +84,7 @@ def test_solver_output_nonnegative_and_boundary_pinned():
     u = solve_union(d, data, SolverConfig(), M_EXP)
     assert np.nanmin(u.values[u.defined]) >= 0.0
     centers = U.grid.centers()
-    for k, *idx in zip(*np.nonzero(u.pb.mask)):
+    for k, *idx in zip(*np.nonzero(parabolic_boundary(d).mask)):
         t = d.level_time(k)
         assert u.values[(k, *idx)] == pytest.approx(
             data.sample(centers[tuple(idx)], t))
@@ -397,10 +399,11 @@ def _reference_residual(f):
 
 
 @st.composite
-def _monotone_unions(draw):
+def _monotone_unions(draw, max_n=2, nested=False):
     """Cylinders with random (nonempty) bases starting at increasing times
-    and ending together, so the time sections grow; n = 1 or 2."""
-    n = draw(st.integers(1, 2))
+    and ending together, so the time sections grow; n = 1 .. max_n.  With
+    ``nested`` each base contains the one before it."""
+    n = draw(st.integers(1, max_n))
     extents = tuple(draw(st.integers(3, 7)) for _ in range(n))
     g = Grid(n=n, h=1 / 8, origin=(0.0,) * n, extents=extents)
     dt = 1 / 1024
@@ -412,8 +415,43 @@ def _monotone_unions(draw):
                              max_size=math.prod(extents)))
         mask = np.array(bits, dtype=bool).reshape(extents)
         mask.flat[draw(st.integers(0, mask.size - 1))] = True
+        if nested and cyls:
+            mask |= cyls[-1].base.mask
         cyls.append(Cylinder(SpatialDomain(g, mask), start * dt, end * dt))
     return SpaceTimeDomain(cyls, dt=dt)
+
+
+def _pinned_and_boundary(d):
+    """The samples the solver pins, and the parabolic-boundary samples."""
+    f = Field.from_values(d, np.zeros((d.num_levels, *d.grid.extents)),
+                          M_EXP)
+    return f.defined & ~f.scheme_mask, parabolic_boundary(d).mask
+
+
+# Side-by-side bases differ: a ring cell of one base that lies inside the
+# union is lateral boundary to parabolic_boundary, and the solver solves it.
+@settings(max_examples=200, deadline=None)
+@given(d=st.one_of(_monotone_unions(max_n=3),
+                   _monotone_unions(max_n=3, nested=True)))
+def test_pinned_samples_lie_on_the_parabolic_boundary(d):
+    pinned, boundary = _pinned_and_boundary(d)
+    assert not (pinned & ~boundary).any()
+    bases = [c.base.mask for c in d.cylinders]
+    if all(not (a & ~b).any() or not (b & ~a).any()
+           for a, b in itertools.combinations(bases, 2)):
+        assert np.array_equal(pinned, boundary)
+
+
+def test_pinned_samples_are_the_parabolic_boundary_on_bundled_domains():
+    checked = 0
+    for name, _ in bundled.list_bundled():
+        doc = bundled.bundled_scenario(name)
+        if "domain" in doc:
+            pinned, boundary = _pinned_and_boundary(
+                scenarios.build_domain(doc))
+            assert np.array_equal(pinned, boundary), name
+            checked += 1
+    assert checked == 11
 
 
 @settings(max_examples=60, deadline=None)
