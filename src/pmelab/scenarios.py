@@ -62,12 +62,23 @@ _INTEGER = {"type": "integer"}
 _NUMBERS = {"type": "array", "items": _NUMBER}
 _OPTIONAL_NUMBER = {"type": ["number", "null"]}
 
+# The fields each profile of ``build_data`` reads without a default;
+# ``constant`` is the profile when none is named.
+_PROFILE_REQUIRED = {
+    "constant": ["value"], "linear": ["a", "b"], "power_linear": ["a", "b"],
+    "barenblatt": ["C", "n"], "tent": ["center", "width"],
+    "ramped_tent": ["center", "width"],
+}
+
 # The profiles ``build_data`` builds and the fields they read, typed.
 _DATA_PROFILE = {
     "type": "object",
+    "allOf": [{"if": {"required": [] if kind == "constant" else ["profile"],
+                      "properties": {"profile": {"const": kind}}},
+               "then": {"required": fields}}
+              for kind, fields in _PROFILE_REQUIRED.items()],
     "properties": {
-        "profile": {"enum": ["constant", "linear", "power_linear",
-                             "barenblatt", "tent", "ramped_tent"]},
+        "profile": {"enum": list(_PROFILE_REQUIRED)},
         **dict.fromkeys(("value", "a", "b", "clip", "C", "sup", "t0", "width",
                          "floor", "peak", "ramp"), _NUMBER),
         "axis": _INTEGER, "n": _INTEGER,
@@ -111,6 +122,7 @@ SCHEMA = {
             "properties": {
                 "kind": {"enum": list(OPERATIONS)},
                 "trials": {"type": "integer", "minimum": 1},
+                "jitter_factor": {"type": "integer", "minimum": 0},
                 **dict.fromkeys(_OP_NUMBERS, _NUMBER),
                 **dict.fromkeys(_OP_INTEGERS, _INTEGER),
                 **dict.fromkeys(_OP_NUMBER_ARRAYS, _NUMBERS),
@@ -134,7 +146,21 @@ SCHEMA = {
                             "items": {"type": "integer", "minimum": 1}},
             },
         },
-        "domain": {"type": "object"},
+        "domain": {
+            "type": "object",
+            "required": ["dt", "cylinders"],
+            "additionalProperties": False,
+            "properties": {
+                "dt": {"type": "number", "exclusiveMinimum": 0},
+                "cylinders": {"type": "array", "items": {
+                    "type": "object",
+                    "required": ["base", "t1", "t2"],
+                    "additionalProperties": False,
+                    "properties": {"base": {"type": "object"},
+                                   "t1": _NUMBER, "t2": _NUMBER},
+                }},
+            },
+        },
         "data": _DATA_PROFILE,
         "solver": {
             "type": "object",

@@ -11,31 +11,42 @@ One builder (``_sample_masks``) gives the defined and the interior samples
 of every level, for solves and for wrapped closed forms alike.  Boundary
 data are array-valued (see ``BoundaryData``): each level's pinned samples
 are drawn in one call.  The stencil (``geometry.face_stencil``) is built
-only when a level's interior mask differs from the previous one's, so once
-per slab; in a solve the constant Jacobian part ``2n*I - A`` goes with it,
-and ``Field.stats`` counts the builds as ``assemblies``.  Core values are
-gathered and scattered through the stencil's flat grid indices, and the
-Dirichlet contributions of the pinned neighbours are array sums per stencil
-direction.
+once per slab, where a level's interior mask differs from the previous
+one's, and the constant Jacobian part ``M = 2n*I - A`` goes with it.
+``Field.stats["assemblies"]`` counts the slabs a solve enters.  Core
+values are gathered and scattered through the stencil's flat grid
+indices, and the Dirichlet contributions of the pinned neighbours are
+array sums per stencil direction.
 
-Newton's symmetrized Jacobian is ``I + c*S M S`` with ``M = 2n*I - A``
-and ``S = diag(sqrt(m|u|^(m-1)))``.  M and the row, diagonal and banded
-positions of its stored entries are kept with the stencil, so each Newton
-iteration builds the Jacobian by scaling M's stored data.  Cells are
-numbered in C order, so the Jacobian is banded; its bandwidth is the
-largest index distance between neighbours (a row of the core in 2-D).
-When that is at most ``_BAND_MAX`` (32), CG is preconditioned by the
-exact banded Cholesky factor of the Jacobian and converges in one
-iteration; wider bands keep plain CG.  The factor costs about n*bw^2, so
-the cutoff was taken from the benchmark's Barenblatt ladder and criterion 5
-runs: 32 factors the h = 1/32 systems (band 30) and beat 16 and 64, where
-factoring the h = 1/64 systems (band 62) cost more than their CG
-iterations.  Either way CG stops on ``linear_tol`` relative to the
-right-hand side, so the tolerances keep their meaning.  ``Field.stats``
-counts the CG iterations per step (``linear_iterations``), every halving
-of a Newton line search (``line_search_backtracks``) and the line searches
-in which no halving met the Armijo test (``line_search_failures``; the
-last halved step is kept).
+Every solve on one ``SpaceTimeDomain`` object shares its plan: the
+monotonicity check, the sample masks and each slab's stencil with M and
+its Jacobian pattern are computed once and kept, read-only, for as long
+as the object lives (a ``weakref.WeakKeyDictionary`` keyed by identity,
+so a rebuilt domain, even an equal one, builds its own).
+
+Newton's symmetrized Jacobian is ``I + c*S M S`` with
+``S = diag(sqrt(m|u|^(m-1)))``.  A solve gives each slab it enters a
+workspace (``_SlabJacobian``) that holds its mutable buffers, so solves
+share no state.  Its CSR matrix shares M's index arrays, and each Newton
+iteration rewrites the matrix data in place by scaling M's stored data.
+Cells are numbered in C order, so the Jacobian is banded; its bandwidth
+is the largest index distance between neighbours (a row of the core in
+2-D).  When that is at most ``_BAND_MAX`` (32), each iteration factors
+the Jacobian in place in the workspace's band buffer by LAPACK
+``pbtrf``, and CG is preconditioned by one operator per slab that
+applies the factor by ``pbtrs``: the routines that
+``scipy.linalg.cholesky_banded`` and ``cho_solve_banded`` call.  The
+factor is exact, so CG converges in one iteration; wider bands keep
+plain CG.  The factor costs about n*bw^2, so the cutoff was taken from
+the benchmark's Barenblatt ladder and criterion 5 runs: 32 factors the
+h = 1/32 systems (band 30) and beat 16 and 64, where factoring the
+h = 1/64 systems (band 62) cost more than their CG iterations.  Either
+way CG stops on ``linear_tol`` relative to the right-hand side, so the
+tolerances keep their meaning.  ``Field.stats`` counts the CG iterations
+per step (``linear_iterations``), every halving of a Newton line search
+(``line_search_backtracks``) and the line searches in which no halving
+met the Armijo test (``line_search_failures``; the last halved step is
+kept).
 
 Newton starts each implicit step from the linear extrapolation
 ``2*u_{k-1} - u_{k-2}`` of the last two levels, whose error is O(dt^2)
@@ -43,7 +54,7 @@ where that of ``u_{k-1}`` is O(dt).  On the finest Barenblatt level of
 the benchmark ladder (h = 1/128) it cuts every step from the third on to
 one Newton iteration, from two.  It does not apply at a slab start (the
 first step of a solve or the first step after a junction, the steps that
-build a new stencil), where level k - 2 has no values on the new core:
+enter a new slab), where level k - 2 has no values on the new core:
 there Newton starts from ``u_{k-1}``.  The explicit scheme has no Newton
 solve.  The start is not clipped, since the odd power extension below
 takes negative iterates, and the stopping test is unchanged.
@@ -64,13 +75,15 @@ limit system is an M-matrix with nonnegative data.
 
 from __future__ import annotations
 
+import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .geometry import (
@@ -88,6 +101,7 @@ class SolverError(RuntimeError):
 
 _DEGENERACY_FLOOR = 1e-12   # Jacobian regularization for cells with u ~ 0
 _BAND_MAX = 32              # widest Jacobian band factored for CG
+_PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
 
 def _pow_odd(u: np.ndarray, m: float) -> np.ndarray:
@@ -185,7 +199,7 @@ class Field:
     def from_values(cls, domain: SpaceTimeDomain, values: np.ndarray, m: float,
                     config: SolverConfig | None = None) -> "Field":
         """Wrap externally produced values (e.g. a sampled closed form)."""
-        defined, scheme = _sample_masks(domain)
+        defined, scheme = _planned(domain, _sample_masks)
         vals = np.where(defined, values, np.nan)
         return cls(domain, vals, defined, scheme, m, config or SolverConfig())
 
@@ -204,7 +218,8 @@ def _sample_masks(d: SpaceTimeDomain) -> tuple[np.ndarray, np.ndarray]:
     """Defined and interior samples, each of shape ``(levels, *extents)``.
 
     Level k is defined on the bases of steps k - 1 and k; the step ending
-    at level k enforces the scheme on the core of its base.
+    at level k enforces the scheme on the core of its base.  Read-only,
+    since solves and fields share one copy per domain (``_planned``).
     """
     defined = np.zeros((d.num_levels, *d.grid.extents), dtype=bool)
     interior = np.zeros_like(defined)
@@ -213,6 +228,8 @@ def _sample_masks(d: SpaceTimeDomain) -> tuple[np.ndarray, np.ndarray]:
         defined[k] |= base.mask
         defined[k + 1] = base.mask
         interior[k + 1] = base.core_mask
+    defined.setflags(write=False)
+    interior.setflags(write=False)
     return defined, interior
 
 
@@ -260,16 +277,33 @@ def _lap_h2(A: sp.csr_matrix, w: np.ndarray, bdry_w: np.ndarray,
     return A @ w + bdry_w - deg * w
 
 
-class _SlabJacobian(NamedTuple):
-    """Where the Jacobian ``I + c*S M S`` of one slab puts M's stored data.
+# Set-up shared by every solve on one domain object, kept as long as the
+# object lives: build function -> its result.  Keyed by identity, so a
+# rebuilt equal domain builds its own.
+_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-    ``M = 2n*I - A`` is built once per slab.  ``rows`` is the CSR row of
-    each stored entry of M and ``diag`` the positions of the diagonal ones.
-    ``upper`` lists the entries on or above the diagonal and ``band`` their
-    flat index into the ``(bw + 1, n)`` upper banded storage (row
+
+def _planned(d: SpaceTimeDomain, build: Callable):
+    """``build(d)``, computed once per domain object."""
+    plan = _PLANS.setdefault(d, {})
+    if build not in plan:
+        plan[build] = build(d)
+    return plan[build]
+
+
+class _Slab(NamedTuple):
+    """One slab's stencil and where its Jacobian ``I + c*S M S`` puts M's
+    stored data.
+
+    ``M = 2n*I - A``.  ``rows`` is the CSR row of each stored entry of M and
+    ``diag`` the positions of the diagonal ones.  ``upper`` lists the
+    entries on or above the diagonal and ``band`` their flat index into the
+    Fortran-ordered ``(bw + 1, n)`` upper banded storage (row
     ``bw + row - col``), where ``bw`` is the largest ``col - row``.
+    Every array is read-only.
     """
 
+    stencil: Stencil
     M: sp.csr_matrix
     rows: np.ndarray
     diag: np.ndarray
@@ -278,43 +312,84 @@ class _SlabJacobian(NamedTuple):
     bw: int
 
 
-def _slab_jacobian(A: sp.csr_matrix, deg: float) -> _SlabJacobian:
-    """The constant part ``M = deg*I - A`` and its Jacobian pattern."""
+def _slab(st: Stencil, deg: float) -> _Slab:
+    """The stencil ``st`` with ``M = deg*I - A`` and its Jacobian pattern."""
+    A = st.adjacency
     M = (sp.diags(np.full(A.shape[0], deg)) - A).tocsr()
     n = M.shape[0]
     rows = np.repeat(np.arange(n), np.diff(M.indptr))
     offset = M.indices - rows
     bw = int(offset.max(initial=0))
     upper = np.flatnonzero(offset >= 0)
-    band = (bw - offset[upper]) * n + M.indices[upper]
-    return _SlabJacobian(M, rows, np.flatnonzero(offset == 0), upper, band,
-                         bw)
+    band = M.indices[upper] * (bw + 1) + bw - offset[upper]
+    diag = np.flatnonzero(offset == 0)
+    for arr in (A.data, A.indices, A.indptr, st.flat,
+                *itertools.chain(*st.pinned), M.data, M.indices, M.indptr,
+                rows, diag, upper, band):
+        arr.setflags(write=False)
+    return _Slab(st, M, rows, diag, upper, band, bw)
 
 
-def _scaled_jacobian(jac: _SlabJacobian, s: np.ndarray,
-                     c: float) -> sp.csr_matrix:
-    """``I + c*S M S`` with ``S = diag(s)``, on M's own sparsity pattern."""
-    M = jac.M
-    data = c * (s[jac.rows] * M.data * s[M.indices])
-    data[jac.diag] += 1.0
-    return sp.csr_matrix((data, M.indices, M.indptr), shape=M.shape)
+def _slabs(d: SpaceTimeDomain) -> list[tuple[int, _Slab]]:
+    """(level, slab) for every level with interior samples; levels of one
+    slab share one ``_Slab``."""
+    deg = float(2 * d.grid.n)
+    out, slab = [], None
+    for k, st in _level_stencils(_planned(d, _sample_masks)[1]):
+        if slab is None or st is not slab.stencil:
+            slab = _slab(st, deg)
+        out.append((k, slab))
+    return out
 
 
-def _band_preconditioner(J: sp.csr_matrix,
-                         jac: _SlabJacobian) -> LinearOperator:
-    """The exact inverse of the SPD banded J, through its Cholesky factor."""
-    n = J.shape[0]
-    ab = np.zeros((jac.bw + 1) * n)
-    ab[jac.band] = J.data[jac.upper]
-    try:
-        cb = cholesky_banded(ab.reshape(jac.bw + 1, n), check_finite=False)
-    except LinAlgError as exc:
-        raise SolverError(
-            f"banded Cholesky factorization of the Jacobian failed: {exc}"
-        ) from None
-    return LinearOperator(
-        J.shape, dtype=float,
-        matvec=lambda r: cho_solve_banded((cb, False), r, check_finite=False))
+class _SlabJacobian:
+    """Newton's Jacobian ``I + c*S M S`` on one slab, for one solve.
+
+    ``J`` shares M's index arrays, and ``update`` rewrites its data in
+    place.  When ``bw <= _BAND_MAX``, ``update`` also factors J in place
+    in a band buffer by LAPACK ``pbtrf``, and ``precond`` applies the
+    factor by ``pbtrs``; otherwise ``precond`` is None.
+    """
+
+    def __init__(self, slab: _Slab):
+        M = slab.M
+        n = M.shape[0]
+        self.slab = slab
+        self.J = sp.csr_matrix((np.empty(M.nnz), M.indices, M.indptr),
+                               shape=M.shape)
+        self.precond = None
+        if slab.bw <= _BAND_MAX:
+            # viewed as a Fortran-ordered (bw + 1, n) array, which pbtrf
+            # factors in place
+            self._band = np.zeros(n * (slab.bw + 1))
+            # The operator closes over a one-slot list, not over self, so
+            # that the workspace and its operator form no reference cycle.
+            self._cb = cb = [self._band.reshape(n, slab.bw + 1).T]
+            self.precond = LinearOperator(
+                M.shape, dtype=float,
+                matvec=lambda r: _PBTRS(cb[0], r)[0])
+
+    def update(self, s: np.ndarray, c: float) -> None:
+        """Set J to ``I + c*S M S`` with ``S = diag(s)``; factor it if the
+        band is narrow."""
+        slab, data = self.slab, self.J.data
+        np.multiply(s[slab.rows], slab.M.data, out=data)
+        data *= s[slab.M.indices]
+        data *= c
+        data[slab.diag] += 1.0
+        if self.precond is not None:
+            self.factor()
+
+    def factor(self) -> None:
+        """The banded Cholesky factor of J, in place in the band buffer."""
+        self._band.fill(0.0)        # clears the last factor's fill-in
+        self._band[self.slab.band] = self.J.data[self.slab.upper]
+        cb, info = _PBTRF(self._cb[0], overwrite_ab=1)
+        if info > 0:
+            raise SolverError(
+                "banded Cholesky factorization of the Jacobian failed: "
+                f"{info}-th leading minor not positive definite")
+        self._cb[0] = cb
 
 
 class _NewtonResult(NamedTuple):
@@ -334,8 +409,8 @@ def _newton_step(prev: np.ndarray, start: np.ndarray, bdry_w: np.ndarray,
     """Solve u - c*(A w(u) + g - deg*w(u)) = prev for one implicit step.
 
     Newton starts from ``start``.  c = mu*dt/h^2, g = bdry_w (Dirichlet
-    contributions), w = odd power m, ``jac`` holds M = deg*I - A (the SPD
-    part of the Jacobian, built once per slab).
+    contributions), w = odd power m, ``jac`` is the slab's Jacobian
+    workspace.
     """
     u = start
     linear_iters = [0]
@@ -356,11 +431,10 @@ def _newton_step(prev: np.ndarray, start: np.ndarray, bdry_w: np.ndarray,
                                  backtracks, failures)
         d = m * np.maximum(np.abs(u), _DEGENERACY_FLOOR) ** (m - 1)
         s = np.sqrt(d)
-        J_sym = _scaled_jacobian(jac, s, c)
-        precond = (_band_preconditioner(J_sym, jac)
-                   if jac.bw <= _BAND_MAX else None)
-        y, info = cg(J_sym, s * (-F), rtol=cfg.linear_tol, atol=0.0,
-                     maxiter=10 * len(u) + 100, M=precond, callback=count)
+        jac.update(s, c)
+        y, info = cg(jac.J, s * (-F), rtol=cfg.linear_tol, atol=0.0,
+                     maxiter=10 * len(u) + 100, M=jac.precond,
+                     callback=count)
         if info != 0:
             raise SolverError(f"inner CG failed to converge (info={info})")
         delta = y / s
@@ -393,7 +467,7 @@ def solve_union(d: SpaceTimeDomain, data: BoundaryData, cfg: SolverConfig,
     satisfies the discrete scheme at every interior (cell, level) and stays
     nonnegative.
     """
-    ok, t_bad = check_monotone_sections(d)
+    ok, t_bad = _planned(d, check_monotone_sections)
     if not ok:
         raise SolverError(f"time sections are not nondecreasing (violation at t={t_bad})")
     if d.num_steps < 1:
@@ -411,7 +485,7 @@ def solve_union(d: SpaceTimeDomain, data: BoundaryData, cfg: SolverConfig,
 
     centers = grid.centers()
     levels = d.num_levels
-    defined, scheme_mask = _sample_masks(d)
+    defined, scheme_mask = _planned(d, _sample_masks)
     values = np.full(defined.shape, np.nan)
     lo, hi = map(float, data.bounds)
     observed = [math.inf, -math.inf]
@@ -433,21 +507,23 @@ def solve_union(d: SpaceTimeDomain, data: BoundaryData, cfg: SolverConfig,
     flat_values = values.reshape(levels, -1)
     deg = 2 * grid.n
     c = mu * dt / h ** 2
-    stencil, assemblies = None, 0
-    for k, st in _level_stencils(scheme_mask):
-        rebuilt = st is not stencil
-        if rebuilt:
-            stencil, A = st, st.adjacency
-            jac = _slab_jacobian(A, float(deg))
+    slab, assemblies = None, 0
+    for k, level_slab in _planned(d, _slabs):
+        new_slab = level_slab is not slab
+        if new_slab:
+            slab = level_slab
+            stencil, A = slab.stencil, slab.stencil.adjacency
+            if cfg.scheme == "implicit":
+                jac = _SlabJacobian(slab)
             assemblies += 1
         prev_core = flat_values[k - 1, stencil.flat]
         if np.isnan(prev_core).any():
             raise SolverError("missing initial values on a slab core")
 
         if cfg.scheme == "implicit":
-            # A reused stencil means step k - 1 solved on this same core,
+            # A continued slab means step k - 1 solved on this same core,
             # so level k - 2 is defined there: extrapolate linearly.
-            start = (prev_core if rebuilt
+            start = (prev_core if new_slab
                      else 2 * prev_core - flat_values[k - 2, stencil.flat])
             bdry_w = pinned_sum(stencil, _pow_odd(values[k], m))
             sol = _newton_step(prev_core, start, bdry_w, A, jac, deg, c, m,

@@ -116,12 +116,24 @@ def test_cli_rejects_malformed_nested_fields(tmp_path, capsys, name, path,
     assert path in capsys.readouterr().err
 
 
-# Barrier and data-profile fields are typed, and the barrier block is
-# closed: each of these was an uncaught TypeError or ValueError.
+# Barrier, data-profile and domain fields are typed, and the barrier and
+# domain blocks are closed: each of these was an uncaught TypeError,
+# UFuncTypeError or ValueError.  A value of None deletes the field: a
+# missing profile parameter was an input error that did not say where.
 @pytest.mark.parametrize("name, path, value", [
     ("barrier-certification", "operation/barrier/dima", 1.0),
     ("bottom-regularity", "operation/family/0/value", "x"),
     ("constant-solve", "data/value", "x"),
+    ("barrier-certification", "operation/jitter_factor", "x"),
+    ("barrier-certification", "operation/jitter_factor", 2.5),
+    ("constant-solve", "domain/dt", "x"),
+    ("constant-solve", "domain/dt", 0.0),
+    ("constant-solve", "domain/step", 0.1),
+    ("constant-solve", "domain/cylinders", None),
+    ("constant-solve", "domain/cylinders/0/t2", "x"),
+    ("constant-solve", "domain/cylinders/0/t1", None),
+    ("constant-solve", "data/value", None),
+    ("bottom-regularity", "operation/family/1/b", None),
 ])
 def test_cli_rejects_untyped_barrier_and_data_fields(tmp_path, capsys, name,
                                                      path, value):
@@ -130,7 +142,10 @@ def test_cli_rejects_untyped_barrier_and_data_fields(tmp_path, capsys, name,
     target = doc
     for part in parents:
         target = target[int(part) if part.isdigit() else part]
-    target[key] = value
+    if value is None:
+        del target[key]
+    else:
+        target[key] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["run", "--scenario", str(bad), "--out", str(tmp_path)]) == 2

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 from dataclasses import replace
@@ -16,6 +17,7 @@ from pmelab.geometry import (
     Grid,
     SpaceTimeDomain,
     SpatialDomain,
+    Stencil,
     face_stencil,
     parabolic_boundary,
     pinned_sum,
@@ -215,12 +217,16 @@ def test_extrapolated_start_takes_one_newton_iteration_per_step():
 
 
 def _recording_cg(monkeypatch):
-    """Record (matrix, rhs, solution, preconditioner) of each inner solve."""
+    """Record (matrix, rhs, solution, preconditioner) of each inner solve.
+
+    The solver rewrites its Jacobian in place every Newton iteration, so
+    the matrix is copied at call time.
+    """
     calls, cg = [], solver.cg
 
     def recording(J, b, **kwargs):
         y, info = cg(J, b, **kwargs)
-        calls.append((J, b, y, kwargs.get("M")))
+        calls.append((J.copy(), b, y, kwargs.get("M")))
         return y, info
 
     monkeypatch.setattr(solver, "cg", recording)
@@ -261,9 +267,11 @@ def test_wide_band_cg_meets_linear_tol_on_the_true_residual(monkeypatch):
 def test_band_factor_of_non_spd_matrix_raises():
     # M = 1*I - A with off-diagonal 2 is indefinite (eigenvalues -1 and 3)
     A = sp.csr_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
-    jac = solver._slab_jacobian(A, 1.0)
+    jac = solver._SlabJacobian(solver._slab(Stencil(A, np.arange(2), []),
+                                            1.0))
+    jac.J.data[:] = jac.slab.M.data
     with pytest.raises(SolverError, match="Cholesky"):
-        solver._band_preconditioner(jac.M, jac)
+        jac.factor()
 
 
 def test_union_constant_on_expanding_stack():
@@ -295,6 +303,59 @@ def test_union_builds_one_stencil_per_core_mask():
     cores = {d.step_base(k).core_mask.tobytes() for k in range(d.num_steps)}
     assert len(cores) == 2
     assert u.stats["assemblies"] == len(cores)
+
+
+def _union_domain():
+    # two slabs, both factored (bands 14 and 30)
+    doc = bundled.bundled_scenario("union-resolutivity")
+    return scenarios.build_domain(doc)
+
+
+def _wide_box_domain():
+    # a 38x38 core: band 38, plain CG
+    return box_cylinder(h=1 / 40, cells=40, t2=0.03, dt=0.01)[0]
+
+
+@pytest.mark.parametrize("build", [_union_domain, _wide_box_domain])
+def test_solves_on_one_domain_share_its_plan_and_agree(monkeypatch, build):
+    data = BoundaryData(fn=lambda x, t: 1.0 + 0.5 * np.sin(3 * x[..., 0]),
+                        bounds=(0.5, 1.5))
+    cfg = SolverConfig()
+    d = build()
+    first = solve_union(d, data, cfg, M_EXP)
+    builds = []
+    step_matrices = solver._step_matrices
+
+    def counting(sel):
+        builds.append(sel)
+        return step_matrices(sel)
+
+    monkeypatch.setattr(solver, "_step_matrices", counting)
+    again = solve_union(d, data, cfg, M_EXP)
+    assert builds == []
+    rebuilt = solve_union(build(), data, cfg, M_EXP)
+    assert len(builds) == first.stats["assemblies"] > 0
+    for u in (again, rebuilt):
+        assert np.array_equal(u.values, first.values, equal_nan=True)
+        assert u.stats == first.stats
+
+
+@pytest.mark.parametrize("build", [lambda: box_cylinder()[0],
+                                   _wide_box_domain])
+def test_solve_leaves_no_reference_cycles(build):
+    # the 16x16 box is factored, the 40x40 box plain CG
+    data = BoundaryData(fn=lambda x, t: 1.0 + 0.5 * np.sin(3 * x[..., 0]),
+                        bounds=(0.5, 1.5))
+    gc.collect()
+    gc.disable()
+    try:
+        d = build()
+        solve_union(d, data, SolverConfig(), M_EXP)
+        solve_union(d, data, SolverConfig(), M_EXP)
+        del d
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _reference_stencil(sel):
