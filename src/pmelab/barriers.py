@@ -333,8 +333,7 @@ def _region_samples(region: SpaceTimeDomain, policy: SamplingPolicy):
     rng = np.random.Generator(np.random.Philox(policy.seed))
     grid, times = region.grid, region.level_times()
     centers = grid.centers().reshape(-1, grid.n)
-    bases = np.array([region.step_base_mask(k).ravel()
-                      for k in range(region.num_steps)])
+    bases = region.step_masks().reshape(region.num_steps, -1)
     none = np.zeros_like(bases[:1])
     at_level = np.concatenate([bases, none]) | np.concatenate([none, bases])
     level, cell = np.nonzero(at_level)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -38,11 +39,7 @@ def _load(args, op_kind: str | None = None) -> dict:
     if args.seed is not None:
         doc["seed"] = args.seed
     if args.resolution is not None and "grid" in doc:
-        h_old = doc["grid"]["h"]
-        factor = h_old / args.resolution
-        doc["grid"]["h"] = args.resolution
-        doc["grid"]["extents"] = [
-            int(round(e * factor)) for e in doc["grid"]["extents"]]
+        factor = scenarios.rescale_grid(doc["grid"], args.resolution)
         if "dt" in doc.get("domain", {}):
             doc["domain"]["dt"] = doc["domain"]["dt"] / max(factor, 1.0)
     if op_kind is not None and doc["operation"]["kind"] != op_kind:
@@ -105,12 +102,20 @@ def _cmd_verify_barrier(args) -> int:
     return _execute(doc, args)
 
 
+def _positive_finite(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--scenario", help="path to a scenario JSON file")
     p.add_argument("--bundled", help="name of a bundled scenario")
     p.add_argument("--out", help="output directory (default $PMELAB_OUT)")
     p.add_argument("--seed", type=int, help="override the scenario seed")
-    p.add_argument("--resolution", type=float,
+    p.add_argument("--resolution", type=_positive_finite,
                    help="override the grid cell size h")
 
 

@@ -7,7 +7,11 @@ exterior play the role of the topological boundary of U, the remaining cells
 the role of U itself.  ``face_stencil`` builds the neighbour structure of
 the 2n+1-point Laplacian on any cell selection.  Space-time domains are
 finite unions of cylinders (base x open time interval) over a shared grid and
-a shared uniform time step.
+a shared uniform time step.  Each one holds one sample structure
+(``SpaceTimeDomain.samples``): the defined and the interior samples of
+every level, built from the stacked step bases (``step_masks``).  The
+parabolic boundary, the samples that the solver pins and every per-step
+walk elsewhere read that structure.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -78,24 +82,25 @@ class Grid:
                 and self.origin == other.origin and self.extents == other.extents)
 
 
-def exterior_adjacent(mask: np.ndarray) -> np.ndarray:
-    """Cells of the mask with at least one face neighbour outside the mask.
+def exterior_adjacent(mask: np.ndarray, axes=None) -> np.ndarray:
+    """Cells of the mask with a face neighbour outside the mask along
+    ``axes`` (every axis by default).
 
     Cells beyond the array edge count as exterior.
     """
-    out = np.zeros_like(mask)
-    for ax in range(mask.ndim):
-        for step in (1, -1):
-            nb_inside = np.zeros_like(mask)
-            src = [slice(None)] * mask.ndim
-            dst = [slice(None)] * mask.ndim
-            if step == 1:
-                dst[ax], src[ax] = slice(None, -1), slice(1, None)
-            else:
-                dst[ax], src[ax] = slice(1, None), slice(None, -1)
-            nb_inside[tuple(dst)] = mask[tuple(src)]
-            out |= mask & ~nb_inside
-    return out
+    flat = np.ravel(mask)
+    inner = flat.reshape(mask.shape).copy()
+    flat_inner, n = inner.reshape(-1), flat.size
+    for ax in range(mask.ndim) if axes is None else axes:
+        # Face neighbours along ax lie ``stride`` apart in C order, so each
+        # direction is one contiguous shifted AND.  The shift wraps only
+        # from the edge cells, which are cleared after it.
+        stride = math.prod(mask.shape[ax + 1:])
+        flat_inner[:n - stride] &= flat[stride:]
+        flat_inner[stride:] &= flat[:n - stride]
+        inner[(slice(None),) * ax + (0,)] = False
+        inner[(slice(None),) * ax + (-1,)] = False
+    return inner ^ flat.reshape(mask.shape)
 
 
 class Stencil(NamedTuple):
@@ -310,8 +315,37 @@ class SpaceTimeDomain:
         """Union of bases of cylinders whose open interval covers step k."""
         return time_section(self, self.level_time(k) + 0.5 * self.dt)
 
-    def step_base_mask(self, k: int) -> np.ndarray:
-        return self.step_base(k).mask
+    def step_masks(self) -> np.ndarray:
+        """Every step's base, stacked as ``(num_steps, *extents)``: row k is
+        the union of the bases of the cylinders whose open interval covers
+        step k."""
+        out = np.zeros((self.num_steps, *self.grid.extents), dtype=bool)
+        for cyl in self.cylinders:
+            l1, l2 = self.level_range(cyl)
+            out[l1:l2] |= cyl.base.mask
+        return out
+
+    @cached_property
+    def samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """The defined and the interior samples, each of shape
+        ``(num_levels, *extents)``.
+
+        Level k is defined on the bases of steps k - 1 and k; the step
+        ending at level k enforces the scheme on the core of its base (the
+        cells whose face neighbours all lie in it).  Read-only, since every
+        solve and field on the domain shares them.
+        """
+        steps = self.step_masks()
+        defined = np.zeros((self.num_levels, *self.grid.extents), dtype=bool)
+        defined[:-1] = steps
+        defined[1:] |= steps
+        interior = np.zeros_like(defined)
+        interior[1:] = steps
+        # each base minus its cells next to the exterior: the cores
+        interior[1:] ^= exterior_adjacent(steps, axes=range(1, steps.ndim))
+        defined.setflags(write=False)
+        interior.setflags(write=False)
+        return defined, interior
 
     def truncate(self, t0: float) -> "SpaceTimeDomain":
         """The part of the union strictly before t0 (cylinders clipped)."""
@@ -322,55 +356,20 @@ class SpaceTimeDomain:
         return SpaceTimeDomain(kept, self.dt, grid=self.grid)
 
 
-# kind codes in ParabolicBoundary arrays
-PB_NONE, PB_LATERAL, PB_BOTTOM = 0, 1, 2
+def parabolic_boundary(d: SpaceTimeDomain) -> np.ndarray:
+    """The parabolic-boundary samples of d, shape ``(num_levels, *extents)``.
 
-
-class ParabolicBoundary:
-    """Discrete parabolic boundary of a union of cylinders.
-
-    ``kind[k, idx]`` classifies the sample at level k, cell idx:
-    0 = not on the parabolic boundary, 1 = lateral, 2 = initial (bottom).
+    They are the defined samples at which no step enforces the scheme
+    (``d.samples``): at level k the cells of the bases of steps k - 1 and k
+    minus the core of step k - 1's base.  For one cylinder this is the
+    full base at the bottom level plus the boundary ring at every later
+    level up to and including the top.  On a union the cores are those of
+    the time sections, so a cell where two bases meet side by side is
+    interior, and a top swallowed by a taller cylinder is not boundary.
+    These are exactly the samples a solve pins to its data.
     """
-
-    def __init__(self, domain: SpaceTimeDomain, kind: np.ndarray):
-        self.domain = domain
-        self.kind = kind
-        self.kind.setflags(write=False)
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self.kind != PB_NONE
-
-    @property
-    def sample_count(self) -> int:
-        return int((self.kind != PB_NONE).sum())
-
-
-def parabolic_boundary(d: SpaceTimeDomain) -> ParabolicBoundary:
-    """Union of the cylinders' parabolic boundaries minus the open cylinders.
-
-    Per cylinder the parabolic boundary is the full base at the bottom level
-    plus the boundary ring at every later level up to and including the top.
-    The subtraction removes core samples of any cylinder at levels strictly
-    above its bottom (time-open below, closed at the top, so that tops
-    swallowed by a taller cylinder are not reported as boundary).
-    """
-    shape = (d.num_levels, *d.grid.extents)
-    kind = np.zeros(shape, dtype=np.uint8)
-    if not d.cylinders:
-        return ParabolicBoundary(d, kind)
-    for cyl in d.cylinders:
-        l1, l2 = d.level_range(cyl)
-        for k in range(l1 + 1, l2 + 1):
-            lat = cyl.base.boundary_mask & (kind[k] == PB_NONE)
-            kind[k][lat] = PB_LATERAL
-        kind[l1][cyl.base.mask] = PB_BOTTOM
-    for cyl in d.cylinders:
-        l1, l2 = d.level_range(cyl)
-        for k in range(l1 + 1, l2 + 1):
-            kind[k][cyl.base.core_mask] = PB_NONE
-    return ParabolicBoundary(d, kind)
+    defined, interior = d.samples
+    return defined & ~interior
 
 
 def time_section(d: SpaceTimeDomain, T: float) -> SpatialDomain:
@@ -393,12 +392,11 @@ def check_monotone_sections(d: SpaceTimeDomain) -> tuple[bool, float | None]:
     midpoints).  On failure, returns the junction time of the first
     violation.
     """
-    prev = None
-    for k in range(d.num_steps):
-        cur = d.step_base_mask(k)
-        if prev is not None and bool((prev & ~cur).any()):
-            return False, d.level_time(k)
-        prev = cur
+    steps = d.step_masks()
+    # a cell in the base of step k - 1 and not in that of step k
+    shrinks = (steps[:-1] > steps[1:]).any(axis=tuple(range(1, steps.ndim)))
+    if shrinks.any():
+        return False, d.level_time(int(np.argmax(shrinks)) + 1)
     return True, None
 
 

@@ -206,7 +206,7 @@ def check_upper_member(spec: BarrierSpec, d: SpaceTimeDomain,
         raise PerronError(
             f"barrier sign certification failed with {len(report.violating_samples)}"
             " violations; not superparabolic at this sampling")
-    on_pb = parabolic_boundary(d).mask
+    on_pb = parabolic_boundary(d)
     centers = d.grid.centers()
     margin = math.inf
     for k in range(d.num_levels):
@@ -282,16 +282,12 @@ class RemovabilityCertificate:
         r_fine = min(self.profile.radii)
         centers = d.grid.centers()
         dist = np.linalg.norm(centers - x0, axis=-1)
-        for k in range(d.num_steps):
-            diff = env.step_base_mask(k) & ~d.step_base_mask(k)
-            if not diff.any():
-                continue
-            if (dist[diff] > r_fine).any():
-                raise PerronError(
-                    "reinstated cells extend beyond the finest profiled shell; "
-                    "the thin verdict does not cover them")
-        if any((d.step_base_mask(k) & ~env.step_base_mask(k)).any()
-               for k in range(d.num_steps)):
+        steps, env_steps = d.step_masks(), env.step_masks()
+        if (dist[(env_steps & ~steps).any(axis=0)] > r_fine).any():
+            raise PerronError(
+                "reinstated cells extend beyond the finest profiled shell; "
+                "the thin verdict does not cover them")
+        if (steps & ~env_steps).any():
             raise PerronError("envelope domain must contain the probed domain")
 
 
@@ -336,7 +332,7 @@ def _probe_setup(d: SpaceTimeDomain, xi0, radii: list[float],
     tol_x = 0.75 * d.grid.h * math.sqrt(d.grid.n)
     near_t = np.abs(d.level_times() - t0) <= 0.51 * d.dt
     near_x = np.linalg.norm(d.grid.centers() - x0, axis=-1) <= tol_x
-    if not (parabolic_boundary(d).mask[near_t] & near_x).any():
+    if not (parabolic_boundary(d)[near_t] & near_x).any():
         raise OffBoundaryError(f"xi0=({tuple(x0)}, {t0}) does not match any "
                                "parabolic-boundary sample")
     radii = _approach_radii(radii)

@@ -580,11 +580,18 @@ def _op_future_probe(doc, report, rng):
     return full, trunc
 
 
-def _capacity_at(doc, op, h):
-    gspec = dict(doc["grid"])
+def rescale_grid(gspec: dict, h: float) -> float:
+    """Set the grid spec ``gspec`` to cell size h over about the same span
+    (each extent scaled and rounded); returns the old h over h."""
     factor = gspec["h"] / h
     gspec["h"] = h
     gspec["extents"] = [int(round(e * factor)) for e in gspec["extents"]]
+    return factor
+
+
+def _capacity_at(doc, op, h):
+    gspec = dict(doc["grid"])
+    rescale_grid(gspec, h)
     grid = build_grid(gspec)
     ambient = build_spatial(op["ambient"], grid)
     E = build_spatial(op["set"], grid)
@@ -794,7 +801,7 @@ def _op_scaling_check(doc, report, rng):
         cfg_a = replace(build_config(doc.get("solver")), diffusion=a)
         u_a = solve_union(d, data, cfg_a, m)
         v = perron.scale_transform(u_a, a, m)
-        v_unit = Field(v.domain, v.values, v.defined, v.scheme_mask, m,
+        v_unit = Field(v.domain, v.values, m,
                        replace(u_a.config, diffusion=1.0), v.stats)
         worst = _worst_residual(v_unit)
         scale = u_a.stats["residual_scale"] * a ** (1.0 / (m - 1))

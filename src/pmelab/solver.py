@@ -7,8 +7,9 @@ On unions of cylinders with nondecreasing time sections the solve proceeds
 slab by slab; cells appearing at a junction take their initial values from
 the parabolic boundary data at the junction time.
 
-One builder (``_sample_masks``) gives the defined and the interior samples
-of every level, for solves and for wrapped closed forms alike.  Boundary
+The defined and the interior samples of every level are the domain's own
+(``SpaceTimeDomain.samples``), for solves and for wrapped closed forms
+alike, and the samples a solve pins are its parabolic boundary.  Boundary
 data are array-valued (see ``BoundaryData``): each level's pinned samples
 are drawn in one call.  The stencil (``geometry.face_stencil``) is built
 once per slab, where a level's interior mask differs from the previous
@@ -19,10 +20,10 @@ indices, and the Dirichlet contributions of the pinned neighbours are
 array sums per stencil direction.
 
 Every solve on one ``SpaceTimeDomain`` object shares its plan: the
-monotonicity check, the sample masks and each slab's stencil with M and
-its Jacobian pattern are computed once and kept, read-only, for as long
-as the object lives (a ``weakref.WeakKeyDictionary`` keyed by identity,
-so a rebuilt domain, even an equal one, builds its own).
+monotonicity check and each slab's stencil with M and its Jacobian pattern
+are computed once and kept, read-only, for as long as the object lives (a
+``weakref.WeakKeyDictionary`` keyed by identity, so a rebuilt domain, even
+an equal one, builds its own).
 
 Newton's symmetrized Jacobian is ``I + c*S M S`` with
 ``S = diag(sqrt(m|u|^(m-1)))``.  A solve gives each slab it enters a
@@ -65,8 +66,9 @@ outside raises ``SolverError``, and ``Field.stats["data_bounds"]`` records
 the declared and the observed ``[min, max]``.
 
 ``scheme_residual`` is the scheme as an array over every interior sample,
-for the field's own scheme; it shares the stencil walk and the Laplacian
-expression with the solve, so reports check exactly what was solved.
+for the field's own scheme; it walks the same planned slabs and shares the
+Laplacian expression with the solve, so reports check exactly what was
+solved.
 
 Powers of the field use the odd extension sign(u)*|u|^m so Newton iterates
 may transiently cross zero; converged solutions are nonnegative because the
@@ -179,29 +181,33 @@ class Field:
 
     ``values[k]`` is defined (non-nan) on the cells marked in ``defined[k]``;
     ``scheme_mask[k]`` marks the cells where the time step ending at level k
-    enforced the discrete equation (the interior samples).
+    enforced the discrete equation (the interior samples).  Both masks are
+    the domain's ``samples``.
     """
 
     def __init__(self, domain: SpaceTimeDomain, values: np.ndarray,
-                 defined: np.ndarray, scheme_mask: np.ndarray,
                  m: float, config: SolverConfig, stats: dict | None = None):
         self.domain = domain
         self.values = values
-        self.defined = defined
-        self.scheme_mask = scheme_mask
         self.m = float(m)
         self.config = config
         self.stats = stats or {}
-        for arr in (values, defined, scheme_mask):
-            arr.setflags(write=False)
+        values.setflags(write=False)
+
+    @property
+    def defined(self) -> np.ndarray:
+        return self.domain.samples[0]
+
+    @property
+    def scheme_mask(self) -> np.ndarray:
+        return self.domain.samples[1]
 
     @classmethod
     def from_values(cls, domain: SpaceTimeDomain, values: np.ndarray, m: float,
                     config: SolverConfig | None = None) -> "Field":
         """Wrap externally produced values (e.g. a sampled closed form)."""
-        defined, scheme = _planned(domain, _sample_masks)
-        vals = np.where(defined, values, np.nan)
-        return cls(domain, vals, defined, scheme, m, config or SolverConfig())
+        vals = np.where(domain.samples[0], values, np.nan)
+        return cls(domain, vals, m, config or SolverConfig())
 
     def sup(self) -> float:
         return float(np.nanmax(np.abs(self.values[self.defined])))
@@ -210,27 +216,8 @@ class Field:
         return float(np.nanmin(self.values[self.defined]))
 
     def scaled(self, factor: float) -> "Field":
-        return Field(self.domain, self.values * factor, self.defined,
-                     self.scheme_mask, self.m, self.config, dict(self.stats))
-
-
-def _sample_masks(d: SpaceTimeDomain) -> tuple[np.ndarray, np.ndarray]:
-    """Defined and interior samples, each of shape ``(levels, *extents)``.
-
-    Level k is defined on the bases of steps k - 1 and k; the step ending
-    at level k enforces the scheme on the core of its base.  Read-only,
-    since solves and fields share one copy per domain (``_planned``).
-    """
-    defined = np.zeros((d.num_levels, *d.grid.extents), dtype=bool)
-    interior = np.zeros_like(defined)
-    for k in range(d.num_steps):
-        base = d.step_base(k)
-        defined[k] |= base.mask
-        defined[k + 1] = base.mask
-        interior[k + 1] = base.core_mask
-    defined.setflags(write=False)
-    interior.setflags(write=False)
-    return defined, interior
+        return Field(self.domain, self.values * factor, self.m, self.config,
+                     dict(self.stats))
 
 
 def cfl_max_dt(L: float, h: float, m: float, n: int) -> float:
@@ -253,22 +240,6 @@ def _step_matrices(core_mask: np.ndarray) -> Stencil:
     apart from the capacity solves that share ``face_stencil``.
     """
     return face_stencil(core_mask)
-
-
-def _level_stencils(interior: np.ndarray):
-    """Yield (level, stencil) for every level with interior samples.
-
-    The stencil is rebuilt only when the level's interior mask differs from
-    the last one built, so once per slab.
-    """
-    stencil, core = None, None
-    for k in range(1, len(interior)):
-        sel = interior[k]
-        if not sel.any():
-            continue
-        if core is None or not np.array_equal(sel, core):
-            stencil, core = _step_matrices(sel), sel
-        yield k, stencil
 
 
 def _lap_h2(A: sp.csr_matrix, w: np.ndarray, bdry_w: np.ndarray,
@@ -331,13 +302,19 @@ def _slab(st: Stencil, deg: float) -> _Slab:
 
 
 def _slabs(d: SpaceTimeDomain) -> list[tuple[int, _Slab]]:
-    """(level, slab) for every level with interior samples; levels of one
-    slab share one ``_Slab``."""
+    """(level, slab) for every level with interior samples.
+
+    The stencil is built only when a level's interior mask differs from
+    the last one built, so once per slab, and the levels of one slab share
+    one ``_Slab``.
+    """
     deg = float(2 * d.grid.n)
-    out, slab = [], None
-    for k, st in _level_stencils(_planned(d, _sample_masks)[1]):
-        if slab is None or st is not slab.stencil:
-            slab = _slab(st, deg)
+    out, slab, core = [], None, None
+    for k, sel in enumerate(d.samples[1]):
+        if not sel.any():
+            continue
+        if core is None or not np.array_equal(sel, core):
+            slab, core = _slab(_step_matrices(sel), deg), sel
         out.append((k, slab))
     return out
 
@@ -485,7 +462,7 @@ def solve_union(d: SpaceTimeDomain, data: BoundaryData, cfg: SolverConfig,
 
     centers = grid.centers()
     levels = d.num_levels
-    defined, scheme_mask = _planned(d, _sample_masks)
+    defined, scheme_mask = d.samples
     values = np.full(defined.shape, np.nan)
     lo, hi = map(float, data.bounds)
     observed = [math.inf, -math.inf]
@@ -551,7 +528,7 @@ def solve_union(d: SpaceTimeDomain, data: BoundaryData, cfg: SolverConfig,
         "dt": dt,
         "h": h,
     }
-    return Field(d, values, defined, scheme_mask, m, cfg, stats)
+    return Field(d, values, m, cfg, stats)
 
 
 def scheme_residual(f: Field) -> np.ndarray:
@@ -567,7 +544,8 @@ def scheme_residual(f: Field) -> np.ndarray:
     out = np.full(f.values.shape, np.nan)
     flat_out = out.reshape(d.num_levels, -1)
     flat_values = f.values.reshape(d.num_levels, -1)
-    for k, st in _level_stencils(f.scheme_mask):
+    for k, slab in _planned(d, _slabs):
+        st = slab.stencil
         w = _pow_odd(f.values[k - lag], f.m)
         lap = _lap_h2(st.adjacency, w.ravel()[st.flat], pinned_sum(st, w),
                       2 * d.grid.n) / d.grid.h ** 2

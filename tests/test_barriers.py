@@ -253,7 +253,7 @@ def _reference_nodes(region):
     """(level, cell) node set of a per-cell loop over every step's base."""
     nodes = set()
     for k in range(region.num_steps):
-        for idx in map(tuple, np.argwhere(region.step_base_mask(k))):
+        for idx in map(tuple, np.argwhere(region.step_base(k).mask)):
             nodes |= {(k, *idx), (k + 1, *idx)}
     return nodes
 
@@ -297,7 +297,7 @@ def test_region_samples_nodes_and_jitter(region, seed, factor):
     X, T = _region_samples(region, SamplingPolicy(seed=seed,
                                                   jitter_factor=factor))
     # draws on a step with an empty base are dropped
-    bases = np.array([region.step_base_mask(k)
+    bases = np.array([region.step_base(k).mask
                       for k in range(region.num_steps)])
     steps = np.random.Generator(np.random.Philox(seed)).integers(
         region.num_steps, size=factor * len(ref))

@@ -260,6 +260,15 @@ def test_resolution_override(tmp_path):
     assert len([r for r in rows if r.startswith("0,")]) == 64
 
 
+@pytest.mark.parametrize("value", ["0", "nan", "inf", "-0.125"])
+def test_resolution_must_be_positive_and_finite(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--bundled", "constant-solve", "--out", str(tmp_path),
+              "--resolution", value])
+    assert exc.value.code == 2
+    assert "--resolution" in capsys.readouterr().err
+
+
 def test_readme_flags_match_the_run_parser():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     sentence = readme.split("Flags:", 1)[1].split(". ", 1)[0]

@@ -1,16 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pmelab import bundled, scenarios
 from pmelab.geometry import (
     Cylinder,
     GeometryError,
     Grid,
-    PB_BOTTOM,
-    PB_LATERAL,
     SpaceTimeDomain,
     SpatialDomain,
     check_monotone_sections,
     diameter,
+    exterior_adjacent,
     parabolic_boundary,
     time_section,
 )
@@ -38,6 +41,34 @@ def test_boundary_and_core_split():
     assert not (U.boundary_mask & U.core_mask).any()
 
 
+def _exterior_adjacent_loop(mask, axes):
+    """Per-cell reference: a cell of the mask with a neighbour along one of
+    ``axes`` that lies off the mask or beyond the array edge."""
+    out = np.zeros_like(mask)
+    for idx in map(tuple, np.argwhere(mask)):
+        for ax in axes:
+            for step in (-1, 1):
+                nb = list(idx)
+                nb[ax] += step
+                if not 0 <= nb[ax] < mask.shape[ax] or not mask[tuple(nb)]:
+                    out[idx] = True
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), ndim=st.integers(1, 4))
+def test_exterior_adjacent_matches_per_cell_loop(data, ndim):
+    shape = tuple(data.draw(st.integers(1, 5)) for _ in range(ndim))
+    bits = data.draw(st.lists(st.booleans(), min_size=math.prod(shape),
+                              max_size=math.prod(shape)))
+    mask = np.array(bits, dtype=bool).reshape(shape)
+    assert np.array_equal(exterior_adjacent(mask),
+                          _exterior_adjacent_loop(mask, range(ndim)))
+    axes = range(1, ndim)           # a stack of (ndim - 1)-dimensional masks
+    assert np.array_equal(exterior_adjacent(mask, axes=axes),
+                          _exterior_adjacent_loop(mask, axes))
+
+
 def test_cylinder_needs_ordered_times():
     U = box_domain()
     with pytest.raises(GeometryError):
@@ -49,17 +80,18 @@ def test_parabolic_boundary_single_cylinder():
     d = SpaceTimeDomain([Cylinder(U, 0.0, 1.0)], dt=0.25)
     pb = parabolic_boundary(d)
     # bottom: all 36 cells; lateral: 20 ring cells at levels 1..4
-    assert pb.sample_count == 36 + 20 * 4
-    assert (pb.kind[0][U.mask] == PB_BOTTOM).all()
-    top = pb.kind[-1]
-    assert (top[U.core_mask] == 0).all()          # no open-top interior
-    assert (top[U.boundary_mask] == PB_LATERAL).all()   # top rim kept
+    assert pb.sum() == 36 + 20 * 4
+    assert pb[0][U.mask].all()
+    for k in range(1, d.num_levels):
+        assert not pb[k][U.core_mask].any()       # no open-top interior
+        assert pb[k][U.boundary_mask].all()       # lateral ring, top rim kept
 
 
 def test_parabolic_boundary_empty_union():
     g = Grid(n=2, h=0.5, origin=(0, 0), extents=(4, 4))
     d = SpaceTimeDomain([], dt=0.5, grid=g)
-    assert parabolic_boundary(d).sample_count == 0
+    pb = parabolic_boundary(d)
+    assert pb.shape == (1, 4, 4) and not pb.any()
 
 
 def brute_force_union_boundary(d):
@@ -95,12 +127,81 @@ def test_parabolic_boundary_stacked_union_matches_enumeration():
     d = SpaceTimeDomain([Cylinder(U, 0.0, 0.5), Cylinder(V, 0.5, 1.0)],
                         dt=0.25)
     pb = parabolic_boundary(d)
-    got = {(k, tuple(idx)) for k, *idx in zip(*np.nonzero(pb.mask))}
+    got = {(k, tuple(idx)) for k, *idx in zip(*np.nonzero(pb))}
     assert got == brute_force_union_boundary(d)
     # junction level carries the annulus: V minus the open part of U
     junction = d.level_index(0.5)
     annulus = V.mask & ~U.core_mask
-    assert (pb.kind[junction] != 0).sum() == annulus.sum()
+    assert pb[junction].sum() == annulus.sum()
+
+
+def _as_samples(d, pb):
+    return {(int(k), tuple(map(int, idx))) for k, *idx in np.argwhere(pb)}
+
+
+@st.composite
+def _nested_unions(draw):
+    """Cylinders with random nested bases (each contains the one before)
+    starting at increasing times and ending together; n = 1 .. 3."""
+    n = draw(st.integers(1, 3))
+    extents = tuple(draw(st.integers(3, 6)) for _ in range(n))
+    g = Grid(n=n, h=1 / 8, origin=(0.0,) * n, extents=extents)
+    dt = 1 / 1024
+    starts = sorted(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    end = starts[-1] + draw(st.integers(1, 3))
+    mask = np.zeros(extents, dtype=bool)
+    mask.flat[draw(st.integers(0, mask.size - 1))] = True
+    cyls = []
+    for start in starts:
+        bits = draw(st.lists(st.booleans(), min_size=math.prod(extents),
+                             max_size=math.prod(extents)))
+        mask = mask | np.array(bits, dtype=bool).reshape(extents)
+        cyls.append(Cylinder(SpatialDomain(g, mask), start * dt, end * dt))
+    return SpaceTimeDomain(cyls, dt=dt)
+
+
+# On nested bases the time sections' cores are the cylinders' cores, so the
+# boundary read from the domain's samples is the per-cylinder formula.
+@settings(max_examples=200, deadline=None)
+@given(d=_nested_unions())
+def test_parabolic_boundary_matches_enumeration_on_nested_unions(d):
+    assert _as_samples(d, parabolic_boundary(d)) == \
+        brute_force_union_boundary(d)
+
+
+def test_parabolic_boundary_matches_enumeration_on_bundled_domains():
+    checked = 0
+    for name, _ in bundled.list_bundled():
+        doc = bundled.bundled_scenario(name)
+        if "domain" in doc:
+            d = scenarios.build_domain(doc)
+            assert _as_samples(d, parabolic_boundary(d)) == \
+                brute_force_union_boundary(d), name
+            checked += 1
+    assert checked == 11
+
+
+def test_step_masks_and_samples_follow_the_sections():
+    g = Grid(n=2, h=0.25, origin=(0, 0), extents=(8, 8))
+    small = np.zeros((8, 8), dtype=bool)
+    small[2:6, 2:6] = True
+    # a stack with an empty step between its cylinders
+    d = SpaceTimeDomain([Cylinder(SpatialDomain(g, small), 0.0, 0.5),
+                         Cylinder(SpatialDomain(g, ~small), 0.75, 1.0)],
+                        dt=0.25)
+    steps = d.step_masks()
+    assert steps.shape == (d.num_steps, 8, 8)
+    for k in range(d.num_steps):
+        assert np.array_equal(steps[k], d.step_base(k).mask)
+    defined, interior = d.samples
+    assert d.samples is d.samples                 # built once per domain
+    assert not (defined.flags.writeable or interior.flags.writeable)
+    for k in range(1, d.num_levels):
+        below = d.step_base(k - 1)
+        above = steps[k] if k < d.num_steps else np.zeros((8, 8), bool)
+        assert np.array_equal(defined[k], below.mask | above)
+        assert np.array_equal(interior[k], below.core_mask)
+    assert np.array_equal(defined[0], steps[0]) and not interior[0].any()
 
 
 def test_union_boundary_has_no_open_top_interior():
@@ -115,7 +216,7 @@ def test_union_boundary_has_no_open_top_interior():
     pb = parabolic_boundary(d)
     for cyl in d.cylinders:
         _, l2 = d.level_range(cyl)
-        assert (pb.kind[l2][cyl.base.core_mask] == 0).all()
+        assert not pb[l2][cyl.base.core_mask].any()
 
 
 def test_time_section():

@@ -3,8 +3,15 @@ import pytest
 
 from pmelab.barriers import BarrierSpec
 from pmelab.capacity import classify_thickness, torsion_profile, wiener_profile
-from pmelab.geometry import Cylinder, Grid, SpaceTimeDomain, SpatialDomain
+from pmelab.geometry import (
+    Cylinder,
+    Grid,
+    SpaceTimeDomain,
+    SpatialDomain,
+    parabolic_boundary,
+)
 from pmelab.perron import (
+    OffBoundaryError,
     PerronError,
     RemovabilityCertificate,
     _ball_masks,
@@ -71,7 +78,7 @@ def test_bracket_centers_on_harmonic_power_profile():
     centers = d.grid.centers()
     exact = (1.5 + centers[..., 0]) ** 0.5
     mid = 0.5 * (lo.values[-1] + hi.values[-1])
-    err = np.abs(mid - exact)[d.step_base_mask(0)].max()
+    err = np.abs(mid - exact)[d.step_masks()[0]].max()
     assert err < 0.05
 
 
@@ -132,6 +139,25 @@ def test_probe_rejects_points_off_the_boundary():
     with pytest.raises(PerronError):
         regularity_probe(d, ((0.0, 0.0), 0.125), [BoundaryData.constant(1.0)],
                          [0.2, 0.1, 0.05], CFG, M_EXP)
+
+
+def test_probe_refuses_the_seam_between_side_by_side_bases():
+    # two 4x8 boxes meeting along a seam fill the 8x8 grid; the seam cells
+    # are interior to the union, as the solver treats them
+    g = Grid(n=2, h=1 / 8, origin=(0.0, 0.0), extents=(8, 8))
+    lower = np.zeros((8, 8), dtype=bool)
+    lower[:4] = True
+    d = SpaceTimeDomain([Cylinder(SpatialDomain(g, lower), 0.0, 0.5),
+                         Cylinder(SpatialDomain(g, ~lower), 0.0, 0.5)],
+                        dt=1 / 8)
+    pb = parabolic_boundary(d)
+    assert pb.sum() == 64 + 4 * 28            # bottom + the union's ring
+    assert not pb[2, 3, 4]
+    seam = tuple(g.centers()[3, 4])
+    with pytest.raises(OffBoundaryError):
+        regularity_probe(d, (seam, d.level_time(2)),
+                         [BoundaryData.constant(1.0)], [0.2, 0.1, 0.05],
+                         CFG, M_EXP)
 
 
 def test_probe_needs_three_radii():
@@ -291,6 +317,28 @@ def test_removability_certificate_validation():
                               "classification": "thick"}))
     with pytest.raises(PerronError):
         bad.validate(dp)
+
+
+def _without(d, idx):
+    """d's one cylinder with the cell ``idx`` taken out of its base."""
+    (cyl,) = d.cylinders
+    mask = cyl.base.mask.copy()
+    mask[idx] = False
+    return SpaceTimeDomain(
+        [Cylinder(SpatialDomain(d.grid, mask), cyl.t1, cyl.t2)], d.dt)
+
+
+def test_removability_refuses_cells_beyond_the_profile_or_outside():
+    dp, de, cert = punctured_setup()
+    # a cell on the disk's rim, far beyond the finest profiled shell
+    far = tuple(int(i) for i in np.argwhere(de.cylinders[0].base.mask)[0])
+    with pytest.raises(PerronError, match="beyond the finest profiled shell"):
+        cert.validate(_without(dp, far))
+    # an envelope missing that rim cell no longer contains the domain
+    short = RemovabilityCertificate(_without(de, far), cert.profile,
+                                    cert.verdict)
+    with pytest.raises(PerronError, match="must contain the probed domain"):
+        short.validate(dp)
 
 
 def test_puncture_dichotomy_drops_with_certificate():
