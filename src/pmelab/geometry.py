@@ -333,9 +333,16 @@ class SpaceTimeDomain:
         Level k is defined on the bases of steps k - 1 and k; the step
         ending at level k enforces the scheme on the core of its base (the
         cells whose face neighbours all lie in it).  Read-only, since every
-        solve and field on the domain shares them.
+        solve and field on the domain shares them.  Also records
+        ``first_shrink``: the first level whose step base lacks a cell of
+        the one before, or None.
         """
         steps = self.step_masks()
+        # a cell in the base of step k - 1 and not in that of step k
+        shrinks = (steps[:-1] > steps[1:]).any(
+            axis=tuple(range(1, steps.ndim)))
+        self.first_shrink = (int(np.argmax(shrinks)) + 1 if shrinks.any()
+                             else None)
         defined = np.zeros((self.num_levels, *self.grid.extents), dtype=bool)
         defined[:-1] = steps
         defined[1:] |= steps
@@ -392,11 +399,9 @@ def check_monotone_sections(d: SpaceTimeDomain) -> tuple[bool, float | None]:
     midpoints).  On failure, returns the junction time of the first
     violation.
     """
-    steps = d.step_masks()
-    # a cell in the base of step k - 1 and not in that of step k
-    shrinks = (steps[:-1] > steps[1:]).any(axis=tuple(range(1, steps.ndim)))
-    if shrinks.any():
-        return False, d.level_time(int(np.argmax(shrinks)) + 1)
+    d.samples   # builds the step stack once and records d.first_shrink
+    if d.first_shrink is not None:
+        return False, d.level_time(d.first_shrink)
     return True, None
 
 

@@ -1,7 +1,8 @@
-"""Scenario files: schema, reading and validation, named domain/data
-builders, and the runner that dispatches one operation and writes its
-reports.  The bundled corpus (``pmelab.bundled``) is read through
-:func:`load_scenario` like any user file.
+"""Scenario files: named domain/data builders, the operation handlers, the
+schema that types every field they read, reading and validation, and the
+runner that dispatches one operation and writes its reports.  The bundled
+corpus (``pmelab.bundled``) is read through :func:`load_scenario` like any
+user file.
 
 A scenario is a JSON object with a name, a seed, one operation, and the
 geometry/data it needs.  Domains come either as named primitives (ball,
@@ -17,6 +18,7 @@ import json
 import math
 import time
 from dataclasses import replace
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -44,18 +46,6 @@ from .solver import (
 class ScenarioError(ValueError):
     """Scenario file fails validation or names an unknown entity."""
 
-
-OPERATIONS = ("solve", "verify-barrier", "perron", "probe", "dichotomy",
-              "future-probe", "capacity", "wiener", "torsion", "degiorgi",
-              "barenblatt", "comparison-campaign", "scaling-check")
-
-# Operation fields that the handlers read as numbers; the schema types
-# them so that a malformed value is an input error, not a crash.
-_OP_NUMBERS = ("m", "C", "M", "t0", "t1", "t2", "rho", "sigma", "k",
-               "box_halfwidth", "runtime_budget_s")
-_OP_INTEGERS = ("n", "k_max", "j_max", "base_cells", "base_steps",
-                "max_samples")
-_OP_NUMBER_ARRAYS = ("radii", "x0", "eps_ladder", "multipliers")
 
 _NUMBER = {"type": "number"}
 _INTEGER = {"type": "integer"}
@@ -87,6 +77,29 @@ _DATA_PROFILE = {
     },
 }
 
+# The fields each shape of ``build_spatial`` reads; ``box`` is the shape
+# when none is named, and only the box bounds ``lo``/``hi`` have defaults.
+_SHAPE_FIELDS = {
+    "box": {"lo": _NUMBERS, "hi": _NUMBERS},
+    "box_minus_segment": {"lo": _NUMBERS, "hi": _NUMBERS,
+                          "seg_from": _NUMBERS, "seg_to": _NUMBERS},
+    "ball": {"center": _NUMBERS, "radius": _NUMBER},
+    "punctured_ball": {"center": _NUMBERS, "radius": _NUMBER},
+    "inline": {"mask": _NUMBERS},
+}
+
+# A spatial base: each shape is closed over the fields it reads.
+_BASE = {
+    "type": "object",
+    "properties": {"shape": {"enum": list(_SHAPE_FIELDS)}},
+    "allOf": [{"if": {"required": [] if shape == "box" else ["shape"],
+                      "properties": {"shape": {"const": shape}}},
+               "then": {"required": sorted(fields.keys() - {"lo", "hi"}),
+                        "additionalProperties": False,
+                        "properties": {"shape": True, **fields}}}
+              for shape, fields in _SHAPE_FIELDS.items()],
+}
+
 # The fields of ``barriers.BarrierSpec``, with ``torsion`` (the base and
 # pole of a torsion profile) in place of the computed ``torsion_field``.
 _BARRIER = {
@@ -104,97 +117,9 @@ _BARRIER = {
         "t_halfwidth": _NUMBER,
         "torsion": {"type": "object", "required": ["base", "x0"],
                     "additionalProperties": False,
-                    "properties": {"base": {"type": "object"},
-                                   "x0": _NUMBERS}},
+                    "properties": {"base": _BASE, "x0": _NUMBERS}},
     },
 }
-
-SCHEMA = {
-    "type": "object",
-    "required": ["name", "operation"],
-    "properties": {
-        "name": {"type": "string"},
-        "description": {"type": "string"},
-        "seed": {"type": "integer"},
-        "operation": {
-            "type": "object",
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": list(OPERATIONS)},
-                "trials": {"type": "integer", "minimum": 1},
-                "jitter_factor": {"type": "integer", "minimum": 0},
-                **dict.fromkeys(_OP_NUMBERS, _NUMBER),
-                **dict.fromkeys(_OP_INTEGERS, _INTEGER),
-                **dict.fromkeys(_OP_NUMBER_ARRAYS, _NUMBERS),
-                "levels": {"type": "array", "items": _INTEGER},
-                "removability": {
-                    "type": "object",
-                    "properties": {"k_max": _INTEGER, "x0": _NUMBERS},
-                },
-                "family": {"type": "array", "items": _DATA_PROFILE},
-                "barrier": _BARRIER,
-            },
-        },
-        "grid": {
-            "type": "object",
-            "required": ["n", "h", "origin", "extents"],
-            "properties": {
-                "n": {"type": "integer", "minimum": 1, "maximum": 3},
-                "h": {"type": "number", "exclusiveMinimum": 0},
-                "origin": {"type": "array", "items": {"type": "number"}},
-                "extents": {"type": "array",
-                            "items": {"type": "integer", "minimum": 1}},
-            },
-        },
-        "domain": {
-            "type": "object",
-            "required": ["dt", "cylinders"],
-            "additionalProperties": False,
-            "properties": {
-                "dt": {"type": "number", "exclusiveMinimum": 0},
-                "cylinders": {"type": "array", "items": {
-                    "type": "object",
-                    "required": ["base", "t1", "t2"],
-                    "additionalProperties": False,
-                    "properties": {"base": {"type": "object"},
-                                   "t1": _NUMBER, "t2": _NUMBER},
-                }},
-            },
-        },
-        "data": _DATA_PROFILE,
-        "solver": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "scheme": {"enum": ["implicit", "explicit"]},
-                **dict.fromkeys(("newton_tol", "linear_tol", "diffusion"),
-                                {"type": "number", "exclusiveMinimum": 0}),
-                "newton_max": {"type": "integer", "minimum": 1},
-            },
-        },
-    },
-}
-
-_validator = Draft7Validator(SCHEMA)
-
-
-def validate_scenario(doc: dict) -> None:
-    errors = sorted(_validator.iter_errors(doc), key=lambda e: list(e.path))
-    if errors:
-        e = errors[0]
-        loc = "/".join(str(p) for p in e.path) or "<root>"
-        raise ScenarioError(f"scenario invalid at {loc}: {e.message}")
-
-
-def load_scenario(path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
-    validate_scenario(doc)
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +130,19 @@ def build_grid(spec: dict) -> Grid:
                 extents=tuple(spec["extents"]))
 
 
-def build_spatial(spec: dict, grid: Grid) -> SpatialDomain:
+def build_spatial(spec: dict, grid: Grid, where: str = "base"
+                  ) -> SpatialDomain:
+    """The domain a base spec names on ``grid``; ``where`` locates the spec
+    in the scenario for error messages."""
     kind = spec.get("shape", "box")
     centers = grid.centers()
     if kind == "inline":
-        mask = np.asarray(spec["mask"], dtype=bool).reshape(grid.extents)
-        return SpatialDomain(grid, mask)
-    if kind == "box":
-        lo = np.asarray(spec.get("lo", grid.origin))
-        hi = np.asarray(spec.get("hi",
-                                 np.asarray(grid.origin)
-                                 + np.asarray(grid.extents) * grid.h))
-        mask = np.all((centers > lo) & (centers < hi), axis=-1)
-        return SpatialDomain(grid, mask)
+        mask = np.asarray(spec["mask"], dtype=bool)
+        cells = math.prod(grid.extents)
+        if mask.size != cells:
+            raise ScenarioError(f"{where}: the inline mask has {mask.size} "
+                                f"cells, the grid {cells}")
+        return SpatialDomain(grid, mask.reshape(grid.extents))
     if kind in ("ball", "punctured_ball"):
         center = np.asarray(spec["center"], dtype=float)
         radius = float(spec["radius"])
@@ -225,22 +150,24 @@ def build_spatial(spec: dict, grid: Grid) -> SpatialDomain:
         if kind == "punctured_ball":
             mask[grid.cell_of(center)] = False
         return SpatialDomain(grid, mask)
-    if kind == "box_minus_segment":
-        lo = np.asarray(spec.get("lo", grid.origin))
-        hi = np.asarray(spec.get("hi",
-                                 np.asarray(grid.origin)
-                                 + np.asarray(grid.extents) * grid.h))
-        mask = np.all((centers > lo) & (centers < hi), axis=-1)
-        a = np.asarray(spec["seg_from"], dtype=float)
-        b = np.asarray(spec["seg_to"], dtype=float)
-        ab = b - a
-        denom = float(ab @ ab)
-        flat = centers.reshape(-1, grid.n)
-        s = np.clip((flat - a) @ ab / denom, 0.0, 1.0) if denom > 0 else 0.0
-        dist = np.linalg.norm(flat - (a + np.outer(s, ab)), axis=-1)
-        near = (dist < 0.51 * grid.h).reshape(grid.extents)
-        return SpatialDomain(grid, mask & ~near)
-    raise ScenarioError(f"unknown domain shape {kind!r}")
+    if kind not in ("box", "box_minus_segment"):
+        raise ScenarioError(f"unknown domain shape {kind!r}")
+    lo = np.asarray(spec.get("lo", grid.origin))
+    hi = np.asarray(spec.get("hi",
+                             np.asarray(grid.origin)
+                             + np.asarray(grid.extents) * grid.h))
+    mask = np.all((centers > lo) & (centers < hi), axis=-1)
+    if kind == "box":
+        return SpatialDomain(grid, mask)
+    a = np.asarray(spec["seg_from"], dtype=float)
+    b = np.asarray(spec["seg_to"], dtype=float)
+    ab = b - a
+    denom = float(ab @ ab)
+    flat = centers.reshape(-1, grid.n)
+    s = np.clip((flat - a) @ ab / denom, 0.0, 1.0) if denom > 0 else 0.0
+    dist = np.linalg.norm(flat - (a + np.outer(s, ab)), axis=-1)
+    near = (dist < 0.51 * grid.h).reshape(grid.extents)
+    return SpatialDomain(grid, mask & ~near)
 
 
 def build_domain(doc: dict) -> SpaceTimeDomain:
@@ -248,8 +175,8 @@ def build_domain(doc: dict) -> SpaceTimeDomain:
     dom = doc["domain"]
     dt = float(dom["dt"])
     cyls = []
-    for c in dom["cylinders"]:
-        base = build_spatial(c["base"], grid)
+    for i, c in enumerate(dom["cylinders"]):
+        base = build_spatial(c["base"], grid, f"domain/cylinders/{i}/base")
         cyls.append(Cylinder(base, float(c["t1"]), float(c["t2"])))
     return SpaceTimeDomain(cyls, dt)
 
@@ -398,15 +325,47 @@ def _worst_residual(field) -> float:
     return float(np.abs(res).max(initial=0.0))
 
 
+def _expect(report, want, what, got, detail):
+    """The check "<what> <want>" that ``got`` is ``want``, if the operation
+    declares a ``want``."""
+    if want:
+        report.check(f"{what} {want!r}", got == want, detail)
+
+
+def _thickness(U, x0, k_max):
+    """U's dyadic Wiener profile at x0 and its thick/thin verdict."""
+    prof = capacity.wiener_profile(U, tuple(x0), k_max=int(k_max))
+    return prof, capacity.classify_thickness(prof)
+
+
 # ---------------------------------------------------------------------------
 # operation handlers
 
-def _op_solve(doc, report, rng):
+def _solve_inputs(doc):
+    """(operation, m, domain, solver config) of an operation that solves."""
     op = doc["operation"]
-    m = float(op["m"])
-    d = build_domain(doc)
+    return (op, float(op["m"]), build_domain(doc),
+            build_config(doc.get("solver")))
+
+
+def _probe_inputs(doc):
+    """(operation, m, domain, config, xi0, radii, family, labels) of a
+    probe-type operation; the family is the operation's, else perron's
+    default one."""
+    op, m, d, cfg = _solve_inputs(doc)
+    xi0 = (tuple(op["x0"]), float(op["t0"]))
+    if "family" in op:
+        family = [build_data(s, m, d.grid) for s in op["family"]]
+        labels = [s.get("label", s.get("profile", f"member-{i}"))
+                  for i, s in enumerate(op["family"])]
+    else:
+        family, labels = perron.default_data_family(d, xi0)
+    return op, m, d, cfg, xi0, [float(r) for r in op["radii"]], family, labels
+
+
+def _op_solve(doc, report, rng):
+    op, m, d, cfg = _solve_inputs(doc)
     data = build_data(doc["data"], m, d.grid)
-    cfg = build_config(doc.get("solver"))
     field = solve_union(d, data, cfg, m)
     header = ["t"] + [f"i{a}" for a in range(d.grid.n)] + ["value"]
     report.write_csv("field.csv", header, _field_rows(field))
@@ -425,7 +384,6 @@ def _op_solve(doc, report, rng):
         "cfl_max_dt": cfl_max_dt(data.bounds[1], d.grid.h, m, d.grid.n),
         "sup": field.sup(), "min": field.min(),
     }
-    return field
 
 
 def _op_verify_barrier(doc, report, rng):
@@ -436,7 +394,8 @@ def _op_verify_barrier(doc, report, rng):
         spec_args["diam"] = diameter(region)
     if "torsion" in spec_args:
         t_spec = spec_args.pop("torsion")
-        U = build_spatial(t_spec["base"], build_grid(doc["grid"]))
+        U = build_spatial(t_spec["base"], region.grid,
+                          "operation/barrier/torsion/base")
         spec_args["torsion_field"] = capacity.torsion_profile(
             U, tuple(t_spec["x0"]))
     spec = barriers.BarrierSpec(**spec_args)
@@ -448,94 +407,62 @@ def _op_verify_barrier(doc, report, rng):
     report.write_csv("violations.csv", ["x", "t", "residual"],
                      ((";".join(map(str, x)), t, r)
                       for x, t, r in rep.violating_samples))
-    expect = op.get("expect", "certified")
-    if expect == "certified":
-        report.check("claimed residual sign certified", rep.certified,
-                     {"violations": len(rep.violating_samples)})
-    else:
-        report.check("violations found (as expected)", not rep.certified,
-                     {"violations": len(rep.violating_samples)})
-    return rep
+    certify = op.get("expect", "certified") == "certified"
+    report.check("claimed residual sign certified" if certify
+                 else "violations found (as expected)",
+                 rep.certified == certify,
+                 {"violations": len(rep.violating_samples)})
 
 
 def _op_perron(doc, report, rng):
-    op = doc["operation"]
-    m = float(op["m"])
-    d = build_domain(doc)
+    op, m, d, cfg = _solve_inputs(doc)
     data = build_data(doc["data"], m, d.grid)
-    cfg = build_config(doc.get("solver"))
-    ladder = op.get("eps_ladder")
-    if ladder is None:
-        ladder = [frac * data.bounds[1] for frac in perron.DEFAULT_EPS_LADDER]
+    ladder = op.get("eps_ladder", [frac * data.bounds[1]
+                                   for frac in perron.DEFAULT_EPS_LADDER])
     bracket = perron.perron_bracket(d, data, ladder, cfg, m)
     disc = perron.discretization_estimate(d, data, cfg, m)
+    gaps = bracket.gaps
     report.write_csv("gaps.csv", ["epsilon", "gap"],
-                     zip(bracket.epsilons, bracket.gaps))
+                     zip(bracket.epsilons, gaps))
     report.payload["perron"] = bracket.to_dict() | {"disc_est": disc}
-    for eps, gap in zip(bracket.epsilons, bracket.gaps):
+    for eps, gap in zip(bracket.epsilons, gaps):
         report.check(f"gap within 2*eps + 3*disc at eps={eps:g}",
                      gap <= 2 * eps + 3 * disc,
                      {"gap": gap, "eps": eps, "disc": disc})
-    dec = all(bracket.gaps[i + 1] <= bracket.gaps[i] + 1e-12
-              for i in range(len(bracket.gaps) - 1))
-    report.check("gap nonincreasing along the eps ladder", dec,
-                 {"gaps": bracket.gaps})
-    return bracket
+    report.check("gap nonincreasing along the eps ladder",
+                 all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:])),
+                 {"gaps": gaps})
 
 
-def _family_from_op(op, d, xi0, m):
-    if "family" in op:
-        fam = [build_data(s, m, d.grid) for s in op["family"]]
-        labels = [s.get("label", s.get("profile", f"member-{i}"))
-                  for i, s in enumerate(op["family"])]
-        return fam, labels
-    return perron.default_data_family(d, xi0)
-
-
-def _probe_inputs(doc):
-    """(m, domain, config, xi0, radii) of a probe-type operation."""
-    op = doc["operation"]
-    return (float(op["m"]), build_domain(doc), build_config(doc.get("solver")),
-            (tuple(op["x0"]), float(op["t0"])), [float(r) for r in op["radii"]])
-
-
-def _removability_from_op(doc, op, d, report):
+def _removability_from_op(op, d, report):
     """The operation's removability certificate, if it asks for one; its
     thickness verdict goes into the report payload."""
     rem = op.get("removability")
     if not rem:
         return None
-    grid = build_grid(doc["grid"])
-    env_base = build_spatial(rem["base"], grid)
+    env_base = build_spatial(rem["base"], d.grid,
+                             "operation/removability/base")
     env = SpaceTimeDomain(
         [Cylinder(env_base, c.t1, c.t2) for c in d.cylinders], d.dt)
-    U = d.step_base(0)
-    prof = capacity.wiener_profile(U, tuple(rem["x0"]),
-                                   k_max=int(rem.get("k_max", 5)))
-    verdict = capacity.classify_thickness(prof)
+    prof, verdict = _thickness(d.step_base(0), rem["x0"], rem.get("k_max", 5))
     report.payload["thickness"] = verdict.to_dict()
     return perron.RemovabilityCertificate(env, prof, verdict)
 
 
 def _op_probe(doc, report, rng):
-    op = doc["operation"]
-    m, d, cfg, xi0, radii = _probe_inputs(doc)
-    fam, labels = _family_from_op(op, d, xi0, m)
-    cert = _removability_from_op(doc, op, d, report)
-    probe = perron.regularity_probe(d, xi0, fam, radii, cfg, m,
+    op, m, d, cfg, xi0, radii, family, labels = _probe_inputs(doc)
+    cert = _removability_from_op(op, d, report)
+    probe = perron.regularity_probe(d, xi0, family, radii, cfg, m,
                                     family_labels=labels, removability=cert)
     report.payload["probe"] = probe.to_dict()
-    rows = []
-    for i, lab in enumerate(probe.family_labels):
-        for r, ug, lg in zip(probe.approach_radii, probe.upper_gaps[i],
-                             probe.lower_gaps[i]):
-            rows.append((lab, r, ug, lg))
     report.write_csv("probe_gaps.csv",
-                     ["member", "radius", "upper_gap", "lower_gap"], rows)
-    expect = op.get("expect")
-    if expect:
-        report.check(f"verdict is {expect!r}", probe.verdict == expect,
-                     {"verdict": probe.verdict})
+                     ["member", "radius", "upper_gap", "lower_gap"],
+                     ((lab, r, ug, lg) for lab, ugs, lgs in zip(
+                         probe.family_labels, probe.upper_gaps,
+                         probe.lower_gaps)
+                      for r, ug, lg in zip(probe.approach_radii, ugs, lgs)))
+    _expect(report, op.get("expect"), "verdict is", probe.verdict,
+            {"verdict": probe.verdict})
     if op.get("require_intercepts_within_disc", False):
         ok = all(u <= 2 * dd and lo <= 2 * dd for u, lo, dd in
                  zip(probe.upper_intercepts, probe.lower_intercepts,
@@ -544,40 +471,31 @@ def _op_probe(doc, report, rng):
                      {"upper": probe.upper_intercepts,
                       "lower": probe.lower_intercepts,
                       "disc": probe.disc_ests})
-    return probe
 
 
 def _op_dichotomy(doc, report, rng):
-    op = doc["operation"]
-    m, d, cfg, xi0, radii = _probe_inputs(doc)
+    op, m, d, cfg, xi0, radii = _probe_inputs(doc)[:6]
     data = build_data(doc["data"], m, d.grid)
-    cert = _removability_from_op(doc, op, d, report)
-    if cert is not None and "expect_thickness" in op:
-        report.check(f"complement classified {op['expect_thickness']!r}",
-                     cert.verdict.classification == op["expect_thickness"],
-                     cert.verdict.to_dict())
+    cert = _removability_from_op(op, d, report)
+    if cert is not None:
+        _expect(report, op.get("expect_thickness"), "complement classified",
+                cert.verdict.classification, cert.verdict.to_dict())
     res = perron.dichotomy_check(d, xi0, data, radii, cfg, m,
                                  removability=cert)
     report.payload["dichotomy"] = res.to_dict()
     report.write_csv("dichotomy.csv", ["radius", "ball_min"], res.per_radius)
-    expect = op.get("expect")
-    if expect:
-        report.check(f"branch is {expect!r}", res.branch == expect,
-                     {"branch": res.branch,
-                      "liminf_estimate": res.liminf_estimate})
-    return res
+    _expect(report, op.get("expect"), "branch is", res.branch,
+            {"branch": res.branch, "liminf_estimate": res.liminf_estimate})
 
 
 def _op_future_probe(doc, report, rng):
-    m, d, cfg, xi0, radii = _probe_inputs(doc)
-    fam, labels = _family_from_op(doc["operation"], d, xi0, m)
+    op, m, d, cfg, xi0, radii, family, labels = _probe_inputs(doc)
     full, trunc, agree = perron.future_truncation_probe(
-        d, xi0, fam, radii, cfg, m, family_labels=labels)
+        d, xi0, family, radii, cfg, m, family_labels=labels)
     report.payload["future_probe"] = {
         "full": full.to_dict(), "truncated": trunc.to_dict(), "agree": agree}
     report.check("full and truncated verdicts agree", agree,
                  {"full": full.verdict, "truncated": trunc.verdict})
-    return full, trunc
 
 
 def rescale_grid(gspec: dict, h: float) -> float:
@@ -593,111 +511,90 @@ def _capacity_at(doc, op, h):
     gspec = dict(doc["grid"])
     rescale_grid(gspec, h)
     grid = build_grid(gspec)
-    ambient = build_spatial(op["ambient"], grid)
-    E = build_spatial(op["set"], grid)
+    ambient = build_spatial(op["ambient"], grid, "operation/ambient")
+    E = build_spatial(op["set"], grid, "operation/set")
     return capacity.capacity(capacity.CompactMask(grid, E.mask, ambient))
 
 
 def _op_capacity(doc, report, rng):
-    op = doc["operation"]
-    grid = build_grid(doc["grid"])
-    val = _capacity_at(doc, op, grid.h)
-    report.payload["capacity"] = {"value": val, "h": grid.h, "n": grid.n}
+    op, gspec = doc["operation"], doc["grid"]
+    val = _capacity_at(doc, op, gspec["h"])
+    report.payload["capacity"] = {"value": val, "h": gspec["h"],
+                                  "n": gspec["n"]}
     report.check("capacity is nonnegative", val >= 0, {"value": val})
     ladder = op.get("refinement_ladder")
     if ladder:
         values = [_capacity_at(doc, op, float(h)) for h in ladder]
-        diffs = [abs(values[i + 1] - values[i])
-                 for i in range(len(values) - 1)]
+        diffs = [abs(b - a) for a, b in zip(values, values[1:])]
         report.payload["capacity"]["refinement"] = {
             "h": list(ladder), "values": values, "cauchy_diffs": diffs}
-        report.check(
-            "refinement differences shrink",
-            all(diffs[i + 1] <= diffs[i] for i in range(len(diffs) - 1)),
-            {"diffs": diffs})
-    return val
+        report.check("refinement differences shrink",
+                     all(b <= a for a, b in zip(diffs, diffs[1:])),
+                     {"diffs": diffs})
 
 
 def _op_wiener(doc, report, rng):
     op = doc["operation"]
-    grid = build_grid(doc["grid"])
-    U = build_spatial(op["base"], grid)
-    prof = capacity.wiener_profile(U, tuple(op["x0"]),
-                                   k_max=int(op.get("k_max", 5)))
-    verdict = capacity.classify_thickness(prof)
-    report.write_csv("wiener.csv",
-                     ["k", "r", "cap", "integrand", "partial_sum"],
-                     ((row["k"], row["r"], row["cap"], row["integrand"],
-                       row["partial_sum"]) for row in prof.to_rows()))
+    U = build_spatial(op["base"], build_grid(doc["grid"]), "operation/base")
+    prof, verdict = _thickness(U, op["x0"], op.get("k_max", 5))
+    rows = list(prof.to_rows())
+    header = ["k", "r", "cap", "integrand", "partial_sum"]
+    report.write_csv("wiener.csv", header, map(itemgetter(*header), rows))
     report.payload["wiener"] = {
-        "profile": list(prof.to_rows()),
+        "profile": rows,
         "ambient_halfwidth": prof.ambient_halfwidth,
         "ambient_sensitivity": prof.ambient_sensitivity,
         "classification": verdict.to_dict(),
     }
-    expect = op.get("expect")
-    if expect:
-        report.check(f"classified {expect!r}",
-                     verdict.classification == expect, verdict.to_dict())
-    return prof, verdict
+    _expect(report, op.get("expect"), "classified", verdict.classification,
+            verdict.to_dict())
 
 
 def _op_torsion(doc, report, rng):
     op = doc["operation"]
     grid = build_grid(doc["grid"])
-    U = build_spatial(op["base"], grid)
+    U = build_spatial(op["base"], grid, "operation/base")
     field = capacity.torsion_profile(U, tuple(op["x0"]))
     cells = np.nonzero(U.mask)
+    values = field.values[cells]
     report.write_csv("torsion.csv",
                      [f"i{a}" for a in range(grid.n)] + ["value"],
-                     zip(*cells, field.values[cells]))
-    x0 = np.asarray(op["x0"], dtype=float)
-    centers = grid.centers()
-    phi = np.linalg.norm(centers - x0, axis=-1)
-    dominates = bool(np.all(field.values[U.mask] >= phi[U.mask] - 1e-9))
-    report.check("profile dominates |x - x0|", dominates)
-    report.payload["torsion"] = {
-        "min": float(np.nanmin(field.values[U.mask])),
-        "max": float(np.nanmax(field.values[U.mask])),
-    }
-    return field
+                     zip(*cells, values))
+    phi = np.linalg.norm(grid.centers() - op["x0"], axis=-1)
+    report.check("profile dominates |x - x0|",
+                 bool(np.all(values >= phi[cells] - 1e-9)))
+    report.payload["torsion"] = {"min": float(np.nanmin(values)),
+                                 "max": float(np.nanmax(values))}
 
 
 def _op_degiorgi(doc, report, rng):
-    op = doc["operation"]
-    m = float(op["m"])
-    d = build_domain(doc)
-    data = build_data(doc["data"], m, d.grid)
-    cfg = build_config(doc.get("solver"))
-    field = solve_union(d, data, cfg, m)
+    op, m, d, cfg = _solve_inputs(doc)
+    field = solve_union(d, build_data(doc["data"], m, d.grid), cfg, m)
     x0 = tuple(op["x0"])
     t0, rho, sigma = float(op["t0"]), float(op["rho"]), float(op["sigma"])
     M = float(op.get("M", 0.0))
     k = float(op.get("k", 0.5 * field.sup()))
     rep = degiorgi.iterate(field, x0, t0, rho, sigma, M, k,
                            j_max=int(op.get("j_max", 20)))
-    report.write_csv("iteration.csv",
-                     ["j", "k_j", "Y_j", "A_j_measure", "ratio", "bound"],
-                     ((r["j"], r["k_j"], r["Y_j"], r["A_j_measure"],
-                       r["ratio"], r["bound"]) for r in rep.to_rows()))
+    header = ["j", "k_j", "Y_j", "A_j_measure", "ratio", "bound"]
+    report.write_csv("iteration.csv", header,
+                     map(itemgetter(*header), rep.to_rows()))
     report.payload["degiorgi"] = rep.to_dict()
     report.check("level inequality holds at every j",
                  rep.all_level_checks_pass)
-    mono = all(rep.energies[i + 1] <= rep.energies[i] * (1 + 1e-12)
-               for i in range(len(rep.energies) - 1))
-    report.check("energies nonincreasing", mono)
+    energies = rep.energies
+    report.check("energies nonincreasing",
+                 all(b <= a * (1 + 1e-12)
+                     for a, b in zip(energies, energies[1:])))
     sup = degiorgi.sup_estimate_check(field, x0, t0, rho, sigma, M)
     report.payload["sup_estimate"] = sup.to_dict()
     report.check("sup estimate fitted a finite C",
                  sup.fitted_C is not None and math.isfinite(sup.fitted_C))
-    return rep, sup
 
 
 def _op_barenblatt(doc, report, rng):
     op = doc["operation"]
-    m = float(op["m"])
-    n = int(op["n"])
-    C0 = float(op["C"])
+    m, n, C0 = float(op["m"]), int(op["n"]), float(op["C"])
     levels = op.get("levels", [0, 1])
     box = float(op.get("box_halfwidth", 0.5))
     t1, t2 = float(op.get("t1", 1.0)), float(op.get("t2", 1.5))
@@ -727,18 +624,16 @@ def _op_barenblatt(doc, report, rng):
     # wall_s stays out of the CSV so that reruns write identical files
     report.write_csv("convergence.csv",
                      ["level", "h", "steps", "l1_error", "linf_error"],
-                     ((r["level"], r["h"], r["steps"], r["l1"], r["linf"])
-                      for r in results))
+                     map(itemgetter("level", "h", "steps", "l1", "linf"),
+                         results))
     report.payload["barenblatt"] = {"results": results}
-    for i in range(len(results) - 1):
+    pairs = list(zip(results, results[1:]))
+    for a, b in pairs:
         report.check(
-            f"L1 error decreases from level {results[i]['level']} to "
-            f"{results[i + 1]['level']}",
-            results[i + 1]["l1"] < results[i]["l1"],
-            {"from": results[i]["l1"], "to": results[i + 1]["l1"]})
-    if len(results) >= 2:
-        orders = [math.log2(results[i]["l1"] / results[i + 1]["l1"])
-                  for i in range(len(results) - 1)]
+            f"L1 error decreases from level {a['level']} to {b['level']}",
+            b["l1"] < a["l1"], {"from": a["l1"], "to": b["l1"]})
+    if pairs:
+        orders = [math.log2(a["l1"] / b["l1"]) for a, b in pairs]
         report.payload["barenblatt"]["orders"] = orders
         report.check("empirical order at least 0.8",
                      all(o >= 0.8 for o in orders), {"orders": orders})
@@ -747,7 +642,6 @@ def _op_barenblatt(doc, report, rng):
         report.check(f"each level within {budget} s",
                      all(r["wall_s"] < budget for r in results),
                      {"walls": [r["wall_s"] for r in results]})
-    return results
 
 
 def _campaign_pair(params, d, cfg, m):
@@ -770,10 +664,7 @@ def _campaign_pair(params, d, cfg, m):
 
 
 def _op_comparison_campaign(doc, report, rng):
-    op = doc["operation"]
-    m = float(op["m"])
-    d = build_domain(doc)
-    cfg = build_config(doc.get("solver"))
+    op, m, d, cfg = _solve_inputs(doc)
     trials = int(op.get("trials", 100))
     params = []
     for _ in range(trials):
@@ -788,17 +679,14 @@ def _op_comparison_campaign(doc, report, rng):
                                   "violations": violations}
     report.check(f"{trials}/{trials} ordered with zero interior violations",
                  ordered == trials, {"ordered": ordered})
-    return ordered
 
 
 def _op_scaling_check(doc, report, rng):
-    op = doc["operation"]
-    m = float(op["m"])
-    d = build_domain(doc)
+    op, m, d, cfg = _solve_inputs(doc)
     data = build_data(doc["data"], m, d.grid)
     worst_overall = 0.0
     for a in op.get("multipliers", [0.25, 4.0]):
-        cfg_a = replace(build_config(doc.get("solver")), diffusion=a)
+        cfg_a = replace(cfg, diffusion=a)
         u_a = solve_union(d, data, cfg_a, m)
         v = perron.scale_transform(u_a, a, m)
         v_unit = Field(v.domain, v.values, m,
@@ -810,7 +698,6 @@ def _op_scaling_check(doc, report, rng):
                      worst <= tol, {"worst": worst, "tol": tol})
         worst_overall = max(worst_overall, worst)
     report.payload["scaling"] = {"worst_residual": worst_overall}
-    return worst_overall
 
 
 _HANDLERS = {
@@ -830,6 +717,112 @@ _HANDLERS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# schema, reading and validation
+
+SCHEMA = {
+    "type": "object",
+    "required": ["name", "operation"],
+    "properties": {
+        "name": {"type": "string"},
+        "description": {"type": "string"},
+        "seed": {"type": "integer"},
+        # Closed and typed: its keys are those the handlers read, so a
+        # misspelled or malformed one is an input error, not a default or
+        # a crash.
+        "operation": {
+            "type": "object",
+            "required": ["kind"],
+            "additionalProperties": False,
+            "properties": {
+                "kind": {"enum": list(_HANDLERS)},
+                "trials": {"type": "integer", "minimum": 1},
+                "jitter_factor": {"type": "integer", "minimum": 0},
+                **dict.fromkeys(("m", "C", "M", "t0", "t1", "t2", "rho",
+                                 "sigma", "k", "box_halfwidth",
+                                 "runtime_budget_s"), _NUMBER),
+                **dict.fromkeys(("n", "k_max", "j_max", "base_cells",
+                                 "base_steps", "max_samples"), _INTEGER),
+                **dict.fromkeys(("radii", "x0", "eps_ladder", "multipliers",
+                                 "refinement_ladder"), _NUMBERS),
+                **dict.fromkeys(("base", "ambient", "set"), _BASE),
+                **dict.fromkeys(("expect", "expect_thickness"),
+                                {"type": "string"}),
+                "require_intercepts_within_disc": {"type": "boolean"},
+                "levels": {"type": "array", "items": _INTEGER},
+                "removability": {
+                    "type": "object",
+                    "required": ["base", "x0"],
+                    "additionalProperties": False,
+                    "properties": {"base": _BASE, "x0": _NUMBERS,
+                                   "k_max": _INTEGER},
+                },
+                "family": {"type": "array", "items": _DATA_PROFILE},
+                "barrier": _BARRIER,
+            },
+        },
+        "grid": {
+            "type": "object",
+            "required": ["n", "h", "origin", "extents"],
+            "properties": {
+                "n": {"type": "integer", "minimum": 1, "maximum": 3},
+                "h": {"type": "number", "exclusiveMinimum": 0},
+                "origin": {"type": "array", "items": {"type": "number"}},
+                "extents": {"type": "array",
+                            "items": {"type": "integer", "minimum": 1}},
+            },
+        },
+        "domain": {
+            "type": "object",
+            "required": ["dt", "cylinders"],
+            "additionalProperties": False,
+            "properties": {
+                "dt": {"type": "number", "exclusiveMinimum": 0},
+                "cylinders": {"type": "array", "items": {
+                    "type": "object",
+                    "required": ["base", "t1", "t2"],
+                    "additionalProperties": False,
+                    "properties": {"base": _BASE,
+                                   "t1": _NUMBER, "t2": _NUMBER},
+                }},
+            },
+        },
+        "data": _DATA_PROFILE,
+        "solver": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "scheme": {"enum": ["implicit", "explicit"]},
+                **dict.fromkeys(("newton_tol", "linear_tol", "diffusion"),
+                                {"type": "number", "exclusiveMinimum": 0}),
+                "newton_max": {"type": "integer", "minimum": 1},
+            },
+        },
+    },
+}
+
+_validator = Draft7Validator(SCHEMA)
+
+
+def validate_scenario(doc: dict) -> None:
+    errors = sorted(_validator.iter_errors(doc), key=lambda e: list(e.path))
+    if errors:
+        e = errors[0]
+        loc = "/".join(str(p) for p in e.path) or "<root>"
+        raise ScenarioError(f"scenario invalid at {loc}: {e.message}")
+
+
+def load_scenario(path) -> dict:
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario file: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
+    validate_scenario(doc)
+    return doc
+
+
 def run_scenario(doc: dict, out_dir) -> dict:
     """Execute one scenario; returns the report dict (also written to disk)."""
     validate_scenario(doc)
@@ -838,6 +831,5 @@ def run_scenario(doc: dict, out_dir) -> dict:
     seed = int(doc.get("seed", 0))
     rng = np.random.Generator(np.random.Philox(seed))
     report = RunReport(doc, out_dir)
-    handler = _HANDLERS[doc["operation"]["kind"]]
-    handler(doc, report, rng)
+    _HANDLERS[doc["operation"]["kind"]](doc, report, rng)
     return report.finalize()

@@ -116,10 +116,13 @@ def test_cli_rejects_malformed_nested_fields(tmp_path, capsys, name, path,
     assert path in capsys.readouterr().err
 
 
-# Barrier, data-profile and domain fields are typed, and the barrier and
-# domain blocks are closed: each of these was an uncaught TypeError,
-# UFuncTypeError or ValueError.  A value of None deletes the field: a
-# missing profile parameter was an input error that did not say where.
+# Barrier, data-profile, domain, base and operation fields are typed, and
+# the barrier, domain, base, operation and removability blocks are closed:
+# each of these was an uncaught TypeError, UFuncTypeError or ValueError,
+# or (a misspelled key) ran with the default.  A value of None deletes the
+# field: a missing profile parameter was an input error that did not say
+# where.  The schema types an operation key whatever the kind, so a solve
+# shows the typed refinement_ladder.
 @pytest.mark.parametrize("name, path, value", [
     ("barrier-certification", "operation/barrier/dima", 1.0),
     ("bottom-regularity", "operation/family/0/value", "x"),
@@ -134,6 +137,17 @@ def test_cli_rejects_malformed_nested_fields(tmp_path, capsys, name, path,
     ("constant-solve", "domain/cylinders/0/t1", None),
     ("constant-solve", "data/value", None),
     ("bottom-regularity", "operation/family/1/b", None),
+    ("punctured-disk", "operation/removability/base/radius", "x"),
+    ("punctured-disk", "domain/cylinders/0/base/center", None),
+    ("constant-solve", "domain/cylinders/0/base/lo", "x"),
+    ("constant-solve", "domain/cylinders/0/base/radius", 0.5),
+    ("constant-solve", "domain/cylinders/0/base/shape", "pentagon"),
+    ("slit-box-wiener", "operation/base/seg_from", "x"),
+    ("constant-solve", "domain/cylinders/0/base",
+     {"shape": "inline", "mask": [1, 1, 1]}),
+    ("constant-solve", "operation/refinement_ladder", ["x"]),
+    ("slit-box-wiener", "operation/k_mx", 4),
+    ("punctured-disk", "operation/removability/k_mx", 5),
 ])
 def test_cli_rejects_untyped_barrier_and_data_fields(tmp_path, capsys, name,
                                                      path, value):

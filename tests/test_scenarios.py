@@ -1,11 +1,16 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from pmelab import scenarios
 from pmelab.barriers import barenblatt
 from pmelab.bundled import bundled_scenario
 from pmelab.geometry import Cylinder, SpaceTimeDomain
 from pmelab.perron import default_data_family
 from pmelab.scenarios import (
+    SCHEMA,
     ScenarioError,
     build_data,
     build_domain,
@@ -190,3 +195,83 @@ def test_slit_scenario_runs(tmp_path):
     assert report["all_pass"]
     assert report["wiener"]["classification"]["classification"] == "thick"
     assert report["wiener"]["classification"]["confidence"] == "low"
+
+
+def test_torsion_operation_pins_its_check_payload_and_table(tmp_path):
+    # x0 is the center of the box's boundary cell (0, 4)
+    doc = {"name": "torsion-box", "seed": 0, "grid": GRID,
+           "operation": {"kind": "torsion", "base": {"shape": "box"},
+                         "x0": [0.125, 1.125]}}
+    report = run_scenario(doc, tmp_path)
+    assert report["checks"] == [{"check": "profile dominates |x - x0|",
+                                 "pass": True, "detail": None}]
+    assert list(report["torsion"]) == ["min", "max"]
+    assert report["torsion"]["min"] == 0.0
+    lines = (tmp_path / "torsion.csv").read_text().splitlines()
+    assert lines[0] == "i0,i1,value"
+    assert len(lines) == 1 + 64
+    assert lines[1 + 4] == "0,4,0"
+
+
+SIGN_REPORT_KEYS = ["kind", "claimed_sign", "min_residual", "max_residual",
+                    "violations", "samples_checked", "samples_excluded",
+                    "certified"]
+
+
+# earliest_super needs j >= 129 on this region; the torsion case builds its
+# torsion field on the region's grid
+@pytest.mark.parametrize("barrier, expect, check", [
+    ({"kind": "earliest_super", "c": 1.0, "j": 1, "m": 2.0, "n": 2,
+      "diam": 1.0}, "violations", "violations found (as expected)"),
+    ({"kind": "torsion_sub", "c": 1.0, "j": 4, "m": 2.0, "n": 2,
+      "diam": 1.5, "anchor": [[0.5, 0.0], 0.0],
+      "torsion": {"base": {"shape": "box"}, "x0": [0.5, 0.0]}},
+     "certified", "claimed residual sign certified"),
+])
+def test_verify_barrier_operation_pins_its_check_payload_and_table(
+        tmp_path, barrier, expect, check):
+    doc = bundled_scenario("barrier-certification")
+    doc["operation"].update(barrier=barrier, expect=expect, max_samples=500)
+    report = run_scenario(doc, tmp_path)
+    sign = report["sign_report"]
+    assert list(sign) == SIGN_REPORT_KEYS
+    assert sign["certified"] == (expect == "certified")
+    assert report["checks"] == [{"check": check, "pass": True, "detail": {
+        "violations": len(sign["violations"])}}]
+    lines = (tmp_path / "violations.csv").read_text().splitlines()
+    assert lines[0] == "x,t,residual"
+    assert len(lines) == 1 + len(sign["violations"])
+
+
+def _keys_read(names):
+    """The constant keys that scenarios.py reads from each variable of
+    ``names`` as ``var["key"]`` or ``var.get("key", ...)``."""
+    read = {name: set() for name in names}
+    tree = ast.parse(Path(scenarios.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            owner, key = node.value, node.slice
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get"):
+            owner, key = node.func.value, node.args[0]
+        else:
+            continue
+        if (isinstance(owner, ast.Name) and owner.id in read
+                and isinstance(key, ast.Constant)):
+            read[owner.id].add(key.value)
+    return read
+
+
+def test_operation_schema_types_exactly_the_keys_the_handlers_read():
+    # the operation block and its removability block are closed, so a key
+    # the handlers read and the schema lacks would refuse valid files, and
+    # one the schema has and no handler reads would be silently ignored;
+    # run_scenario reads kind to pick the handler
+    read = _keys_read(["op", "rem"])
+    operation = SCHEMA["properties"]["operation"]
+    assert operation["additionalProperties"] is False
+    assert set(operation["properties"]) == read["op"] | {"kind"}
+    removability = operation["properties"]["removability"]
+    assert removability["additionalProperties"] is False
+    assert set(removability["properties"]) == read["rem"]

@@ -323,6 +323,22 @@ def test_scheme_residual_reuses_the_planned_stencil(tmp_path, monkeypatch,
     assert len(built) == 1
 
 
+def test_first_solve_builds_the_step_stack_once(tmp_path, monkeypatch):
+    # the monotone check reads the shrink that building the samples records
+    built = []
+    step_masks = SpaceTimeDomain.step_masks
+
+    def counted(d):
+        built.append(d)
+        return step_masks(d)
+
+    monkeypatch.setattr(SpaceTimeDomain, "step_masks", counted)
+    report = scenarios.run_scenario(bundled.bundled_scenario("constant-solve"),
+                                    tmp_path)
+    assert report["all_pass"]
+    assert len(built) == 1
+
+
 def _union_domain():
     # two slabs, both factored (bands 14 and 30)
     doc = bundled.bundled_scenario("union-resolutivity")
