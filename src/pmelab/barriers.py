@@ -297,7 +297,7 @@ class SignReport:
     claimed_sign: int
     min_residual: float
     max_residual: float
-    violating_samples: list
+    violating_samples: list          # (x as a list, t, residual) each
     samples_checked: int
     samples_excluded: int
 
@@ -312,7 +312,7 @@ class SignReport:
             "min_residual": self.min_residual,
             "max_residual": self.max_residual,
             "violations": [
-                {"x": list(map(float, x)), "t": t, "residual": r}
+                {"x": x, "t": t, "residual": r}
                 for x, t, r in self.violating_samples],
             "samples_checked": self.samples_checked,
             "samples_excluded": self.samples_excluded,
@@ -380,8 +380,8 @@ def verify_sign(spec: BarrierSpec, region: SpaceTimeDomain,
         raise BarrierError("all samples were excluded")
     tol = _SIGN_TOL_REL * scale
     bad = r > tol if sign < 0 else r < -tol
-    violations = [(tuple(map(float, x)), float(t), float(v))
-                  for x, t, v in zip(X[bad], T[bad], r[bad])]
+    violations = list(zip(X[bad].tolist(), T[bad].tolist(),
+                          r[bad].tolist()))
     return SignReport(spec.kind, sign, float(r.min()), float(r.max()),
                       violations, len(r), total - len(r))
 

@@ -20,8 +20,11 @@ transform that diagonalises it, and the result is restricted back.  This
 is ``R A_box^-1 R^T``, SPD for any selection; it is exact when the cells
 fill the box, and a hole costs a few iterations (the capacitance-matrix
 method).  Each box side is padded on the high end to the smallest length
-N with N + 1 5-smooth, so the transforms stay fast.  CG stops on
-``linear_tol`` relative to the right-hand side, as without it.
+N with N + 1 5-smooth, so the transforms stay fast.  CG (``solver.cg``)
+stops on ``linear_tol`` relative to the right-hand side, as without it.
+``scipy.fft`` (which loads ``scipy.special``) is imported inside
+``_box_preconditioner``, at the first capacity or torsion solve, so a run
+that solves neither does not load it.
 
 Dimension n >= 2 throughout: in n = 1 single points carry positive capacity
 and the whole machinery degenerates, so it is rejected.
@@ -31,12 +34,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy import ndimage
-from scipy.fft import dstn, idstn, next_fast_len
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .geometry import (
     Grid,
@@ -47,6 +48,7 @@ from .geometry import (
     face_stencil,
     pinned_sum,
 )
+from .solver import cg
 
 _LOG2 = math.log(2.0)
 
@@ -82,10 +84,16 @@ class CompactMask:
 
 
 def dilate(mask: np.ndarray) -> np.ndarray:
-    if not mask.any():
-        return mask.copy()
-    structure = ndimage.generate_binary_structure(mask.ndim, 1)
-    return ndimage.binary_dilation(mask, structure=structure)
+    """``mask`` grown by one cell along each axis (the cross structure);
+    cells beyond the array edge stay False."""
+    out = mask.copy()
+    for ax in range(mask.ndim):
+        lo = [slice(None)] * mask.ndim
+        hi = [slice(None)] * mask.ndim
+        lo[ax], hi[ax] = slice(None, -1), slice(1, None)
+        out[tuple(lo)] |= mask[tuple(hi)]
+        out[tuple(hi)] |= mask[tuple(lo)]
+    return out
 
 
 def _energy(u: np.ndarray, mask: np.ndarray, h: float, n: int) -> float:
@@ -101,10 +109,12 @@ def _energy(u: np.ndarray, mask: np.ndarray, h: float, n: int) -> float:
 
 
 def _box_preconditioner(st: Stencil, shape: tuple, diag: float,
-                        off: float) -> LinearOperator:
+                        off: float) -> Callable[[np.ndarray], np.ndarray]:
     """``R A_box^-1 R^T`` for ``A = diag*I - off*adjacency`` on the cells of
     ``st``: the exact inverse on their bounding box, padded on the high end
     to sides N with N + 1 5-smooth, applied by type-I sine transforms."""
+    from scipy.fft import dstn, idstn, next_fast_len
+
     coords = np.unravel_index(st.flat, shape)
     lo = [int(c.min()) for c in coords]
     box = tuple(next_fast_len(int(c.max()) - a + 2, real=True) - 1
@@ -122,8 +132,7 @@ def _box_preconditioner(st: Stencil, shape: tuple, diag: float,
         z = dstn(z, type=1, overwrite_x=True) / eig
         return idstn(z, type=1, overwrite_x=True).ravel()[at]
 
-    count = len(st.flat)
-    return LinearOperator((count, count), matvec=apply, dtype=float)
+    return apply
 
 
 def _box_solve(st: Stencil, shape: tuple, diag: float, off: float,

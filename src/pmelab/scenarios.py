@@ -130,12 +130,26 @@ def build_grid(spec: dict) -> Grid:
                 extents=tuple(spec["extents"]))
 
 
+def _point(value, grid: Grid, where: str):
+    """``value``, a point-valued field at ``where``, once it has one
+    coordinate per axis of ``grid``."""
+    if len(value) != grid.n:
+        raise ScenarioError(f"{where} has {len(value)} coordinates; "
+                            f"the grid has {grid.n} axes")
+    return value
+
+
 def build_spatial(spec: dict, grid: Grid, where: str = "base"
                   ) -> SpatialDomain:
     """The domain a base spec names on ``grid``; ``where`` locates the spec
     in the scenario for error messages."""
     kind = spec.get("shape", "box")
     centers = grid.centers()
+
+    def point(key, default=None):
+        value = spec[key] if default is None else spec.get(key, default)
+        return np.asarray(_point(value, grid, f"{where}/{key}"), dtype=float)
+
     if kind == "inline":
         mask = np.asarray(spec["mask"], dtype=bool)
         cells = math.prod(grid.extents)
@@ -144,7 +158,7 @@ def build_spatial(spec: dict, grid: Grid, where: str = "base"
                                 f"cells, the grid {cells}")
         return SpatialDomain(grid, mask.reshape(grid.extents))
     if kind in ("ball", "punctured_ball"):
-        center = np.asarray(spec["center"], dtype=float)
+        center = point("center")
         radius = float(spec["radius"])
         mask = np.linalg.norm(centers - center, axis=-1) < radius
         if kind == "punctured_ball":
@@ -152,15 +166,13 @@ def build_spatial(spec: dict, grid: Grid, where: str = "base"
         return SpatialDomain(grid, mask)
     if kind not in ("box", "box_minus_segment"):
         raise ScenarioError(f"unknown domain shape {kind!r}")
-    lo = np.asarray(spec.get("lo", grid.origin))
-    hi = np.asarray(spec.get("hi",
-                             np.asarray(grid.origin)
-                             + np.asarray(grid.extents) * grid.h))
+    lo = point("lo", grid.origin)
+    hi = point("hi", np.asarray(grid.origin)
+               + np.asarray(grid.extents) * grid.h)
     mask = np.all((centers > lo) & (centers < hi), axis=-1)
     if kind == "box":
         return SpatialDomain(grid, mask)
-    a = np.asarray(spec["seg_from"], dtype=float)
-    b = np.asarray(spec["seg_to"], dtype=float)
+    a, b = point("seg_from"), point("seg_to")
     ab = b - a
     denom = float(ab @ ab)
     flat = centers.reshape(-1, grid.n)
@@ -353,7 +365,7 @@ def _probe_inputs(doc):
     probe-type operation; the family is the operation's, else perron's
     default one."""
     op, m, d, cfg = _solve_inputs(doc)
-    xi0 = (tuple(op["x0"]), float(op["t0"]))
+    xi0 = (tuple(_point(op["x0"], d.grid, "operation/x0")), float(op["t0"]))
     if "family" in op:
         family = [build_data(s, m, d.grid) for s in op["family"]]
         labels = [s.get("label", s.get("profile", f"member-{i}"))
@@ -388,6 +400,10 @@ def _op_solve(doc, report, rng):
 
 def _op_verify_barrier(doc, report, rng):
     op = doc["operation"]
+    expect = op.get("expect", "certified")
+    if expect not in ("certified", "violations"):
+        raise ScenarioError(f"operation/expect {expect!r} is neither "
+                            "'certified' nor 'violations'")
     spec_args = dict(op["barrier"])
     region = build_domain(doc)
     if spec_args.get("diam") is None:
@@ -396,8 +412,8 @@ def _op_verify_barrier(doc, report, rng):
         t_spec = spec_args.pop("torsion")
         U = build_spatial(t_spec["base"], region.grid,
                           "operation/barrier/torsion/base")
-        spec_args["torsion_field"] = capacity.torsion_profile(
-            U, tuple(t_spec["x0"]))
+        x0 = _point(t_spec["x0"], U.grid, "operation/barrier/torsion/x0")
+        spec_args["torsion_field"] = capacity.torsion_profile(U, tuple(x0))
     spec = barriers.BarrierSpec(**spec_args)
     policy = barriers.SamplingPolicy(seed=doc.get("seed", 0),
                                      jitter_factor=op.get("jitter_factor", 10),
@@ -407,7 +423,7 @@ def _op_verify_barrier(doc, report, rng):
     report.write_csv("violations.csv", ["x", "t", "residual"],
                      ((";".join(map(str, x)), t, r)
                       for x, t, r in rep.violating_samples))
-    certify = op.get("expect", "certified") == "certified"
+    certify = expect == "certified"
     report.check("claimed residual sign certified" if certify
                  else "violations found (as expected)",
                  rep.certified == certify,
@@ -444,7 +460,8 @@ def _removability_from_op(op, d, report):
                              "operation/removability/base")
     env = SpaceTimeDomain(
         [Cylinder(env_base, c.t1, c.t2) for c in d.cylinders], d.dt)
-    prof, verdict = _thickness(d.step_base(0), rem["x0"], rem.get("k_max", 5))
+    x0 = _point(rem["x0"], d.grid, "operation/removability/x0")
+    prof, verdict = _thickness(d.step_base(0), x0, rem.get("k_max", 5))
     report.payload["thickness"] = verdict.to_dict()
     return perron.RemovabilityCertificate(env, prof, verdict)
 
@@ -536,7 +553,8 @@ def _op_capacity(doc, report, rng):
 def _op_wiener(doc, report, rng):
     op = doc["operation"]
     U = build_spatial(op["base"], build_grid(doc["grid"]), "operation/base")
-    prof, verdict = _thickness(U, op["x0"], op.get("k_max", 5))
+    x0 = _point(op["x0"], U.grid, "operation/x0")
+    prof, verdict = _thickness(U, x0, op.get("k_max", 5))
     rows = list(prof.to_rows())
     header = ["k", "r", "cap", "integrand", "partial_sum"]
     report.write_csv("wiener.csv", header, map(itemgetter(*header), rows))
@@ -554,13 +572,14 @@ def _op_torsion(doc, report, rng):
     op = doc["operation"]
     grid = build_grid(doc["grid"])
     U = build_spatial(op["base"], grid, "operation/base")
-    field = capacity.torsion_profile(U, tuple(op["x0"]))
+    x0 = _point(op["x0"], grid, "operation/x0")
+    field = capacity.torsion_profile(U, tuple(x0))
     cells = np.nonzero(U.mask)
     values = field.values[cells]
     report.write_csv("torsion.csv",
                      [f"i{a}" for a in range(grid.n)] + ["value"],
                      zip(*cells, values))
-    phi = np.linalg.norm(grid.centers() - op["x0"], axis=-1)
+    phi = np.linalg.norm(grid.centers() - x0, axis=-1)
     report.check("profile dominates |x - x0|",
                  bool(np.all(values >= phi[cells] - 1e-9)))
     report.payload["torsion"] = {"min": float(np.nanmin(values)),
@@ -569,8 +588,8 @@ def _op_torsion(doc, report, rng):
 
 def _op_degiorgi(doc, report, rng):
     op, m, d, cfg = _solve_inputs(doc)
+    x0 = tuple(_point(op["x0"], d.grid, "operation/x0"))
     field = solve_union(d, build_data(doc["data"], m, d.grid), cfg, m)
-    x0 = tuple(op["x0"])
     t0, rho, sigma = float(op["t0"]), float(op["rho"]), float(op["sigma"])
     M = float(op.get("M", 0.0))
     k = float(op.get("k", 0.5 * field.sup()))

@@ -34,7 +34,7 @@ Cells are numbered in C order, so the Jacobian is banded; its bandwidth
 is the largest index distance between neighbours (a row of the core in
 2-D).  When that is at most ``_BAND_MAX`` (32), each iteration factors
 the Jacobian in place in the workspace's band buffer by LAPACK
-``pbtrf``, and CG is preconditioned by one operator per slab that
+``pbtrf``, and CG is preconditioned by one callable per slab that
 applies the factor by ``pbtrs``: the routines that
 ``scipy.linalg.cholesky_banded`` and ``cho_solve_banded`` call.  The
 factor is exact, so CG converges in one iteration; wider bands keep
@@ -43,11 +43,14 @@ the benchmark's Barenblatt ladder and criterion 5 runs: 32 factors the
 h = 1/32 systems (band 30) and beat 16 and 64, where factoring the
 h = 1/64 systems (band 62) cost more than their CG iterations.  Either
 way CG stops on ``linear_tol`` relative to the right-hand side, so the
-tolerances keep their meaning.  ``Field.stats`` counts the CG iterations
-per step (``linear_iterations``), every halving of a Newton line search
-(``line_search_backtracks``) and the line searches in which no halving
-met the Armijo test (``line_search_failures``; the last halved step is
-kept).
+tolerances keep their meaning.  The CG is ``cg`` here, which ``capacity``
+shares: scipy 1.17's ``scipy.sparse.linalg.cg`` iteration step for step,
+so its iterates are scipy's bits, with the preconditioner a plain
+callable and none of scipy's operator wrapping on each call.
+``Field.stats`` counts the CG iterations per step (``linear_iterations``),
+every halving of a Newton line search (``line_search_backtracks``) and
+the line searches in which no halving met the Armijo test
+(``line_search_failures``; the last halved step is kept).
 
 Newton starts each implicit step from the linear extrapolation
 ``2*u_{k-1} - u_{k-2}`` of the last two levels, whose error is O(dt^2)
@@ -86,7 +89,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .geometry import (
     SpaceTimeDomain,
@@ -109,6 +111,44 @@ _PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 def _pow_odd(u: np.ndarray, m: float) -> np.ndarray:
     """sign(u)|u|^m; the monotone odd extension of u^m to negative values."""
     return np.sign(u) * np.abs(u) ** m
+
+
+def cg(A, b: np.ndarray, *, rtol: float, atol: float = 0.0, maxiter: int,
+       M: Callable | None = None, callback: Callable | None = None
+       ) -> tuple[np.ndarray, int]:
+    """Solve ``A x = b`` for SPD ``A`` by preconditioned conjugate gradient
+    from x0 = 0; ``M(r)`` applies the preconditioner (None: the identity).
+
+    Returns ``(x, 0)`` once ``norm(r) < max(atol, rtol*norm(b))`` at the top
+    of an iteration, else ``(x, maxiter)``; ``callback(x)`` runs after each
+    iteration.  Each step is scipy 1.17's ``scipy.sparse.linalg.cg``, with
+    the same dot and axpy order, so the iterates are its bits.
+    """
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 == 0:
+        return b.copy(), 0
+    tol = max(float(atol), float(rtol) * float(bnrm2))
+    x = np.zeros_like(b)
+    r = b.copy()
+    rho_prev = p = None
+    for it in range(maxiter):
+        if np.linalg.norm(r) < tol:
+            return x, 0
+        z = r if M is None else M(r)
+        rho = np.dot(r, z)
+        if it:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = A @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        if callback is not None:
+            callback(x)
+    return x, maxiter
 
 
 @dataclass(frozen=True)
@@ -339,12 +379,10 @@ class _SlabJacobian:
             # viewed as a Fortran-ordered (bw + 1, n) array, which pbtrf
             # factors in place
             self._band = np.zeros(n * (slab.bw + 1))
-            # The operator closes over a one-slot list, not over self, so
-            # that the workspace and its operator form no reference cycle.
+            # The callable closes over a one-slot list, not over self, so
+            # that the workspace and its callable form no reference cycle.
             self._cb = cb = [self._band.reshape(n, slab.bw + 1).T]
-            self.precond = LinearOperator(
-                M.shape, dtype=float,
-                matvec=lambda r: _PBTRS(cb[0], r)[0])
+            self.precond = lambda r: _PBTRS(cb[0], r)[0]
 
     def update(self, s: np.ndarray, c: float) -> None:
         """Set J to ``I + c*S M S`` with ``S = diag(s)``; factor it if the

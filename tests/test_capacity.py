@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 from scipy.fft import next_fast_len
 from scipy.sparse.linalg import spsolve
 
@@ -372,7 +373,7 @@ def test_box_preconditioner_is_the_restricted_box_inverse(cells):
     st_ = face_stencil(sel)
     diag, off = 4.5, 1.0
     P = _box_preconditioner(st_, sel.shape, diag, off)
-    dense = P @ np.eye(len(st_.flat))
+    dense = np.column_stack([P(col) for col in np.eye(len(st_.flat)).T])
     coords = np.argwhere(sel)
     lo = coords.min(axis=0)
     box = tuple(next_fast_len(int(w) + 1, real=True) - 1
@@ -384,6 +385,23 @@ def test_box_preconditioner_is_the_restricted_box_inverse(cells):
     expected = np.linalg.inv(A_box)[np.ix_(at, at)]
     assert np.allclose(dense, expected, rtol=0.0, atol=1e-12)
     assert np.allclose(dense, dense.T, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3), corner=st.booleans())
+def test_dilate_is_the_cross_binary_dilation(data, n, corner):
+    shape = tuple(data.draw(st.lists(st.integers(1, 6), min_size=n,
+                                     max_size=n)))
+    cells = int(np.prod(shape))
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=cells,
+                                       max_size=cells))).reshape(shape)
+    if corner:                      # a set cell on the array edge
+        mask[(-1,) * n] = True
+    before = mask.copy()
+    expected = ndimage.binary_dilation(
+        mask, structure=ndimage.generate_binary_structure(n, 1))
+    assert np.array_equal(dilate(mask), expected)
+    assert np.array_equal(mask, before)
 
 
 def staircase_ambient(heights, width):

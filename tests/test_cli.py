@@ -122,7 +122,10 @@ def test_cli_rejects_malformed_nested_fields(tmp_path, capsys, name, path,
 # or (a misspelled key) ran with the default.  A value of None deletes the
 # field: a missing profile parameter was an input error that did not say
 # where.  The schema types an operation key whatever the kind, so a solve
-# shows the typed refinement_ladder.
+# shows the typed refinement_ladder.  A point has one coordinate per grid
+# axis: a 3-D box bound was a numpy broadcast error (exit 1), and a 1-D
+# center or pole broadcast silently.  A verify-barrier expect other than
+# certified or violations ran as violations.
 @pytest.mark.parametrize("name, path, value", [
     ("barrier-certification", "operation/barrier/dima", 1.0),
     ("bottom-regularity", "operation/family/0/value", "x"),
@@ -148,6 +151,16 @@ def test_cli_rejects_malformed_nested_fields(tmp_path, capsys, name, path,
     ("constant-solve", "operation/refinement_ladder", ["x"]),
     ("slit-box-wiener", "operation/k_mx", 4),
     ("punctured-disk", "operation/removability/k_mx", 5),
+    ("constant-solve", "domain/cylinders/0/base/lo", [-0.5, -0.5, -0.5]),
+    ("constant-solve", "domain/cylinders/0/base/hi", [0.5]),
+    ("punctured-disk", "domain/cylinders/0/base/center", [0.0]),
+    ("punctured-disk", "operation/removability/base/center", [0.0]),
+    ("punctured-disk", "operation/removability/x0", [0.0, 0.0, 0.0]),
+    ("punctured-disk", "operation/x0", [0.0]),
+    ("slit-box-wiener", "operation/base/seg_to", [1.0, 0.0, 0.0]),
+    ("slit-box-wiener", "operation/x0", [0.0]),
+    ("degiorgi-barenblatt", "operation/x0", [0.0]),
+    ("barrier-certification", "operation/expect", "certfied"),
 ])
 def test_cli_rejects_untyped_barrier_and_data_fields(tmp_path, capsys, name,
                                                      path, value):

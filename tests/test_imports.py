@@ -1,0 +1,40 @@
+"""What a run loads: scipy modules that a comparison campaign and a barrier
+sign certificate never use stay out of the process."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# scipy.fft (with scipy.special, which it loads) serves only the capacity
+# preconditioner, scipy.ndimage only connectivity labelling, and
+# scipy.sparse.linalg nothing.
+UNUSED = ("scipy.fft", "scipy.special", "scipy.ndimage", "scipy.sparse.linalg")
+
+CHILD = """
+import json, sys, tempfile
+from pmelab import barriers, bundled, scenarios
+
+doc = bundled.bundled_scenario("comparison-campaign")
+doc["operation"]["trials"] = 1
+with tempfile.TemporaryDirectory() as out:
+    report = scenarios.run_scenario(doc, out)
+spec = barriers.BarrierSpec(kind="quadratic_sub", c=1.0, j=1, m=2.0, n=2,
+                            diam=1.0)
+sign = barriers.verify_sign(spec, scenarios.build_domain(doc),
+                            barriers.SamplingPolicy(max_samples=500))
+print(json.dumps({"passed": report["all_pass"], "certified": sign.certified,
+                  "loaded": sorted(m for m in %r if m in sys.modules)}))
+""" % (UNUSED,)
+
+
+def test_campaign_and_sign_certificate_load_no_fft_ndimage_or_linalg():
+    env = os.environ | {"PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", CHILD], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    got = json.loads(out.stdout.splitlines()[-1])
+    assert got["passed"] and got["certified"]
+    assert got["loaded"] == []

@@ -243,6 +243,24 @@ def test_verify_barrier_operation_pins_its_check_payload_and_table(
     assert len(lines) == 1 + len(sign["violations"])
 
 
+@pytest.mark.parametrize("operation, where", [
+    ({"kind": "torsion", "base": {"shape": "box"}, "x0": [0.125]},
+     "operation/x0"),
+    ({"kind": "verify-barrier",
+      "barrier": {"kind": "torsion_sub", "c": 1.0, "j": 4, "m": 2.0, "n": 2,
+                  "torsion": {"base": {"shape": "box"},
+                              "x0": [0.5, 0.0, 0.0]}}},
+     "operation/barrier/torsion/x0"),
+])
+def test_torsion_poles_of_another_dimension_are_input_errors(
+        tmp_path, operation, where):
+    doc = {"name": "bad-pole", "grid": GRID, "operation": operation,
+           "domain": {"dt": 0.05, "cylinders": [
+               {"base": {"shape": "box"}, "t1": 0.0, "t2": 0.5}]}}
+    with pytest.raises(ScenarioError, match=where):
+        run_scenario(doc, tmp_path)
+
+
 def _keys_read(names):
     """The constant keys that scenarios.py reads from each variable of
     ``names`` as ``var["key"]`` or ``var.get("key", ...)``."""

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
+from scipy.sparse.linalg import LinearOperator, cg as scipy_cg
 
 from pmelab import bundled, scenarios, solver
 from pmelab.barriers import barenblatt
@@ -271,6 +272,70 @@ def test_band_factor_of_non_spd_matrix_raises():
     jac.J.data[:] = jac.slab.M.data
     with pytest.raises(SolverError, match="Cholesky"):
         jac.factor()
+
+
+@st.composite
+def _spd_systems(draw):
+    """A random banded SPD matrix (dense), its band and a right-hand side;
+    one in four right-hand sides is zero, with signed zeros."""
+    n = draw(st.integers(1, 40))
+    bw = draw(st.integers(0, min(4, n - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dense = np.zeros((n, n))
+    for k in range(1, bw + 1):
+        off = rng.uniform(-1.0, 1.0, n - k)
+        dense += np.diag(off, k) + np.diag(off, -k)
+    # strict diagonal dominance with a positive diagonal: SPD
+    dense += np.diag(np.abs(dense).sum(axis=1)
+                     + rng.uniform(0.01, 2.0, n))
+    b = rng.standard_normal(n) * draw(st.sampled_from([1.0, 1.0, 1.0, 0.0]))
+    return dense, bw, b
+
+
+def _preconditioner(kind, dense, bw):
+    """None, Jacobi, or the exact inverse by a banded Cholesky factor."""
+    if kind == "jacobi":
+        diag = dense.diagonal().copy()
+        return lambda r: r / diag
+    if kind == "cholesky":
+        ab = np.zeros((bw + 1, len(dense)))
+        for k in range(bw + 1):
+            ab[bw - k, k:] = np.diag(dense, k)
+        cb, info = solver._PBTRF(ab)
+        assert info == 0
+        return lambda r: solver._PBTRS(cb, r)[0]
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=_spd_systems(),
+       precond=st.sampled_from(["none", "jacobi", "cholesky"]),
+       rtol=st.sampled_from([1e-2, 1e-6, 1e-10, 1e-14]),
+       atol=st.sampled_from([0.0, 1e-8]),
+       maxiter=st.sampled_from([1, 2, None]))
+def test_cg_repeats_scipy_cg_bit_for_bit(system, precond, rtol, atol,
+                                         maxiter):
+    # maxiter 1 or 2 mostly runs out before the tolerance: info > 0
+    dense, bw, b = system
+    A = sp.csr_matrix(dense)
+    maxiter = maxiter or 10 * len(b) + 100
+    M = _preconditioner(precond, dense, bw)
+    counts = [0, 0]
+
+    def counter(i):
+        def count(_xk):
+            counts[i] += 1
+        return count
+
+    x, info = solver.cg(A, b, rtol=rtol, atol=atol, maxiter=maxiter, M=M,
+                        callback=counter(0))
+    M_op = None if M is None else LinearOperator(A.shape, matvec=M,
+                                                 dtype=float)
+    x_ref, info_ref = scipy_cg(A, b, rtol=rtol, atol=atol, maxiter=maxiter,
+                               M=M_op, callback=counter(1))
+    assert x.tobytes() == x_ref.tobytes()
+    assert info == info_ref
+    assert counts[0] == counts[1]
 
 
 def test_union_constant_on_expanding_stack():
