@@ -12,19 +12,22 @@ the value, and the reported ambient sensitivity lets callers bound the
 truncation error.
 
 The capacity and torsion systems are ``diag*I - off*A`` on selected cells,
-with constant coefficients and SPD.  Both are solved by conjugate gradient
-preconditioned with the fast inverse of the same operator on the bounding
-box of the selected cells (``_box_solve``): the residual is zero-extended
-into the box, the box operator is inverted by the type-I discrete sine
-transform that diagonalises it, and the result is restricted back.  This
-is ``R A_box^-1 R^T``, SPD for any selection; it is exact when the cells
-fill the box, and a hole costs a few iterations (the capacitance-matrix
-method).  Each box side is padded on the high end to the smallest length
-N with N + 1 5-smooth, so the transforms stay fast.  CG (``solver.cg``)
-stops on ``linear_tol`` relative to the right-hand side, as without it.
-``scipy.fft`` (which loads ``scipy.special``) is imported inside
-``_box_preconditioner``, at the first capacity or torsion solve, so a run
-that solves neither does not load it.
+with constant coefficients and SPD, so neither is assembled.  Both are
+solved by conjugate gradient (``solver.cg``) directly on the bounding box
+of the free cells, padded on the high end to sides N with N + 1 5-smooth
+so that the transforms stay fast (``_box_solve``, ``_BoxOperator``).  CG
+vectors are flat box arrays that are zero off the free cells.  A product
+is ``diag*p - off*(sum of p over the 2n face neighbours)`` by shifted
+slices (``_neighbour_sum``), zeroed off the free cells, and the right-hand
+sides are the same neighbour sum of the pinned values.  The
+preconditioner inverts the operator on the whole box by the type-I
+discrete sine transform that diagonalises it and zeroes the result off the
+free cells.  This is ``R A_box^-1 R^T``, SPD for any selection; it is
+exact when the cells fill the box, and a hole costs a few iterations (the
+capacitance-matrix method).  CG stops on ``linear_tol`` relative to the
+right-hand side.  ``scipy.fft`` (which loads ``scipy.special``) is
+imported when ``_BoxOperator`` is built, at the first capacity or torsion
+solve, so a run that solves neither does not load it.
 
 Dimension n >= 2 throughout: in n = 1 single points carry positive capacity
 and the whole machinery degenerates, so it is rejected.
@@ -34,20 +37,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
-from .geometry import (
-    Grid,
-    GeometryError,
-    SpatialDomain,
-    SpatialField,
-    Stencil,
-    face_stencil,
-    pinned_sum,
-)
+from .geometry import Grid, GeometryError, SpatialDomain, SpatialField
 from .solver import cg
 
 _LOG2 = math.log(2.0)
@@ -83,70 +76,121 @@ class CompactMask:
         return dilate(self.cells) & self.ambient.mask
 
 
+def _faces(ndim: int):
+    """Per axis, the slice pair ``(lower, upper)`` that lines each cell up
+    with its face neighbour one step up that axis."""
+    for ax in range(ndim):
+        lower = [slice(None)] * ndim
+        upper = [slice(None)] * ndim
+        lower[ax], upper[ax] = slice(None, -1), slice(1, None)
+        yield tuple(lower), tuple(upper)
+
+
 def dilate(mask: np.ndarray) -> np.ndarray:
     """``mask`` grown by one cell along each axis (the cross structure);
     cells beyond the array edge stay False."""
     out = mask.copy()
-    for ax in range(mask.ndim):
-        lo = [slice(None)] * mask.ndim
-        hi = [slice(None)] * mask.ndim
-        lo[ax], hi[ax] = slice(None, -1), slice(1, None)
-        out[tuple(lo)] |= mask[tuple(hi)]
-        out[tuple(hi)] |= mask[tuple(lo)]
+    for lower, upper in _faces(mask.ndim):
+        out[lower] |= mask[upper]
+        out[upper] |= mask[lower]
+    return out
+
+
+def _neighbour_sum(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` = per cell, the sum of ``v`` over its 2n face neighbours,
+    added in the order axis 0 step -1, axis 0 step +1, axis 1 step -1, ...;
+    neighbours beyond the array edge count zero."""
+    out.fill(0.0)
+    for lower, upper in _faces(v.ndim):
+        out[upper] += v[lower]
+        out[lower] += v[upper]
     return out
 
 
 def _energy(u: np.ndarray, mask: np.ndarray, h: float, n: int) -> float:
     grad = 0.0
-    for ax in range(mask.ndim):
-        src = [slice(None)] * mask.ndim
-        dst = [slice(None)] * mask.ndim
-        src[ax], dst[ax] = slice(1, None), slice(None, -1)
-        both = mask[tuple(src)] & mask[tuple(dst)]
-        d = (u[tuple(src)] - u[tuple(dst)])[both]
+    for lower, upper in _faces(mask.ndim):
+        both = mask[upper] & mask[lower]
+        d = (u[upper] - u[lower])[both]
         grad += float((d * d).sum())
     return h ** (n - 2) * grad + h ** n * float((u[mask] ** 2).sum())
 
 
-def _box_preconditioner(st: Stencil, shape: tuple, diag: float,
-                        off: float) -> Callable[[np.ndarray], np.ndarray]:
-    """``R A_box^-1 R^T`` for ``A = diag*I - off*adjacency`` on the cells of
-    ``st``: the exact inverse on their bounding box, padded on the high end
-    to sides N with N + 1 5-smooth, applied by type-I sine transforms."""
-    from scipy.fft import dstn, idstn, next_fast_len
+class _BoxOperator:
+    """``diag*I - off*adjacency`` on the free cells of a mask, acting on flat
+    vectors over the free cells' sine-transform box that are zero off the
+    free cells; box cells beyond the mask's array are not free.
 
-    coords = np.unravel_index(st.flat, shape)
-    lo = [int(c.min()) for c in coords]
-    box = tuple(next_fast_len(int(c.max()) - a + 2, real=True) - 1
-                for c, a in zip(coords, lo))
-    at = np.ravel_multi_index(tuple(c - a for c, a in zip(coords, lo)), box)
-    eig = np.full(box, diag)
-    for ax, size in enumerate(box):
-        k = np.arange(1, size + 1) * (math.pi / (size + 1))
-        eig -= 2 * off * np.cos(k).reshape([-1 if a == ax else 1
-                                            for a in range(len(box))])
+    ``A @ p`` writes into two buffers that every product reuses, so it
+    returns a view that the next product overwrites.  ``precondition``
+    applies ``R A_box^-1 R^T``.
+    """
 
-    def apply(r):
-        z = np.zeros(box)
-        z.flat[at] = r
-        z = dstn(z, type=1, overwrite_x=True) / eig
-        return idstn(z, type=1, overwrite_x=True).ravel()[at]
+    def __init__(self, free: np.ndarray, diag: float, off: float):
+        from scipy.fft import dstn, idstn, next_fast_len
 
-    return apply
+        self._dstn, self._idstn = dstn, idstn
+        coords = np.nonzero(free)
+        lo = [int(c.min()) for c in coords]
+        self.box = tuple(next_fast_len(int(c.max()) - a + 2, real=True) - 1
+                         for c, a in zip(coords, lo))
+        self.window = tuple(slice(a, min(a + size, extent)) for a, size,
+                            extent in zip(lo, self.box, free.shape))
+        self.inner = tuple(slice(0, w.stop - w.start) for w in self.window)
+        self.free = free[self.window]
+        self.fixed = np.ones(self.box, dtype=bool)
+        self.fixed[self.inner] = ~self.free
+        self.diag, self.off = diag, off
+        self.eig = np.full(self.box, diag, dtype=float)
+        for ax, size in enumerate(self.box):
+            k = np.arange(1, size + 1) * (math.pi / (size + 1))
+            self.eig -= 2 * off * np.cos(k).reshape(
+                [-1 if a == ax else 1 for a in range(len(self.box))])
+        self._sum = np.empty(self.box)
+        self._out = np.empty(self.box)
+
+    def to_box(self, values: np.ndarray) -> np.ndarray:
+        """The flat box vector of ``values`` (one per mask cell) on the
+        free cells, zero elsewhere."""
+        x = np.zeros(self.box)
+        x[self.inner] = values[self.window]
+        x[self.fixed] = 0.0
+        return x.ravel()
+
+    def from_box(self, x: np.ndarray) -> np.ndarray:
+        """The free cells' entries of a flat box vector, in C order."""
+        return x.reshape(self.box)[self.inner][self.free]
+
+    def __matmul__(self, p: np.ndarray) -> np.ndarray:
+        p = p.reshape(self.box)
+        q = np.multiply(p, self.diag, out=self._out)
+        s = _neighbour_sum(p, self._sum)
+        s *= self.off
+        q -= s
+        q[self.fixed] = 0.0
+        return q.ravel()
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        z = self._dstn(r.reshape(self.box), type=1)
+        z /= self.eig
+        z = self._idstn(z, type=1, overwrite_x=True)
+        z[self.fixed] = 0.0
+        return z.ravel()
 
 
-def _box_solve(st: Stencil, shape: tuple, diag: float, off: float,
-               rhs: np.ndarray, linear_tol: float, what: str) -> np.ndarray:
-    """Solve ``(diag*I - off*adjacency) x = rhs`` on the cells of ``st`` by
-    CG preconditioned with the fast box inverse."""
-    count = len(st.flat)
-    M = sp.diags(np.full(count, diag)) - off * st.adjacency
-    sol, info = cg(M, rhs, rtol=linear_tol, atol=0.0,
-                   maxiter=20 * count + 200,
-                   M=_box_preconditioner(st, shape, diag, off))
+def _box_solve(free: np.ndarray, diag: float, off: float, rhs: np.ndarray,
+               linear_tol: float, what: str) -> np.ndarray:
+    """Solve ``(diag*I - off*adjacency) x = rhs`` on the free cells by CG on
+    their sine-transform box (``_BoxOperator``), preconditioned by the box
+    inverse; ``rhs`` has one value per mask cell and the solution lists
+    the free cells in C order."""
+    op = _BoxOperator(free, diag, off)
+    sol, info = cg(op, op.to_box(rhs), rtol=linear_tol, atol=0.0,
+                   maxiter=20 * int(np.count_nonzero(free)) + 200,
+                   M=op.precondition)
     if info != 0:
         raise CapacityError(f"{what} CG did not converge (info={info})")
-    return sol
+    return op.from_box(sol)
 
 
 def capacity(E: CompactMask, linear_tol: float = 1e-8) -> float:
@@ -165,10 +209,10 @@ def capacity(E: CompactMask, linear_tol: float = 1e-8) -> float:
     u = np.zeros(E.grid.extents)
     u[pinned_one] = 1.0
     if free.any():
-        st = face_stencil(free)
-        rhs = pinned_sum(st, pinned_one.astype(float)) / h ** 2
-        u[free] = _box_solve(st, free.shape, 2 * n / h ** 2 + 1.0, 1 / h ** 2,
-                             rhs, linear_tol, "capacity")
+        one = pinned_one.astype(float)
+        rhs = _neighbour_sum(one, np.empty_like(one)) / h ** 2
+        u[free] = _box_solve(free, 2 * n / h ** 2 + 1.0, 1 / h ** 2, rhs,
+                             linear_tol, "capacity")
     return _energy(u, V.mask, h, n)
 
 
@@ -382,10 +426,10 @@ def torsion_profile(U: SpatialDomain, x0, linear_tol: float = 1e-10
     values[U.boundary_mask] = phi[U.boundary_mask]
     core = U.core_mask
     if core.any():
-        st = face_stencil(core)
-        rhs = 1.0 + pinned_sum(st, phi) / h ** 2
-        sol = _box_solve(st, core.shape, 2 * U.grid.n / h ** 2, 1 / h ** 2,
-                         rhs, linear_tol, "torsion")
+        pinned = np.where(core, 0.0, phi)
+        rhs = 1.0 + _neighbour_sum(pinned, np.empty_like(phi)) / h ** 2
+        sol = _box_solve(core, 2 * U.grid.n / h ** 2, 1 / h ** 2, rhs,
+                         linear_tol, "torsion")
         values[core] = sol
         slack = sol - phi[core]
         if slack.min() < -1e-9 * max(1.0, float(np.abs(sol).max())):

@@ -193,9 +193,11 @@ def build_domain(doc: dict) -> SpaceTimeDomain:
     return SpaceTimeDomain(cyls, dt)
 
 
-def build_data(spec: dict, m: float, grid: Grid) -> BoundaryData:
+def build_data(spec: dict, m: float, grid: Grid, where: str = "data"
+               ) -> BoundaryData:
     """Boundary data of a named profile; ``grid`` bounds the affine
-    profiles, whose declared sup is their maximum over the grid's box."""
+    profiles, whose declared sup is their maximum over the grid's box, and
+    ``where`` locates the spec in the scenario for error messages."""
     kind = spec.get("profile", "constant")
     if kind == "constant":
         return BoundaryData.constant(float(spec["value"]))
@@ -221,7 +223,8 @@ def build_data(spec: dict, m: float, grid: Grid) -> BoundaryData:
             fn=lambda x, t: barriers.barenblatt(x, t, m, n, C),
             bounds=(0.0, float(spec.get("sup", 1.0))))
     if kind == "tent":
-        center = np.asarray(spec["center"], dtype=float)
+        center = np.asarray(_point(spec["center"], grid, f"{where}/center"),
+                            dtype=float)
         t0 = float(spec.get("t0", 0.0))
         width = float(spec["width"])
         floor = float(spec.get("floor", 0.0))
@@ -233,7 +236,8 @@ def build_data(spec: dict, m: float, grid: Grid) -> BoundaryData:
 
         return BoundaryData(fn=tent, bounds=(max(floor, 0.0), peak))
     if kind == "ramped_tent":
-        center = np.asarray(spec["center"], dtype=float)
+        center = np.asarray(_point(spec["center"], grid, f"{where}/center"),
+                            dtype=float)
         width = float(spec["width"])
         ramp = float(spec.get("ramp", 0.05))
         floor = float(spec.get("floor", 0.0))
@@ -266,7 +270,7 @@ class RunReport:
         self.checks: list[dict] = []
         self.artifacts: list[str] = []
         self.payload: dict = {}
-        self.started = time.time()
+        self.started = time.perf_counter()
 
     def check(self, name: str, passed: bool, detail=None):
         self.checks.append({"check": name, "pass": bool(passed),
@@ -291,7 +295,7 @@ class RunReport:
             "scenario": {k: v for k, v in self.scenario.items()
                          if k != "operation"} | {
                              "operation": self.scenario["operation"]["kind"]},
-            "wall_time_s": round(time.time() - self.started, 3),
+            "wall_time_s": round(time.perf_counter() - self.started, 3),
             "checks": self.checks,
             "all_pass": self.all_pass,
             "artifacts": self.artifacts,
@@ -367,7 +371,8 @@ def _probe_inputs(doc):
     op, m, d, cfg = _solve_inputs(doc)
     xi0 = (tuple(_point(op["x0"], d.grid, "operation/x0")), float(op["t0"]))
     if "family" in op:
-        family = [build_data(s, m, d.grid) for s in op["family"]]
+        family = [build_data(s, m, d.grid, f"operation/family/{i}")
+                  for i, s in enumerate(op["family"])]
         labels = [s.get("label", s.get("profile", f"member-{i}"))
                   for i, s in enumerate(op["family"])]
     else:
@@ -408,6 +413,9 @@ def _op_verify_barrier(doc, report, rng):
     region = build_domain(doc)
     if spec_args.get("diam") is None:
         spec_args["diam"] = diameter(region)
+    if "anchor" in spec_args:
+        _point(spec_args["anchor"][0], region.grid,
+               "operation/barrier/anchor/0")
     if "torsion" in spec_args:
         t_spec = spec_args.pop("torsion")
         U = build_spatial(t_spec["base"], region.grid,
@@ -632,9 +640,9 @@ def _op_barenblatt(doc, report, rng):
         data = BoundaryData(
             fn=lambda x, t: barriers.barenblatt(x, t, m, n, C0),
             bounds=(0.0, peak))
-        t_start = time.time()
+        t_start = time.perf_counter()
         u = solve_union(d, data, cfg, m)
-        wall = time.time() - t_start
+        wall = time.perf_counter() - t_start
         exact = barriers.barenblatt(g.centers(), t2, m, n, C0)
         err = np.abs(u.values[-1] - exact)[U.mask]
         l1 = float(err.sum()) * h ** n
@@ -711,11 +719,23 @@ def _op_scaling_check(doc, report, rng):
         v_unit = Field(v.domain, v.values, m,
                        replace(u_a.config, diffusion=1.0), v.stats)
         worst = _worst_residual(v_unit)
-        scale = u_a.stats["residual_scale"] * a ** (1.0 / (m - 1))
+        factor = a ** (1.0 / (m - 1))
+        scale = u_a.stats["residual_scale"] * factor
         tol = cfg_a.newton_tol * scale * _ROUNDING_MARGIN
         report.check(f"transformed field solves the unit scheme (a={a})",
                      worst <= tol, {"worst": worst, "tol": tol})
         worst_overall = max(worst_overall, worst)
+        # The check above passes on any field whose residual stays under
+        # Newton's tolerance.  The transform is exact, so the transformed
+        # residual is factor times the multiplied solve's own, to rounding.
+        mask = u_a.scheme_mask
+        gap = float(np.abs(scheme_residual(v_unit)[mask]
+                           - factor * scheme_residual(u_a)[mask]
+                           ).max(initial=0.0))
+        unit = float(np.finfo(float).eps) * scale
+        report.check(f"transformed residual is a^(1/(m-1)) times the "
+                     f"multiplied one (a={a})", gap <= unit,
+                     {"gap": gap, "tol": unit})
     report.payload["scaling"] = {"worst_residual": worst_overall}
 
 

@@ -10,7 +10,7 @@ from pmelab import capacity as capacity_module
 from pmelab.capacity import (
     CapacityError,
     CompactMask,
-    _box_preconditioner,
+    _BoxOperator,
     _complement_mask_in_ball,
     _energy,
     capacity,
@@ -364,16 +364,50 @@ def test_torsion_on_disk_matches_direct_solve():
     assert np.allclose(v.values[U.core_mask], ref, rtol=1e-8, atol=0.0)
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(2, 3), edge=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_box_operator_is_the_stencil_operator(data, n, edge, seed):
+    # random free masks; sides of 6, 10 or 12 free cells make a box that is
+    # padded, and with a free cell on the high edge it runs past the array
+    shape = tuple(data.draw(st.lists(st.integers(1, 12 if n == 2 else 7),
+                                     min_size=n, max_size=n)))
+    rng = np.random.default_rng(seed)
+    free = rng.random(shape) < rng.uniform(0.2, 1.0)
+    if edge:
+        free[(-1,) * n] = True
+    if not free.any():
+        free[(0,) * n] = True
+    h = rng.uniform(0.01, 1.0)
+    diag, off = 2 * n / h ** 2 + 1.0, 1 / h ** 2
+    x = rng.standard_normal(int(free.sum()))
+    values = np.zeros(shape)
+    values[free] = x
+    op = _BoxOperator(free, diag, off)
+    q = op @ op.to_box(values)
+    A = sp.diags(np.full(len(x), diag)) - off * face_stencil(free).adjacency
+    scale = (diag + 2 * n * off) * np.abs(x).max()
+    assert np.abs(op.from_box(q) - A @ x).max() <= 1e-13 * scale
+    assert not q.reshape(op.box)[op.fixed].any()
+
+
 @pytest.mark.parametrize("cells", [14, 16])
 def test_box_preconditioner_is_the_restricted_box_inverse(cells):
     # explicit R A_box^-1 R^T on a disk's core: its 12-cell box is padded to
     # 14 (13 is prime, 15 = 3 * 5); its 14-cell box is not padded
     g, V = disk_ambient(cells)
     sel = V.core_mask
-    st_ = face_stencil(sel)
     diag, off = 4.5, 1.0
-    P = _box_preconditioner(st_, sel.shape, diag, off)
-    dense = np.column_stack([P(col) for col in np.eye(len(st_.flat)).T])
+    op = _BoxOperator(sel, diag, off)
+    unit = np.zeros(sel.shape)
+    columns = []
+    for flat in np.flatnonzero(sel):
+        unit.flat[flat] = 1.0
+        z = op.precondition(op.to_box(unit))
+        assert not z.reshape(op.box)[op.fixed].any()
+        columns.append(op.from_box(z))
+        unit.flat[flat] = 0.0
+    dense = np.column_stack(columns)
     coords = np.argwhere(sel)
     lo = coords.min(axis=0)
     box = tuple(next_fast_len(int(w) + 1, real=True) - 1

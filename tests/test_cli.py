@@ -124,8 +124,9 @@ def test_cli_rejects_malformed_nested_fields(tmp_path, capsys, name, path,
 # where.  The schema types an operation key whatever the kind, so a solve
 # shows the typed refinement_ladder.  A point has one coordinate per grid
 # axis: a 3-D box bound was a numpy broadcast error (exit 1), and a 1-D
-# center or pole broadcast silently.  A verify-barrier expect other than
-# certified or violations ran as violations.
+# center, pole, data-profile center or barrier anchor broadcast silently.
+# A verify-barrier expect other than certified or violations ran as
+# violations.
 @pytest.mark.parametrize("name, path, value", [
     ("barrier-certification", "operation/barrier/dima", 1.0),
     ("bottom-regularity", "operation/family/0/value", "x"),
@@ -161,6 +162,8 @@ def test_cli_rejects_malformed_nested_fields(tmp_path, capsys, name, path,
     ("slit-box-wiener", "operation/x0", [0.0]),
     ("degiorgi-barenblatt", "operation/x0", [0.0]),
     ("barrier-certification", "operation/expect", "certfied"),
+    ("punctured-disk", "data/center", [0.0]),
+    ("barrier-certification", "operation/barrier/anchor", [[0.5], 0.0]),
 ])
 def test_cli_rejects_untyped_barrier_and_data_fields(tmp_path, capsys, name,
                                                      path, value):

@@ -1,6 +1,8 @@
 """What a run loads: scipy modules that a comparison campaign and a barrier
-sign certificate never use stay out of the process."""
+sign certificate never use stay out of the process, and the capacity module
+builds no sparse stencil."""
 
+import ast
 import json
 import os
 import subprocess
@@ -38,3 +40,23 @@ def test_campaign_and_sign_certificate_load_no_fft_ndimage_or_linalg():
     got = json.loads(out.stdout.splitlines()[-1])
     assert got["passed"] and got["certified"]
     assert got["loaded"] == []
+
+
+def test_capacity_assembles_no_sparse_stencil():
+    # capacity and torsion systems act on their sine-transform box; the
+    # solver's face_stencil stays the one stencil assembly path
+    tree = ast.parse((SRC / "pmelab" / "capacity.py").read_text())
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            modules |= {f"{module}.{alias.name}" for alias in node.names}
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert [m for m in modules if m.startswith("scipy.sparse")] == []
+    assert names & {"face_stencil", "pinned_sum"} == set()

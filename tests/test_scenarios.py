@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmelab import scenarios
+from pmelab import perron, scenarios
 from pmelab.barriers import barenblatt
 from pmelab.bundled import bundled_scenario
 from pmelab.geometry import Cylinder, SpaceTimeDomain
@@ -64,6 +64,21 @@ def test_affine_profile_sup_is_its_maximum_over_the_grid():
     (_, declared), (_, observed) = u.stats["data_bounds"].values()
     slack = abs(doc["data"]["b"]) * d.grid.h
     assert observed <= declared <= observed + slack
+
+def test_scaling_check_fails_a_transform_off_in_the_twelfth_digit(
+        tmp_path, monkeypatch):
+    # the residual bound is Newton's tolerance, which this mutant meets; the
+    # rounding-level comparison with the multiplied solve's residual does not
+    exact = perron.scale_transform
+    monkeypatch.setattr(perron, "scale_transform",
+                        lambda f, a, m: exact(f, a, m).scaled(1 + 1e-12))
+    report = run_scenario(bundled_scenario("scaling-exactness"), tmp_path)
+    passed = {c["check"]: c["pass"] for c in report["checks"]}
+    for a in (0.25, 4.0):
+        assert passed[f"transformed field solves the unit scheme (a={a})"]
+        assert not passed[f"transformed residual is a^(1/(m-1)) times the "
+                          f"multiplied one (a={a})"]
+
 
 def test_unknown_shape_and_profile_rejected():
     g = build_grid(GRID)
