@@ -17,12 +17,12 @@ solved by conjugate gradient (``solver.cg``) directly on the bounding box
 of the free cells, padded on the high end to sides N with N + 1 5-smooth
 so that the transforms stay fast (``_box_solve``, ``_BoxOperator``).  CG
 vectors are flat box arrays that are zero off the free cells.  A product
-is ``diag*p - off*(sum of p over the 2n face neighbours)`` by shifted
-slices (``_neighbour_sum``), zeroed off the free cells, and the right-hand
-sides are the same neighbour sum of the pinned values.  The
-preconditioner inverts the operator on the whole box by the type-I
-discrete sine transform that diagonalises it and zeroes the result off the
-free cells.  This is ``R A_box^-1 R^T``, SPD for any selection; it is
+is ``diag*p - off*(sum of p over the 2n face neighbours)`` by
+geometry's face walk (``geometry.neighbour_sum``), zeroed off the free
+cells, and the right-hand sides are the same neighbour sum of the pinned
+values.  The preconditioner inverts the operator on the whole box by the
+type-I discrete sine transform that diagonalises it and zeroes the result
+off the free cells.  This is ``R A_box^-1 R^T``, SPD for any selection; it is
 exact when the cells fill the box, and a hole costs a few iterations (the
 capacitance-matrix method).  CG stops on ``linear_tol`` relative to the
 right-hand side.  ``scipy.fft`` (which loads ``scipy.special``) is
@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Grid, GeometryError, SpatialDomain, SpatialField
+from .geometry import (GeometryError, Grid, SpatialDomain, SpatialField,
+                       dilate, faces, neighbour_sum)
 from .solver import cg
 
 _LOG2 = math.log(2.0)
@@ -76,40 +77,9 @@ class CompactMask:
         return dilate(self.cells) & self.ambient.mask
 
 
-def _faces(ndim: int):
-    """Per axis, the slice pair ``(lower, upper)`` that lines each cell up
-    with its face neighbour one step up that axis."""
-    for ax in range(ndim):
-        lower = [slice(None)] * ndim
-        upper = [slice(None)] * ndim
-        lower[ax], upper[ax] = slice(None, -1), slice(1, None)
-        yield tuple(lower), tuple(upper)
-
-
-def dilate(mask: np.ndarray) -> np.ndarray:
-    """``mask`` grown by one cell along each axis (the cross structure);
-    cells beyond the array edge stay False."""
-    out = mask.copy()
-    for lower, upper in _faces(mask.ndim):
-        out[lower] |= mask[upper]
-        out[upper] |= mask[lower]
-    return out
-
-
-def _neighbour_sum(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out`` = per cell, the sum of ``v`` over its 2n face neighbours,
-    added in the order axis 0 step -1, axis 0 step +1, axis 1 step -1, ...;
-    neighbours beyond the array edge count zero."""
-    out.fill(0.0)
-    for lower, upper in _faces(v.ndim):
-        out[upper] += v[lower]
-        out[lower] += v[upper]
-    return out
-
-
 def _energy(u: np.ndarray, mask: np.ndarray, h: float, n: int) -> float:
     grad = 0.0
-    for lower, upper in _faces(mask.ndim):
+    for lower, upper in faces(mask.ndim):
         both = mask[upper] & mask[lower]
         d = (u[upper] - u[lower])[both]
         grad += float((d * d).sum())
@@ -164,7 +134,7 @@ class _BoxOperator:
     def __matmul__(self, p: np.ndarray) -> np.ndarray:
         p = p.reshape(self.box)
         q = np.multiply(p, self.diag, out=self._out)
-        s = _neighbour_sum(p, self._sum)
+        s = neighbour_sum(p, self._sum)
         s *= self.off
         q -= s
         q[self.fixed] = 0.0
@@ -210,7 +180,7 @@ def capacity(E: CompactMask, linear_tol: float = 1e-8) -> float:
     u[pinned_one] = 1.0
     if free.any():
         one = pinned_one.astype(float)
-        rhs = _neighbour_sum(one, np.empty_like(one)) / h ** 2
+        rhs = neighbour_sum(one, np.empty_like(one)) / h ** 2
         u[free] = _box_solve(free, 2 * n / h ** 2 + 1.0, 1 / h ** 2, rhs,
                              linear_tol, "capacity")
     return _energy(u, V.mask, h, n)
@@ -427,7 +397,7 @@ def torsion_profile(U: SpatialDomain, x0, linear_tol: float = 1e-10
     core = U.core_mask
     if core.any():
         pinned = np.where(core, 0.0, phi)
-        rhs = 1.0 + _neighbour_sum(pinned, np.empty_like(phi)) / h ** 2
+        rhs = 1.0 + neighbour_sum(pinned, np.empty_like(phi)) / h ** 2
         sol = _box_solve(core, 2 * U.grid.n / h ** 2, 1 / h ** 2, rhs,
                          linear_tol, "torsion")
         values[core] = sol

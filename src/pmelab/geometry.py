@@ -4,8 +4,11 @@ Spatial domains are axis-aligned voxel masks on a uniform grid: a cell is
 identified by its integer index and represented by its center.  A mask stands
 for the *closure* of an open set U; the cells of the mask that touch the
 exterior play the role of the topological boundary of U, the remaining cells
-the role of U itself.  ``face_stencil`` builds the neighbour structure of
-the 2n+1-point Laplacian on any cell selection.  Space-time domains are
+the role of U itself.  Every face-neighbour operation walks the faces one
+way (``faces``): the cells next to the exterior (``exterior_adjacent``),
+the one-cell dilation (``dilate``), the sum over the 2n neighbours
+(``neighbour_sum``) and the 2n+1-point Laplacian's neighbour structure on
+any cell selection (``face_stencil``).  Space-time domains are
 finite unions of cylinders (base x open time interval) over a shared grid and
 a shared uniform time step.  Each one holds one sample structure
 (``SpaceTimeDomain.samples``): the defined and the interior samples of
@@ -82,25 +85,56 @@ class Grid:
                 and self.origin == other.origin and self.extents == other.extents)
 
 
+def faces(ndim: int, axes=None):
+    """The face walk: per axis (every axis by default), the slice pair
+    ``(lower, upper)`` that lines each cell up with its face neighbour one
+    step up that axis."""
+    for ax in range(ndim) if axes is None else axes:
+        lower = [slice(None)] * ndim
+        upper = [slice(None)] * ndim
+        lower[ax], upper[ax] = slice(None, -1), slice(1, None)
+        yield tuple(lower), tuple(upper)
+
+
 def exterior_adjacent(mask: np.ndarray, axes=None) -> np.ndarray:
     """Cells of the mask with a face neighbour outside the mask along
     ``axes`` (every axis by default).
 
     Cells beyond the array edge count as exterior.
     """
-    flat = np.ravel(mask)
-    inner = flat.reshape(mask.shape).copy()
-    flat_inner, n = inner.reshape(-1), flat.size
-    for ax in range(mask.ndim) if axes is None else axes:
-        # Face neighbours along ax lie ``stride`` apart in C order, so each
-        # direction is one contiguous shifted AND.  The shift wraps only
-        # from the edge cells, which are cleared after it.
-        stride = math.prod(mask.shape[ax + 1:])
-        flat_inner[:n - stride] &= flat[stride:]
-        flat_inner[stride:] &= flat[:n - stride]
-        inner[(slice(None),) * ax + (0,)] = False
-        inner[(slice(None),) * ax + (-1,)] = False
-    return inner ^ flat.reshape(mask.shape)
+    mask = np.asarray(mask, dtype=bool)
+    axes = tuple(range(mask.ndim) if axes is None else axes)
+    # the cells off the array edge along axes, each kept where its face
+    # neighbours along axes lie in the mask
+    inner = np.zeros_like(mask)
+    within = tuple(slice(1, -1) if ax in axes else slice(None)
+                   for ax in range(mask.ndim))
+    inner[within] = mask[within]
+    for lower, upper in faces(mask.ndim, axes):
+        inner[lower] &= mask[upper]
+        inner[upper] &= mask[lower]
+    return inner ^ mask
+
+
+def dilate(mask: np.ndarray) -> np.ndarray:
+    """``mask`` grown by one cell along each axis (the cross structure);
+    cells beyond the array edge stay False."""
+    out = mask.copy()
+    for lower, upper in faces(mask.ndim):
+        out[lower] |= mask[upper]
+        out[upper] |= mask[lower]
+    return out
+
+
+def neighbour_sum(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` = per cell, the sum of ``v`` over its 2n face neighbours,
+    added in the order axis 0 step -1, axis 0 step +1, axis 1 step -1, ...;
+    neighbours beyond the array edge count zero."""
+    out.fill(0.0)
+    for lower, upper in faces(v.ndim):
+        out[upper] += v[lower]
+        out[lower] += v[upper]
+    return out
 
 
 class Stencil(NamedTuple):
@@ -108,51 +142,39 @@ class Stencil(NamedTuple):
 
     ``adjacency`` is the 0/1 CSR matrix among the selected cells, numbered in
     C order, and ``flat`` holds each selected cell's flat grid index.
-    ``pinned`` has one (rows, flat neighbour indices) pair per stencil
-    direction, in the order axis 0 step -1, axis 0 step +1, axis 1 step -1,
-    ...; it lists the neighbours that are not selected.  Neighbours beyond
-    the grid edge are dropped.
+    ``pinned`` is the 0/1 CSR matrix from the selected cells to their
+    unselected neighbours among all grid cells, so ``pinned @ v.ravel()``
+    sums grid values ``v`` over those.  Neighbours beyond the grid edge are
+    dropped.  Both are canonical (sorted indices, no duplicates), so a
+    product adds each row's entries in C order.
     """
 
     adjacency: sp.csr_matrix
     flat: np.ndarray
-    pinned: list[tuple[np.ndarray, np.ndarray]]
+    pinned: sp.csr_matrix
 
 
 def face_stencil(sel: np.ndarray) -> Stencil:
     """The stencil among the cells marked in ``sel``."""
     flat = np.flatnonzero(sel)
-    index_of = np.full(sel.size, -1, dtype=np.int64)
-    index_of[flat] = np.arange(len(flat))
-    coords = np.unravel_index(flat, sel.shape)
-    rows, cols, pinned = [], [], []
-    for ax in range(sel.ndim):
-        for step in (-1, 1):
-            shifted = list(coords)
-            shifted[ax] = coords[ax] + step
-            inside = np.flatnonzero((shifted[ax] >= 0)
-                                    & (shifted[ax] < sel.shape[ax]))
-            nbs = np.ravel_multi_index(tuple(c[inside] for c in shifted),
-                                       sel.shape)
-            j = index_of[nbs]
-            hit = j >= 0
-            rows.append(inside[hit])
-            cols.append(j[hit])
-            pinned.append((inside[~hit], nbs[~hit]))
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    A = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
-                      shape=(len(flat), len(flat)))
-    return Stencil(A, flat, pinned)
+    row_of = np.full(sel.shape, -1, dtype=np.int64)
+    row_of.flat[flat] = np.arange(len(flat))
+    cell = np.arange(sel.size).reshape(sel.shape)
+    rows, nbs = [], []
+    for lower, upper in faces(sel.ndim):
+        for here, there in ((upper, lower), (lower, upper)):
+            on = sel[here]
+            rows.append(row_of[here][on])
+            nbs.append(cell[there][on])
+    rows, nbs = np.concatenate(rows), np.concatenate(nbs)
+    hit = sel.ravel()[nbs]
 
+    def csr(keep: np.ndarray, cols: np.ndarray, width: int):
+        return sp.csr_matrix((np.ones(len(cols)), (rows[keep], cols)),
+                             shape=(len(flat), width))
 
-def pinned_sum(st: Stencil, values: np.ndarray) -> np.ndarray:
-    """Per selected cell, the sum of ``values`` (one per grid cell) over its
-    pinned neighbours, accumulated in stencil direction order."""
-    flat_values = values.ravel()
-    out = np.zeros(len(st.flat))
-    for rows, nbs in st.pinned:
-        out[rows] += flat_values[nbs]
-    return out
+    return Stencil(csr(hit, row_of.ravel()[nbs[hit]], len(flat)), flat,
+                   csr(~hit, nbs[~hit], sel.size))
 
 
 class SpatialDomain:

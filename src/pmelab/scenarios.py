@@ -762,10 +762,15 @@ _HANDLERS = {
 SCHEMA = {
     "type": "object",
     "required": ["name", "operation"],
+    "additionalProperties": False,
     "properties": {
         "name": {"type": "string"},
         "description": {"type": "string"},
         "seed": {"type": "integer"},
+        # Read by nothing; accepted only because the benchmark's campaign
+        # workload (bench/workloads.py) sets it on the documents it
+        # validates.
+        "threads": {"type": "integer"},
         # Closed and typed: its keys are those the handlers read, so a
         # misspelled or malformed one is an input error, not a default or
         # a crash.
@@ -803,6 +808,13 @@ SCHEMA = {
         "grid": {
             "type": "object",
             "required": ["n", "h", "origin", "extents"],
+            "additionalProperties": False,
+            # one origin coordinate and one extent per axis
+            "allOf": [{"if": {"properties": {"n": {"const": n}}},
+                       "then": {"properties": dict.fromkeys(
+                           ("origin", "extents"),
+                           {"minItems": n, "maxItems": n})}}
+                      for n in (1, 2, 3)],
             "properties": {
                 "n": {"type": "integer", "minimum": 1, "maximum": 3},
                 "h": {"type": "number", "exclusiveMinimum": 0},

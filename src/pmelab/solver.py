@@ -11,19 +11,18 @@ The defined and the interior samples of every level are the domain's own
 (``SpaceTimeDomain.samples``), for solves and for wrapped closed forms
 alike, and the samples a solve pins are its parabolic boundary.  Boundary
 data are array-valued (see ``BoundaryData``): each level's pinned samples
-are drawn in one call.  The stencil (``geometry.face_stencil``) is built
-once per slab, where a level's interior mask differs from the previous
-one's, and the constant Jacobian part ``M = 2n*I - A`` goes with it.
-``Field.stats["assemblies"]`` counts the slabs a solve enters.  Core
-values are gathered and scattered through the stencil's flat grid
-indices, and the Dirichlet contributions of the pinned neighbours are
-array sums per stencil direction.
+are drawn in one call.
 
-Every solve on one ``SpaceTimeDomain`` object shares its plan: the
-monotonicity check and each slab's stencil with M and its Jacobian pattern
-are computed once and kept, read-only, for as long as the object lives (a
+A slab is a run of levels with one interior mask, and ``_step_matrices``
+builds each one: the core's ``geometry.face_stencil``, the constant
+Jacobian part ``M = 2n*I - A`` and its Jacobian pattern, all read-only.
+``_slabs`` keeps a domain object's slabs for as long as it lives (a
 ``weakref.WeakKeyDictionary`` keyed by identity, so a rebuilt domain, even
-an equal one, builds its own).
+an equal one, builds its own), and every solve and residual check on it
+shares them.  ``Field.stats["assemblies"]`` counts the slabs a solve
+enters.  Core values are gathered and scattered through the stencil's
+flat grid indices; the pinned neighbours' Dirichlet contributions are one
+product, ``stencil.pinned @ w.ravel()``.
 
 Newton's symmetrized Jacobian is ``I + c*S M S`` with
 ``S = diag(sqrt(m|u|^(m-1)))``.  A solve gives each slab it enters a
@@ -80,7 +79,6 @@ limit system is an M-matrix with nonnegative data.
 
 from __future__ import annotations
 
-import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -95,7 +93,6 @@ from .geometry import (
     Stencil,
     check_monotone_sections,
     face_stencil,
-    pinned_sum,
 )
 
 
@@ -273,33 +270,10 @@ def cfl_max_dt(L: float, h: float, m: float, n: int) -> float:
     return h * h / (2 * n * m * L ** (m - 1))
 
 
-def _step_matrices(core_mask: np.ndarray) -> Stencil:
-    """The stencil of one slab's core cells (built once per distinct core).
-
-    A function of its own, so that profiles show the solver's assembly
-    apart from the capacity solves that share ``face_stencil``.
-    """
-    return face_stencil(core_mask)
-
-
 def _lap_h2(A: sp.csr_matrix, w: np.ndarray, bdry_w: np.ndarray,
             deg: float) -> np.ndarray:
     """h^2 * lap_h(w) on the core: A w + pinned neighbours - 2n w."""
     return A @ w + bdry_w - deg * w
-
-
-# Set-up shared by every solve on one domain object, kept as long as the
-# object lives: build function -> its result.  Keyed by identity, so a
-# rebuilt equal domain builds its own.
-_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _planned(d: SpaceTimeDomain, build: Callable):
-    """``build(d)``, computed once per domain object."""
-    plan = _PLANS.setdefault(d, {})
-    if build not in plan:
-        plan[build] = build(d)
-    return plan[build]
 
 
 class _Slab(NamedTuple):
@@ -323,10 +297,17 @@ class _Slab(NamedTuple):
     bw: int
 
 
-def _slab(st: Stencil, deg: float) -> _Slab:
-    """The stencil ``st`` with ``M = deg*I - A`` and its Jacobian pattern."""
+def _step_matrices(core: np.ndarray) -> _Slab:
+    """The slab of the core cells ``core``: their stencil, ``M = 2n*I - A``
+    and its Jacobian pattern.
+
+    The solver's one slab builder.  Its name is the stencil-assembly layer
+    that the benchmark's tracer wraps (``bench/tracer.py``, as
+    ``solver.assemble``), so it keeps that name.
+    """
+    st = face_stencil(core)
     A = st.adjacency
-    M = (sp.diags(np.full(A.shape[0], deg)) - A).tocsr()
+    M = (sp.diags(np.full(A.shape[0], 2.0 * core.ndim)) - A).tocsr()
     n = M.shape[0]
     rows = np.repeat(np.arange(n), np.diff(M.indptr))
     offset = M.indices - rows
@@ -334,28 +315,35 @@ def _slab(st: Stencil, deg: float) -> _Slab:
     upper = np.flatnonzero(offset >= 0)
     band = M.indices[upper] * (bw + 1) + bw - offset[upper]
     diag = np.flatnonzero(offset == 0)
-    for arr in (A.data, A.indices, A.indptr, st.flat,
-                *itertools.chain(*st.pinned), M.data, M.indices, M.indptr,
-                rows, diag, upper, band):
+    for arr in (A.data, A.indices, A.indptr, st.pinned.data,
+                st.pinned.indices, st.pinned.indptr, st.flat, M.data,
+                M.indices, M.indptr, rows, diag, upper, band):
         arr.setflags(write=False)
     return _Slab(st, M, rows, diag, upper, band, bw)
 
 
-def _slabs(d: SpaceTimeDomain) -> list[tuple[int, _Slab]]:
-    """(level, slab) for every level with interior samples.
+# Each domain object's slabs, kept as long as the object lives.  Keyed by
+# identity, so a rebuilt equal domain builds its own.
+_SLABS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-    The stencil is built only when a level's interior mask differs from
-    the last one built, so once per slab, and the levels of one slab share
-    one ``_Slab``.
+
+def _slabs(d: SpaceTimeDomain) -> list[tuple[int, _Slab]]:
+    """(level, slab) for every level with interior samples, built once per
+    domain object and shared, read-only, by every solve on it.
+
+    A slab is built only where a level's interior mask differs from the
+    last one built, and the levels of one slab share one ``_Slab``.
     """
-    deg = float(2 * d.grid.n)
-    out, slab, core = [], None, None
-    for k, sel in enumerate(d.samples[1]):
-        if not sel.any():
-            continue
-        if core is None or not np.array_equal(sel, core):
-            slab, core = _slab(_step_matrices(sel), deg), sel
-        out.append((k, slab))
+    out = _SLABS.get(d)
+    if out is None:
+        out, slab, core = [], None, None
+        for k, sel in enumerate(d.samples[1]):
+            if not sel.any():
+                continue
+            if core is None or not np.array_equal(sel, core):
+                slab, core = _step_matrices(sel), sel
+            out.append((k, slab))
+        _SLABS[d] = out
     return out
 
 
@@ -482,7 +470,7 @@ def solve_union(d: SpaceTimeDomain, data: BoundaryData, cfg: SolverConfig,
     satisfies the discrete scheme at every interior (cell, level) and stays
     nonnegative.
     """
-    ok, t_bad = _planned(d, check_monotone_sections)
+    ok, t_bad = check_monotone_sections(d)
     if not ok:
         raise SolverError(f"time sections are not nondecreasing (violation at t={t_bad})")
     if d.num_steps < 1:
@@ -523,7 +511,7 @@ def solve_union(d: SpaceTimeDomain, data: BoundaryData, cfg: SolverConfig,
     deg = 2 * grid.n
     c = mu * dt / h ** 2
     slab, assemblies = None, 0
-    for k, level_slab in _planned(d, _slabs):
+    for k, level_slab in _slabs(d):
         new_slab = level_slab is not slab
         if new_slab:
             slab = level_slab
@@ -540,7 +528,7 @@ def solve_union(d: SpaceTimeDomain, data: BoundaryData, cfg: SolverConfig,
             # so level k - 2 is defined there: extrapolate linearly.
             start = (prev_core if new_slab
                      else 2 * prev_core - flat_values[k - 2, stencil.flat])
-            bdry_w = pinned_sum(stencil, _pow_odd(values[k], m))
+            bdry_w = stencil.pinned @ _pow_odd(values[k], m).ravel()
             sol = _newton_step(prev_core, start, bdry_w, A, jac, deg, c, m,
                                cfg, res_scale, dt)
             u_new = sol.u
@@ -550,7 +538,7 @@ def solve_union(d: SpaceTimeDomain, data: BoundaryData, cfg: SolverConfig,
             ls_failures += sol.failures
         else:
             w_prev = _pow_odd(prev_core, m)
-            bdry_w = pinned_sum(stencil, _pow_odd(values[k - 1], m))
+            bdry_w = stencil.pinned @ _pow_odd(values[k - 1], m).ravel()
             u_new = prev_core + c * _lap_h2(A, w_prev, bdry_w, deg)
             u_new = np.maximum(u_new, 0.0)
         flat_values[k, stencil.flat] = u_new
@@ -582,10 +570,10 @@ def scheme_residual(f: Field) -> np.ndarray:
     out = np.full(f.values.shape, np.nan)
     flat_out = out.reshape(d.num_levels, -1)
     flat_values = f.values.reshape(d.num_levels, -1)
-    for k, slab in _planned(d, _slabs):
+    for k, slab in _slabs(d):
         st = slab.stencil
         w = _pow_odd(f.values[k - lag], f.m)
-        lap = _lap_h2(st.adjacency, w.ravel()[st.flat], pinned_sum(st, w),
+        lap = _lap_h2(st.adjacency, w.ravel()[st.flat], st.pinned @ w.ravel(),
                       2 * d.grid.n) / d.grid.h ** 2
         du = flat_values[k, st.flat] - flat_values[k - 1, st.flat]
         flat_out[k, st.flat] = du / d.dt - f.config.diffusion * lap

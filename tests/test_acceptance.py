@@ -3,7 +3,8 @@
 Each criterion is one test that prints a PASS line when it holds (run with
 ``pytest -s tests/test_acceptance.py`` to see the lines).  The heavy solves
 make this module take a few minutes; run it separately from the unit suite
-when iterating.
+when iterating.  Criteria that only read an unmodified bundled run share it
+with the digest check (``bundled_run`` in ``conftest.py``).
 """
 
 import time
@@ -84,8 +85,8 @@ def test_criterion_3_comparison_campaign(tmp_path):
                 "with zero interior violations")
 
 
-def test_criterion_4_bottom_face_regularity(tmp_path):
-    report = run_bundled("bottom-regularity", tmp_path)
+def test_criterion_4_bottom_face_regularity(bundled_run):
+    report, _ = bundled_run("bottom-regularity")
     assert report["all_pass"], report["checks"]
     probe = report["probe"]
     for gaps in probe["upper_gaps"] + probe["lower_gaps"]:
@@ -120,8 +121,8 @@ def test_criterion_5_wiener_dichotomy(tmp_path):
                 f"square thick + regular evidence ({square_time:.0f} s)")
 
 
-def test_criterion_6_monotone_union_bracket(tmp_path):
-    report = run_bundled("union-resolutivity", tmp_path)
+def test_criterion_6_monotone_union_bracket(bundled_run):
+    report, _ = bundled_run("union-resolutivity")
     assert report["all_pass"], report["checks"]
     gaps = report["perron"]["gaps"]
     eps = report["perron"]["epsilons"]
@@ -133,21 +134,21 @@ def test_criterion_6_monotone_union_bracket(tmp_path):
                 f"2*eps + 3*{disc:.4f} and decreasing along the ladder")
 
 
-def test_criterion_7_future_independence(tmp_path):
+def test_criterion_7_future_independence(bundled_run):
     for name in ("future-independence", "future-independence-stack"):
-        report = run_bundled(name, tmp_path)
+        report, _ = bundled_run(name)
         assert report["all_pass"], (name, report["checks"])
         assert report["future_probe"]["agree"]
     announce(7, "full and truncated probes agree on every bundled pairing")
 
 
-def test_criterion_8_degiorgi_suite(tmp_path):
+def test_criterion_8_degiorgi_suite(bundled_run):
     from pmelab.degiorgi import constants, iterate, sup_estimate_check
     from pmelab.solver import Field
 
     assert constants(2.0, 2) == (0.5, 8.0, 3.0)
 
-    report = run_bundled("degiorgi-barenblatt", tmp_path)
+    report, _ = bundled_run("degiorgi-barenblatt")
     assert report["all_pass"], report["checks"]
     assert report["degiorgi"]["level_checks_pass"]
 
@@ -182,8 +183,8 @@ def test_criterion_8_degiorgi_suite(tmp_path):
                 f"{100 * (max(cs) / min(cs) - 1):.1f}% <= 20%)")
 
 
-def test_criterion_9_scaling_exactness(tmp_path):
-    report = run_bundled("scaling-exactness", tmp_path)
+def test_criterion_9_scaling_exactness(bundled_run):
+    report, _ = bundled_run("scaling-exactness")
     assert report["all_pass"], report["checks"]
     announce(9, "power transform maps multiplied-equation solutions onto "
                 "zero-residual unit-equation fields for a in {1/4, 4}")

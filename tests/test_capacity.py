@@ -20,7 +20,7 @@ from pmelab.capacity import (
     torsion_profile,
     wiener_profile,
 )
-from pmelab.geometry import Grid, SpatialDomain, face_stencil, pinned_sum
+from pmelab.geometry import Grid, SpatialDomain, face_stencil
 
 
 def ambient_box(h=0.1, cells=25, origin=None, n=2):
@@ -306,7 +306,7 @@ def reference_capacity(E):
     u[one] = 1.0
     if free.any():
         u[free] = _direct(free, 2 * n / h ** 2 + 1.0, 1 / h ** 2,
-                          lambda s: pinned_sum(s, one.astype(float)) / h ** 2)
+                          lambda s: s.pinned @ one.astype(float).ravel() / h ** 2)
     return _energy(u, V.mask, h, n)
 
 
@@ -314,7 +314,7 @@ def reference_torsion(U, x0):
     h = U.grid.h
     phi = np.linalg.norm(U.grid.centers() - x0, axis=-1)
     return _direct(U.core_mask, 2 * U.grid.n / h ** 2, 1 / h ** 2,
-                   lambda s: 1.0 + pinned_sum(s, phi) / h ** 2)
+                   lambda s: 1.0 + s.pinned @ phi.ravel() / h ** 2)
 
 
 def disk_ambient(cells, h=0.1):

@@ -95,6 +95,38 @@ def test_cli_rejects_malformed_counts(tmp_path, capsys, where, key, value):
     assert where in err and key in err
 
 
+# The top level and the grid block are closed, and the grid has one
+# origin coordinate and one extent per axis, so a misspelled block, an
+# extra grid key or a short origin is an input error naming the field.
+@pytest.mark.parametrize("where, key, value", [
+    ((), "solvr", {"newton_tol": 1e-3}),
+    (("grid",), "spacing", 0.0625),
+    (("grid",), "origin", [-0.5]),
+    (("grid",), "extents", [16, 16, 16]),
+])
+def test_cli_rejects_open_top_level_and_grid(tmp_path, capsys, where, key,
+                                             value):
+    doc = bundled_scenario("constant-solve")
+    target = doc
+    for part in where:
+        target = target[part]
+    target[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert all(part in err for part in where) and key in err
+
+
+def test_top_level_threads_is_accepted_and_unread(tmp_path):
+    # the benchmark's campaign workload sets it on the documents it runs
+    doc = bundled_scenario("constant-solve")
+    doc["threads"] = 1
+    path = tmp_path / "threads.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+
+
 @pytest.mark.parametrize("name, path, value", [
     ("punctured-disk", "operation/removability/k_max", "x"),
     ("square-cylinder", "operation/radii", ["x"]),

@@ -1,6 +1,6 @@
 """What a run loads: scipy modules that a comparison campaign and a barrier
-sign certificate never use stay out of the process, and the capacity module
-builds no sparse stencil."""
+sign certificate never use stay out of the process, the capacity module
+builds no sparse stencil, and the face walk lives only in geometry."""
 
 import ast
 import json
@@ -60,3 +60,22 @@ def test_capacity_assembles_no_sparse_stencil():
             names.add(node.attr)
     assert [m for m in modules if m.startswith("scipy.sparse")] == []
     assert names & {"face_stencil", "pinned_sum"} == set()
+
+
+# geometry's face walk and the neighbour operations built on it
+FACE_WALK = {"faces", "_faces", "dilate", "neighbour_sum", "_neighbour_sum",
+             "pinned_sum"}
+
+
+def test_solver_and_capacity_define_no_face_walk_of_their_own():
+    for module in ("solver.py", "capacity.py"):
+        tree = ast.parse((SRC / "pmelab" / module).read_text())
+        defined = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                           ast.Store):
+                defined.add(node.id)
+        assert defined & FACE_WALK == set(), module
