@@ -22,7 +22,6 @@ from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft7Validator
 
 from . import barriers, capacity, degiorgi, perron
 from .geometry import (
@@ -852,15 +851,113 @@ SCHEMA = {
     },
 }
 
-_validator = Draft7Validator(SCHEMA)
+
+def _is_number(value) -> bool:
+    # Draft 7, save that NaN and +-Infinity, which json.loads accepts, are
+    # not numbers here: no field of a scenario means anything by them
+    return (not isinstance(value, bool) and isinstance(value, int)
+            or isinstance(value, float) and math.isfinite(value))
+
+
+# Draft 7's types: a bool is neither an integer nor a number, and 2.0 is an
+# integer.
+_IS_TYPE = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int)
+                                            or v.is_integer()),
+}
+
+_BOUNDS = {
+    "minimum": (lambda v, b: v < b, "less than the minimum of"),
+    "maximum": (lambda v, b: v > b, "greater than the maximum of"),
+    "exclusiveMinimum": (lambda v, b: v <= b,
+                         "less than or equal to the minimum of"),
+}
+
+
+def _equal(a, b) -> bool:
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _schema_errors(value, schema, path=()):
+    """Yield ``(path, message)`` for each way ``value`` breaks ``schema``,
+    in the order and with the messages of a Draft 7 validator, except that
+    NaN and +-Infinity are not numbers.  Only the keywords ``SCHEMA`` uses
+    are implemented."""
+    if schema is True:
+        return
+    if schema is False:
+        yield path, f"False schema does not allow {value!r}"
+        return
+    for key, rule in schema.items():
+        if key == "type":
+            types = [rule] if isinstance(rule, str) else rule
+            if not any(_IS_TYPE[t](value) for t in types):
+                # a float fails "number" only when it is not finite
+                yield path, (
+                    f"{value!r} is not a finite number"
+                    if isinstance(value, float) and "number" in types else
+                    f"{value!r} is not of type {', '.join(map(repr, types))}")
+        elif key == "enum":
+            if not any(_equal(value, e) for e in rule):
+                yield path, f"{value!r} is not one of {rule!r}"
+        elif key == "const":
+            if not _equal(value, rule):
+                yield path, f"{rule!r} was expected"
+        elif key == "allOf":
+            for sub in rule:
+                yield from _schema_errors(value, sub, path)
+        elif key == "if":
+            if "then" in schema and next(_schema_errors(value, rule),
+                                         None) is None:
+                yield from _schema_errors(value, schema["then"], path)
+        elif key in _BOUNDS:
+            fails, words = _BOUNDS[key]
+            if _is_number(value) and fails(value, rule):
+                yield path, f"{value!r} is {words} {rule!r}"
+        elif isinstance(value, dict):
+            if key == "properties":
+                for name, sub in rule.items():
+                    if name in value:
+                        yield from _schema_errors(value[name], sub,
+                                                  path + (name,))
+            elif key == "required":
+                for name in rule:
+                    if name not in value:
+                        yield path, f"{name!r} is a required property"
+            elif key == "additionalProperties" and rule is False:
+                extras = sorted(value.keys() - schema.get("properties", {}),
+                                key=str)
+                if extras:
+                    verb = "was" if len(extras) == 1 else "were"
+                    yield path, ("Additional properties are not allowed "
+                                 f"({', '.join(map(repr, extras))} {verb} "
+                                 "unexpected)")
+        elif isinstance(value, list):
+            if key == "items":
+                subs = rule if isinstance(rule, list) else [rule] * len(value)
+                for i, (item, sub) in enumerate(zip(value, subs)):
+                    yield from _schema_errors(item, sub, path + (i,))
+            elif key == "minItems" and len(value) < rule:
+                yield path, (f"{value!r} should be non-empty" if rule == 1
+                             else f"{value!r} is too short")
+            elif key == "maxItems" and len(value) > rule:
+                yield path, f"{value!r} is too long"
 
 
 def validate_scenario(doc: dict) -> None:
-    errors = sorted(_validator.iter_errors(doc), key=lambda e: list(e.path))
-    if errors:
-        e = errors[0]
-        loc = "/".join(str(p) for p in e.path) or "<root>"
-        raise ScenarioError(f"scenario invalid at {loc}: {e.message}")
+    """Raise :class:`ScenarioError` at the first error, in JSON path order,
+    of ``doc`` against ``SCHEMA``."""
+    error = min(_schema_errors(doc, SCHEMA), key=itemgetter(0), default=None)
+    if error is not None:
+        path, message = error
+        loc = "/".join(map(str, path)) or "<root>"
+        raise ScenarioError(f"scenario invalid at {loc}: {message}")
 
 
 def load_scenario(path) -> dict:

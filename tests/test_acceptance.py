@@ -75,8 +75,8 @@ def test_criterion_2_barrier_sign_certification():
                 "the scan predicts")
 
 
-def test_criterion_3_comparison_campaign(tmp_path):
-    report = run_bundled("comparison-campaign", tmp_path)
+def test_criterion_3_comparison_campaign(bundled_run):
+    report, _ = bundled_run("comparison-campaign")
     assert report["all_pass"], report["checks"]
     camp = report["campaign"]
     assert camp["ordered"] == camp["trials"] == 100

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 from importlib.resources import files
 from pathlib import Path
@@ -214,6 +215,23 @@ def test_cli_rejects_untyped_barrier_and_data_fields(tmp_path, capsys, name,
     err = capsys.readouterr().err
     assert "/".join(parents) in err and key in err
 
+
+
+# json.loads reads NaN and Infinity; each of these ran and exited 1 with a
+# message that did not name the field (an inner CG failure, an empty
+# cylinder base, a nonpositive time step, a bounds error).
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("path", ["operation/m", "grid/h", "domain/dt",
+                                  "data/value"])
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, path, value):
+    doc = bundled_scenario("constant-solve")
+    block, key = path.split("/")
+    doc[block][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
+    assert f"{path}: {value!r} is not a finite number" in (
+        capsys.readouterr().err)
 
 def test_barrier_schema_names_the_spec_fields():
     barrier = SCHEMA["properties"]["operation"]["properties"]["barrier"]

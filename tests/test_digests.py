@@ -28,7 +28,7 @@ PINNED = json.loads(DIGEST_FILE.read_text())
 SCENARIOS = ["constant-solve", "scaling-exactness", "union-resolutivity",
              "bottom-regularity", "future-independence",
              "future-independence-stack", "degiorgi-barenblatt",
-             "barrier-certification"]
+             "barrier-certification", "comparison-campaign"]
 
 # report keys that carry wall-clock times
 TIMING_KEYS = frozenset({"wall_time_s", "wall_s", "walls"})

@@ -1,6 +1,7 @@
 """What a run loads: scipy modules that a comparison campaign and a barrier
-sign certificate never use stay out of the process, the capacity module
-builds no sparse stencil, and the face walk lives only in geometry."""
+sign certificate never use, and jsonschema with the packages it pulls in,
+stay out of the process, the capacity module builds no sparse stencil, and
+the face walk lives only in geometry."""
 
 import ast
 import json
@@ -15,6 +16,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # preconditioner, scipy.ndimage only connectivity labelling, and
 # scipy.sparse.linalg nothing.
 UNUSED = ("scipy.fft", "scipy.special", "scipy.ndimage", "scipy.sparse.linalg")
+# scenarios checks its own schema; jsonschema is a test-only reference
+VALIDATOR = ("jsonschema", "referencing", "rpds", "attrs", "attr",
+             "jsonschema_specifications", "jsonpointer", "rfc3339_validator",
+             "idna", "six", "typing_extensions")
 
 CHILD = """
 import json, sys, tempfile
@@ -30,7 +35,7 @@ sign = barriers.verify_sign(spec, scenarios.build_domain(doc),
                             barriers.SamplingPolicy(max_samples=500))
 print(json.dumps({"passed": report["all_pass"], "certified": sign.certified,
                   "loaded": sorted(m for m in %r if m in sys.modules)}))
-""" % (UNUSED,)
+""" % (UNUSED + VALIDATOR,)
 
 
 def test_campaign_and_sign_certificate_load_no_fft_ndimage_or_linalg():

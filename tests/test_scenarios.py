@@ -1,4 +1,5 @@
 import ast
+import json
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from pmelab import perron, scenarios
 from pmelab.barriers import barenblatt
-from pmelab.bundled import bundled_scenario
+from pmelab.bundled import bundled_scenario, list_bundled
 from pmelab.geometry import Cylinder, SpaceTimeDomain
 from pmelab.perron import default_data_family
 from pmelab.scenarios import (
@@ -308,3 +309,76 @@ def test_operation_schema_types_exactly_the_keys_the_handlers_read():
     removability = operation["properties"]["removability"]
     assert removability["additionalProperties"] is False
     assert set(removability["properties"]) == read["rem"]
+
+
+def _first_error(errors):
+    """The (path, message) that ``validate_scenario`` reports, or None."""
+    first = min(errors, key=lambda e: list(e[0]), default=None)
+    return first and (list(first[0]), first[1])
+
+
+def _mutants(node, deep=True):
+    """Copies of ``node`` changed at one JSON path each: its value
+    replaced, an unknown key added to it, or one of its keys or items
+    deleted; deeper paths too unless ``deep`` is false."""
+    yield from ("x", True, 2.5, 7, None, [])
+    if isinstance(node, dict):
+        yield node | {"unknown_key": 1}
+        for key, child in node.items():
+            yield {k: v for k, v in node.items() if k != key}
+            if deep:
+                yield from (node | {key: m} for m in _mutants(child))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield node[:i] + node[i + 1:]
+            if deep:
+                yield from (node[:i] + [m] + node[i + 1:]
+                            for m in _mutants(child))
+
+
+def test_schema_checker_agrees_with_draft7_on_the_corpus_and_its_mutants():
+    # jsonschema is the reference here only; a run never imports it.  The
+    # root schema relates no two top-level blocks, so a change inside one
+    # block is checked against that block's schema alone, once per
+    # distinct changed block: that keeps this test near 1 s.
+    jsonschema = pytest.importorskip("jsonschema")
+    schemas = {None: SCHEMA} | SCHEMA["properties"]
+    reference = {key: jsonschema.Draft7Validator(sub)
+                 for key, sub in schemas.items()}
+    seen = set()
+    for name, _ in list_bundled():
+        doc = bundled_scenario(name)
+        assert _first_error(scenarios._schema_errors(doc, SCHEMA)) is None
+        cases = [(None, m) for m in _mutants(doc, deep=False)]
+        cases += [(key, m) for key, part in doc.items()
+                  for m in _mutants(part)]
+        for key, mutant in cases:
+            seen_key = json.dumps([key, mutant], sort_keys=True)
+            if seen_key in seen:
+                continue
+            seen.add(seen_key)
+            want = _first_error((e.path, e.message)
+                                for e in reference[key].iter_errors(mutant))
+            got = _first_error(scenarios._schema_errors(mutant, schemas[key]))
+            assert got == want, (key, mutant)
+    assert len(seen) > 2000
+
+
+# the keywords scenarios._schema_errors implements; it ignores any other
+CHECKED_KEYWORDS = {
+    "type", "properties", "required", "additionalProperties", "enum",
+    "const", "minimum", "maximum", "exclusiveMinimum", "items", "minItems",
+    "maxItems", "allOf", "if", "then"}
+
+
+def test_schema_uses_only_the_keywords_the_checker_implements():
+    def keywords(schema):
+        if isinstance(schema, bool):
+            return set()
+        subs = [*schema.get("properties", {}).values(), *schema.get(
+            "allOf", ()), schema.get("if", True), schema.get("then", True)]
+        items = schema.get("items", [])
+        subs += items if isinstance(items, list) else [items]
+        return set(schema).union(*map(keywords, subs))
+
+    assert keywords(SCHEMA) <= CHECKED_KEYWORDS
