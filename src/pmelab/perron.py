@@ -17,6 +17,7 @@ explicit fields of the returned report.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,13 @@ from .geometry import (
     SpatialDomain,
     parabolic_boundary,
 )
-from .solver import BoundaryData, Field, SolverConfig, solve_union
+from .solver import (
+    BoundaryData,
+    Field,
+    SolverConfig,
+    solve_union,
+    solve_union_many,
+)
 
 
 class PerronError(RuntimeError):
@@ -62,23 +69,24 @@ def perron_bracket(d: SpaceTimeDomain, f: BoundaryData,
     """Bracket the Perron solution by solves with data f + eps and (f - eps)_+.
 
     The bracket ordering lower <= upper holds pointwise for each eps (checked);
-    on resolutive instances the gap shrinks along the eps ladder.
+    on resolutive instances the gap shrinks along the eps ladder.  Every
+    solve of the ladder runs in one ``solve_union_many`` pass.
     """
-    epsilons, lowers, uppers, gaps = [], [], [], []
-    for eps in eps_ladder:
-        if eps <= 0:
-            raise PerronError("epsilon ladder entries must be positive")
-        upper = solve_union(d, f.shifted(eps), cfg, m)
-        lower = solve_union(d, f.clipped_down(eps), cfg, m)
+    epsilons = list(eps_ladder)
+    if any(eps <= 0 for eps in epsilons):
+        raise PerronError("epsilon ladder entries must be positive")
+    fields = solve_union_many(
+        d, [g for eps in epsilons
+            for g in (f.shifted(eps), f.clipped_down(eps))],
+        cfg, m) if epsilons else []
+    uppers, lowers, gaps = fields[::2], fields[1::2], []
+    for upper, lower in zip(uppers, lowers):
         sel = upper.scheme_mask & lower.scheme_mask
         diff = upper.values[sel] - lower.values[sel]
         if diff.size == 0:
             raise PerronError("bracket fields share no interior samples")
         if diff.min() < -1e-8 * max(1.0, f.bounds[1]):
             raise PerronError("bracket ordering violated; solver inconsistency")
-        epsilons.append(eps)
-        lowers.append(lower)
-        uppers.append(upper)
         gaps.append(float(diff.max()))
     return PerronBracket(epsilons, lowers, uppers, gaps)
 
@@ -95,14 +103,24 @@ def _blocks(a: np.ndarray) -> list[np.ndarray]:
             for offsets in np.ndindex(*(2,) * a.ndim)]
 
 
+# Each domain object's coarse companion, kept as long as the object lives,
+# so that every estimate on one domain shares one companion and the slabs
+# that the solver plans for it.  Keyed by identity, like ``solver._SLABS``.
+_COARSE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def coarsen_domain(d: SpaceTimeDomain) -> SpaceTimeDomain:
-    """Companion domain at doubled h and doubled dt (masks join by blocks)."""
-    g = d.grid
-    g2 = Grid(n=g.n, h=2 * g.h, origin=g.origin,
-              extents=tuple((e + 1) // 2 for e in g.extents))
-    cyls = [Cylinder(SpatialDomain(g2, np.logical_or.reduce(
-        _blocks(c.base.mask))), c.t1, c.t2) for c in d.cylinders]
-    return SpaceTimeDomain(cyls, 2 * d.dt)
+    """Companion domain at doubled h and doubled dt (masks join by blocks),
+    built once per domain object."""
+    coarse = _COARSE.get(d)
+    if coarse is None:
+        g = d.grid
+        g2 = Grid(n=g.n, h=2 * g.h, origin=g.origin,
+                  extents=tuple((e + 1) // 2 for e in g.extents))
+        cyls = [Cylinder(SpatialDomain(g2, np.logical_or.reduce(
+            _blocks(c.base.mask))), c.t1, c.t2) for c in d.cylinders]
+        coarse = _COARSE[d] = SpaceTimeDomain(cyls, 2 * d.dt)
+    return coarse
 
 
 def _block_compare(fine: Field, coarse: Field) -> float:
@@ -416,20 +434,28 @@ def regularity_probe(d: SpaceTimeDomain, xi0, family: list[BoundaryData],
     labels = family_labels or [f"member-{i}" for i in range(len(family))]
     members = list(upper_members or [])
 
-    up_gaps, low_gaps, up_ints, low_ints, disc_ests = [], [], [], [], []
+    f_xis = []
     for f in family:
-        f_xi = float(f.sample(x0, t0))
-        if f_xi <= 0:
+        f_xis.append(float(f.sample(x0, t0)))
+        if f_xis[-1] <= 0:
             raise PerronError("family members must be positive at xi0")
         for spec in members:
             check_upper_member(spec, d, f.shifted(eps))
-        upper = solve_union(d, f.shifted(eps), cfg, m)
-        lower = solve_union(d, f.clipped_down(eps), cfg, m)
+    # one pass per domain; each member's f + eps and (f - eps)_+ alternate
+    fields = solve_union_many(
+        d, [g for f in family for g in (f.shifted(eps), f.clipped_down(eps))],
+        cfg, m)
+    uppers, lowers = fields[::2], fields[1::2]
+    envelopes = uppers if removability is None else solve_union_many(
+        removability.envelope_domain, [f.shifted(eps) for f in family],
+        cfg, m)
+
+    up_gaps, low_gaps, up_ints, low_ints, disc_ests = [], [], [], [], []
+    for f, f_xi, upper, lower, envelope in zip(family, f_xis, uppers, lowers,
+                                               envelopes):
         # a one-cell puncture does not survive block coarsening, so the
         # probed domain has no faithful coarse companion; the estimate is
         # calibrated on the envelope's domain
-        envelope = upper if removability is None else solve_union(
-            removability.envelope_domain, f.shifted(eps), cfg, m)
         disc_ests.append(discretization_estimate(
             envelope.domain, f.shifted(eps), cfg, m, fine=envelope))
         balls = _ball_masks(upper, xi, radii)     # lower shares the domain

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pmelab import solver
 from pmelab.barriers import BarrierSpec
 from pmelab.capacity import classify_thickness, torsion_profile, wiener_profile
 from pmelab.geometry import (
@@ -106,6 +107,26 @@ def test_coarsen_domain_halves_everything():
     assert d2.grid.h == 1 / 8
     assert d2.grid.extents == (8, 8)
     assert d2.dt == 2 * d.dt
+
+
+def test_estimates_on_one_domain_share_one_coarse_companion(monkeypatch):
+    # the coarse companion and its slabs are built once per domain object
+    d = square_cylinder()
+    f = BoundaryData(fn=lambda x, t: 1.0 + x[..., 0] ** 2, bounds=(1.0, 1.25))
+    fine = solve_union(d, f, CFG, M_EXP)
+    built, step_matrices = [], solver._step_matrices
+
+    def counted(core):
+        built.append(core.shape)
+        return step_matrices(core)
+
+    monkeypatch.setattr(solver, "_step_matrices", counted)
+    first = discretization_estimate(d, f, CFG, M_EXP, fine=fine)
+    assert built == [(8, 8)]
+    assert discretization_estimate(d, f, CFG, M_EXP, fine=fine) == first
+    assert built == [(8, 8)]
+    assert coarsen_domain(d) is coarsen_domain(d)
+    assert coarsen_domain(square_cylinder()) is not coarsen_domain(d)
 
 
 def test_ball_masks_match_a_per_sample_loop():

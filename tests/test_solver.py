@@ -6,7 +6,7 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.sparse.linalg import LinearOperator, cg as scipy_cg
 
 from pmelab import bundled, scenarios, solver
@@ -29,6 +29,7 @@ from pmelab.solver import (
     comparison_check,
     scheme_residual,
     solve_union,
+    solve_union_many,
 )
 
 M_EXP = 2.0
@@ -258,7 +259,8 @@ def test_wide_band_cg_meets_linear_tol_on_the_true_residual(monkeypatch):
     assert len(calls) == sum(u.stats["newton_iterations"]) > 0
     for J, b, y, M in calls:
         assert M is None
-        true_res = np.linalg.norm(b - J @ y)
+        # one member: b and y are (1, n) stacks, J its block-diagonal matrix
+        true_res = np.linalg.norm(b.ravel() - J @ y.ravel())
         assert true_res <= cfg.linear_tol * np.linalg.norm(b)
 
 
@@ -275,7 +277,10 @@ def test_band_factor_of_non_spd_matrix_raises():
 def _spd_systems(draw):
     """A random banded SPD matrix (dense), its band and a right-hand side;
     one in four right-hand sides is zero, with signed zeros."""
-    n = draw(st.integers(1, 40))
+    return _spd_system(draw, draw(st.integers(1, 40)))
+
+
+def _spd_system(draw, n):
     bw = draw(st.integers(0, min(4, n - 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     dense = np.zeros((n, n))
@@ -831,3 +836,150 @@ def test_scaling_identity_on_the_stencil():
         res = scheme_residual(v_unit)
         for idx in [(4, 4), (2, 6)]:
             assert abs(res[(3, *idx)]) <= 1e-10 * scale
+
+
+# -- a family of data on one domain in one stacked pass ------------------------
+
+@st.composite
+def _spd_stacks(draw):
+    """One to five systems of one random size, as ``_spd_systems`` draws
+    them."""
+    n = draw(st.integers(1, 40))
+    return n, [_spd_system(draw, n) for _ in range(draw(st.integers(1, 5)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack=_spd_stacks(),
+       precond=st.sampled_from(["none", "jacobi", "cholesky"]),
+       rtol=st.sampled_from([1e-2, 1e-6, 1e-10, 1e-14]),
+       atol=st.sampled_from([0.0, 1e-8]),
+       maxiter=st.sampled_from([1, 2, None]))
+def test_cg_on_a_stack_repeats_its_single_calls_bit_for_bit(
+        stack, precond, rtol, atol, maxiter):
+    # K systems of one size: the block-diagonal matrix and the stacked
+    # preconditioner against K single calls
+    n, systems = stack
+    maxiter = maxiter or 10 * n + 100
+    singles, counts = [], []
+    for dense, bw, b in systems:
+        seen = [0]
+
+        def count(_xk, seen=seen):
+            seen[0] += 1
+
+        singles.append(solver.cg(sp.csr_matrix(dense), b, rtol=rtol,
+                                 atol=atol, maxiter=maxiter,
+                                 M=_preconditioner(precond, dense, bw),
+                                 callback=count))
+        counts.append(seen[0])
+    Ms = [_preconditioner(precond, dense, bw) for dense, bw, _ in systems]
+    M = None if precond == "none" else (
+        lambda r: np.stack([Mi(row) for Mi, row in zip(Ms, r)]))
+    A = sp.block_diag([sp.csr_matrix(dense) for dense, _, _ in systems],
+                      format="csr")
+    stacked_counts = np.zeros(len(systems), dtype=int)
+    x, info = solver.cg(A, np.stack([b for *_, b in systems]), rtol=rtol,
+                        atol=atol, maxiter=maxiter, M=M,
+                        counts=stacked_counts)
+    for row, (x_ref, info_ref) in zip(x, singles):
+        assert row.tobytes() == x_ref.tobytes()
+    assert info.tolist() == [info_ref for _, info_ref in singles]
+    assert stacked_counts.tolist() == counts
+
+
+def _jump_box():
+    # one step of 0.25 on a 16x16 box: a jump to 20 from near vacuum at
+    # m = 4 makes the line search halve (see the line-search test above)
+    return box_cylinder(t2=0.25, dt=0.25)[0]
+
+
+def _box_32():
+    # a 32x32 box at h = 1/32: a 30x30 core, band 30, factored
+    return box_cylinder(h=1 / 32, cells=32, t2=0.03, dt=0.01)[0]
+
+
+def _member(kind, level):
+    if kind == "constant":
+        return BoundaryData.constant(level)
+    if kind == "jump":
+        return BoundaryData(
+            fn=lambda x, t: np.full(x.shape[:-1], 0.01 if t <= 0 else 20.0),
+            bounds=(0.01, 20.0))
+    return BoundaryData(
+        fn=lambda x, t: level * (1.0 + 0.5 * np.sin(5 * x[..., 0] - 3 * t
+                                                    + level)),
+        bounds=(0.5 * level, 1.5 * level))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.one_of(_monotone_unions(), st.sampled_from(["jump", "box"])),
+       members=st.lists(st.tuples(
+           st.sampled_from(["constant", "wave", "jump"]),
+           st.floats(0.25, 2.0)), min_size=1, max_size=4),
+       m=st.sampled_from([1.5, 2.0, 4.0]),
+       scheme=st.sampled_from(["implicit", "implicit", "explicit"]))
+@example(case="jump", members=[("constant", 1.0), ("jump", 1.0),
+                               ("wave", 0.5)], m=4.0, scheme="implicit")
+@example(case="box", members=[("wave", 1.0), ("constant", 2.0),
+                              ("wave", 0.3)], m=2.0, scheme="implicit")
+def test_stacked_members_equal_their_own_solves(case, members, m, scheme):
+    d = {"jump": _jump_box, "box": _box_32}.get(case, lambda: case)()
+    cfg = SolverConfig(scheme=scheme)
+    datas = [_member(kind, level) for kind, level in members]
+    try:
+        solos = [solve_union(d, data, cfg, m) for data in datas]
+    except SolverError:         # an explicit step over its CFL bound, say
+        assume(False)
+    fields = solve_union_many(d, datas, cfg, m)
+    assert len(fields) == len(datas)
+    for (kind, _), field, solo in zip(members, fields, solos):
+        assert field.values.tobytes() == solo.values.tobytes()
+        assert field.stats == solo.stats
+        if kind == "constant":
+            assert set(field.stats["newton_iterations"]) <= {0}
+        if kind == "jump" and case == "jump" and m == 4.0:
+            assert field.stats["line_search_backtracks"] > 0
+    if case == "box":
+        assert solver._slabs(d)[0][1].bw == 30
+
+
+def test_campaign_steps_its_pairs_together(tmp_path, monkeypatch):
+    # 3 pairs on the bundled campaign's 20-step domain: one Newton step per
+    # level for all six solves, where a solve per member took 6 x 20
+    calls, newton_step = [], solver._newton_step
+
+    def counting(prev, *args):
+        calls.append(len(prev))
+        return newton_step(prev, *args)
+
+    monkeypatch.setattr(solver, "_newton_step", counting)
+    doc = bundled.bundled_scenario("comparison-campaign")
+    doc["operation"]["trials"] = 3
+    report = scenarios.run_scenario(doc, tmp_path)
+    assert report["all_pass"]
+    assert scenarios.build_domain(doc).num_steps == 20
+    assert calls == [6] * 20
+
+
+def test_solve_union_many_rejects_an_empty_family():
+    d, _ = box_cylinder()
+    with pytest.raises(SolverError, match="no boundary data"):
+        solve_union_many(d, [], SolverConfig(), M_EXP)
+
+
+def test_solve_union_many_names_the_member_that_fails():
+    d, _ = box_cylinder(t2=0.1)
+    ok = BoundaryData.constant(1.0)
+    # declared one ulp below the constant it samples
+    low = BoundaryData(fn=lambda x, t: np.full(x.shape[:-1], 1.0),
+                       bounds=(0.5, np.nextafter(1.0, 0.0)))
+    with pytest.raises(SolverError,
+                       match="member 2: boundary data .* outside the declared"):
+        solve_union_many(d, [ok, ok, low], SolverConfig(), M_EXP)
+    # one Newton iteration is too few for the jump, not for the constant
+    jump, _ = box_cylinder(t2=0.25, dt=0.25)
+    data = BoundaryData(fn=lambda x, t: 0.01 if t <= 0 else 2.0,
+                        bounds=(0.01, 2.0))
+    with pytest.raises(SolverError,
+                       match="member 1: Newton did not converge.*worst step"):
+        solve_union_many(jump, [ok, data], SolverConfig(newton_max=1), M_EXP)
