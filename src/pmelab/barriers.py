@@ -323,20 +323,18 @@ class SignReport:
 def _region_samples(region: SpaceTimeDomain, policy: SamplingPolicy):
     """Sample points X (N, n) and times T (N,) over the region.
 
-    Nodes, level-major: at level L the cell centers of the bases of steps
-    L - 1 and L.  Then per node ``jitter_factor`` Philox draws of a step k,
-    a cell of its base (dropped if empty), a uniform point of that cell and
-    a time in [t_k, t_k + dt).
+    Nodes, level-major: the cell centers of the region's defined samples
+    (at level L the bases of steps L - 1 and L).  Then per node
+    ``jitter_factor`` Philox draws of a step k, a cell of its base (dropped
+    if empty), a uniform point of that cell and a time in [t_k, t_k + dt).
     """
     if region.num_steps == 0:
         raise BarrierError("empty sample set")
     rng = np.random.Generator(np.random.Philox(policy.seed))
     grid, times = region.grid, region.level_times()
     centers = grid.centers().reshape(-1, grid.n)
+    level, cell = np.nonzero(region.samples[0].reshape(region.num_levels, -1))
     bases = region.step_masks().reshape(region.num_steps, -1)
-    none = np.zeros_like(bases[:1])
-    at_level = np.concatenate([bases, none]) | np.concatenate([none, bases])
-    level, cell = np.nonzero(at_level)
     X, T = [centers[cell]], [times[level]]
     n_jit = policy.jitter_factor * len(level)
     counts = bases.sum(axis=1)

@@ -24,10 +24,10 @@ values.  The preconditioner inverts the operator on the whole box by the
 type-I discrete sine transform that diagonalises it and zeroes the result
 off the free cells.  This is ``R A_box^-1 R^T``, SPD for any selection; it is
 exact when the cells fill the box, and a hole costs a few iterations (the
-capacitance-matrix method).  CG stops on ``linear_tol`` relative to the
-right-hand side.  ``scipy.fft`` (which loads ``scipy.special``) is
-imported when ``_BoxOperator`` is built, at the first capacity or torsion
-solve, so a run that solves neither does not load it.
+capacitance-matrix method).  CG stops on ``CAPACITY_TOL`` (``TORSION_TOL``)
+relative to the right-hand side.  ``scipy.fft`` (which loads
+``scipy.special``) is imported when ``_BoxOperator`` is built, at the first
+capacity or torsion solve, so a run that solves neither does not load it.
 
 Dimension n >= 2 throughout: in n = 1 single points carry positive capacity
 and the whole machinery degenerates, so it is rejected.
@@ -45,6 +45,12 @@ from .geometry import (GeometryError, Grid, SpatialDomain, SpatialField,
 from .solver import cg
 
 _LOG2 = math.log(2.0)
+CAPACITY_TOL = 1e-8       # CG tolerance of a capacity solve
+TORSION_TOL = 1e-10       # CG tolerance of a torsion solve
+AMBIENT_HALFWIDTH = 2.0   # a Wiener profile's box: twice its largest radius
+SLOPE_TOL = 0.1           # thick: partial sums grow this much per shell
+SUM_TOL_FLOORS = 10.0     # thin: total at most this many floor units ...
+FLOOR_FACTOR = 1.1        # ... and a tail within this factor of the floor
 
 
 class CapacityError(RuntimeError):
@@ -163,7 +169,7 @@ def _box_solve(free: np.ndarray, diag: float, off: float, rhs: np.ndarray,
     return op.from_box(sol)
 
 
-def capacity(E: CompactMask, linear_tol: float = 1e-8) -> float:
+def capacity(E: CompactMask) -> float:
     """Discrete minimum of the capacity energy for the set E.
 
     The dilated set is pinned at 1, the ambient boundary ring at 0, and the
@@ -182,7 +188,7 @@ def capacity(E: CompactMask, linear_tol: float = 1e-8) -> float:
         one = pinned_one.astype(float)
         rhs = neighbour_sum(one, np.empty_like(one)) / h ** 2
         u[free] = _box_solve(free, 2 * n / h ** 2 + 1.0, 1 / h ** 2, rhs,
-                             linear_tol, "capacity")
+                             CAPACITY_TOL, "capacity")
     return _energy(u, V.mask, h, n)
 
 
@@ -276,15 +282,14 @@ def _shell_capacity(U: SpatialDomain, x0: np.ndarray, r: float,
     return capacity(CompactMask(amb_grid, cells, ambient))
 
 
-def wiener_profile(U: SpatialDomain, x0, k_max: int,
-                   ambient_halfwidth: float | None = None) -> CapacityProfile:
+def wiener_profile(U: SpatialDomain, x0, k_max: int) -> CapacityProfile:
     """Dyadic capacity profile of the complement of U at the boundary point x0.
 
     Shell k uses radius 2^-k; each shell contributes integrand * log 2 to the
     running sum (one dyadic step of the Wiener integral).  k_max must keep
     the finest ball at least 4 cells across.
 
-    One fixed ambient box (halfwidth 2x the largest radius by default) serves
+    One fixed ambient box (halfwidth ``AMBIENT_HALFWIDTH``) serves
     every shell: a per-shell box would make the truncation error drift with k
     and put spurious jumps into the dyadic trend.  Truncation only increases
     values; the reported sensitivity bounds its size.
@@ -298,25 +303,22 @@ def wiener_profile(U: SpatialDomain, x0, k_max: int,
         raise CapacityError(
             f"k_max={k_max} under-resolves the finest ball at h={U.grid.h}; "
             f"need 2^-k_max >= {2 * U.grid.h}")
-    r_max = 1.0
-    if ambient_halfwidth is None:
-        ambient_halfwidth = 2.0 * r_max
     radii, caps, integrands, sums = [], [], [], []
     total = 0.0
     for k in range(k_max + 1):
         r = 2.0 ** (-k)
-        cap_k = _shell_capacity(U, x0, r, ambient_halfwidth)
+        cap_k = _shell_capacity(U, x0, r, AMBIENT_HALFWIDTH)
         radii.append(r)
         caps.append(cap_k)
         integrand = cap_k / r ** (U.grid.n - 2)
         integrands.append(integrand)
         total += integrand * _LOG2
         sums.append(total)
-    cap_grown = _shell_capacity(U, x0, radii[0], 1.5 * ambient_halfwidth)
+    cap_grown = _shell_capacity(U, x0, radii[0], 1.5 * AMBIENT_HALFWIDTH)
     return CapacityProfile(
         x0=tuple(map(float, x0)), radii=radii, cap_values=caps,
         integrands=integrands, partial_sums=sums, n=U.grid.n, h=U.grid.h,
-        ambient_halfwidth=ambient_halfwidth,
+        ambient_halfwidth=AMBIENT_HALFWIDTH,
         ambient_sensitivity=caps[0] - cap_grown)
 
 
@@ -336,35 +338,33 @@ class ThicknessVerdict:
         return dict(self.__dict__)
 
 
-def classify_thickness(p: CapacityProfile, slope_tol: float = 0.1,
-                       sum_tol: float | None = None,
-                       floor_factor: float = 1.1) -> ThicknessVerdict:
+def classify_thickness(p: CapacityProfile) -> ThicknessVerdict:
     """Heuristic thick/thin call from finitely many shells.
 
     Divergence of the Wiener integral cannot be decided from a finite
     profile; the thresholds are artifact decisions and are echoed in the
-    verdict.  Thin needs three things: total below sum_tol, nonincreasing
-    summands, and a tail integrand at the single-cell resolution floor (a
-    complement piece of vanishing capacity is indistinguishable from one
-    cell at cell size h; a tail that stays above the floor is not certified
-    null).  Thick = partial sums growing at least slope_tol per shell.
+    verdict.  Thin needs three things: total below ``SUM_TOL_FLOORS``
+    single-cell floors, nonincreasing summands, and a tail integrand within
+    ``FLOOR_FACTOR`` of that resolution floor (a complement piece of
+    vanishing capacity is indistinguishable from one cell at cell size h;
+    a tail that stays above the floor is not certified null).  Thick =
+    partial sums growing at least ``SLOPE_TOL`` per shell.
     """
     if len(p.radii) < 4:
         raise CapacityError("need at least 4 shells to classify")
     floor_unit = single_cell_capacity(p.h, p.n,
                                       halfwidth=p.ambient_halfwidth)
-    if sum_tol is None:
-        sum_tol = 10.0 * floor_unit
+    sum_tol = SUM_TOL_FLOORS * floor_unit
     k = np.arange(len(p.partial_sums))
     slope = float(np.polyfit(k, p.partial_sums, 1)[0])
     summands = np.asarray(p.integrands) * _LOG2
     decreasing = bool(np.all(summands[1:] <= summands[:-1] * (1 + 1e-3)))
-    tail_at_floor = bool(p.cap_values[-1] <= floor_factor * floor_unit)
+    tail_at_floor = bool(p.cap_values[-1] <= FLOOR_FACTOR * floor_unit)
     total = p.partial_sums[-1]
     if total <= sum_tol and decreasing and tail_at_floor:
         cls = "thin"
         confidence = "high" if total <= 0.5 * sum_tol else "low"
-    elif slope >= slope_tol:
+    elif slope >= SLOPE_TOL:
         cls = "thick"
         # decaying summands with a passing slope = slowly diverging case
         confidence = "low" if decreasing else "high"
@@ -372,11 +372,10 @@ def classify_thickness(p: CapacityProfile, slope_tol: float = 0.1,
         cls = "inconclusive"
         confidence = "low"
     return ThicknessVerdict(cls, slope, total, decreasing, tail_at_floor,
-                            floor_unit, confidence, slope_tol, sum_tol)
+                            floor_unit, confidence, SLOPE_TOL, sum_tol)
 
 
-def torsion_profile(U: SpatialDomain, x0, linear_tol: float = 1e-10
-                    ) -> SpatialField:
+def torsion_profile(U: SpatialDomain, x0) -> SpatialField:
     """Solve -lap_h(v) = 1 in U with boundary values |x - x0|.
 
     The result dominates |x - x0| on every interior cell (discrete minimum
@@ -399,7 +398,7 @@ def torsion_profile(U: SpatialDomain, x0, linear_tol: float = 1e-10
         pinned = np.where(core, 0.0, phi)
         rhs = 1.0 + neighbour_sum(pinned, np.empty_like(phi)) / h ** 2
         sol = _box_solve(core, 2 * U.grid.n / h ** 2, 1 / h ** 2, rhs,
-                         linear_tol, "torsion")
+                         TORSION_TOL, "torsion")
         values[core] = sol
         slack = sol - phi[core]
         if slack.min() < -1e-9 * max(1.0, float(np.abs(sol).max())):

@@ -40,6 +40,11 @@ import numpy as np
 from .solver import Field
 
 
+# the iteration stops once Y_j falls below this fraction of
+# max(k^2, 1) times the volume of the box around Q(rho): the quadrature floor
+ENERGY_FLOOR = 1e-14
+
+
 class IterationError(RuntimeError):
     """Degenerate iteration geometry or invalid parameters."""
 
@@ -114,8 +119,7 @@ def _brick_samples(u: Field, x0: np.ndarray, t0: float):
 
 
 def iterate(u: Field, x0, t0: float, rho: float, sigma: float,
-            M: float, k: float, j_max: int = 20,
-            energy_floor: float = 1e-14) -> IterationReport:
+            M: float, k: float, j_max: int = 20) -> IterationReport:
     """Run the shrinking-box iteration on a discrete field.
 
     Requires 0 < sigma < 1, M >= 0, k > 0 and Q(x0, t0, rho) inside the
@@ -140,7 +144,7 @@ def iterate(u: Field, x0, t0: float, rho: float, sigma: float,
     levels, energies, measures, counts = [], [], [], []
     checks, bounds = [], []
     truncated = False
-    floor_scale = energy_floor * max(k * k, 1.0) * (2 * rho ** 2) * (2 * rho) ** n
+    floor_scale = ENERGY_FLOOR * max(k * k, 1.0) * (2 * rho ** 2) * (2 * rho) ** n
 
     for j in range(j_max + 1):
         rho_j = sigma * rho + (1 - sigma) * rho / 2 ** j

@@ -182,9 +182,9 @@ class SpatialDomain:
 
     ``mask`` marks the cells of the closure; ``boundary_mask`` marks the cells
     adjacent to the exterior (the discrete topological boundary) and
-    ``core_mask`` the rest (the discrete open set).  An empty mask is allowed
-    only as the degenerate result of a time section; operations that need a
-    nonempty domain raise :class:`GeometryError`.
+    ``core_mask`` the rest (the discrete open set).  An empty mask is
+    allowed; a cylinder refuses one, and operations that need a nonempty
+    domain raise :class:`GeometryError`.
     """
 
     def __init__(self, grid: Grid, mask: np.ndarray):
@@ -210,10 +210,6 @@ class SpatialDomain:
     @property
     def is_empty(self) -> bool:
         return not self.mask.any()
-
-    @property
-    def cell_count(self) -> int:
-        return int(self.mask.sum())
 
     def centers(self) -> np.ndarray:
         return self.grid.centers()[self.mask]
@@ -249,15 +245,6 @@ class SpatialField:
             raise GeometryError(f"point {tuple(map(float, bad))} is outside "
                                 "the field's domain")
         return self.values[idx]
-
-    def min_within(self, x0, radius: float) -> float:
-        """Min over domain cells whose centers lie within radius of x0."""
-        centers = self.domain.grid.centers()
-        dist = np.linalg.norm(centers - np.asarray(x0), axis=-1)
-        sel = self.domain.mask & (dist <= radius)
-        if not sel.any():
-            raise GeometryError("no domain cells within the given radius")
-        return float(np.min(self.values[sel]))
 
 
 @dataclass(frozen=True)
@@ -333,10 +320,6 @@ class SpaceTimeDomain:
     def level_range(self, cyl: Cylinder) -> tuple[int, int]:
         return self.level_index(cyl.t1), self.level_index(cyl.t2)
 
-    def step_base(self, k: int) -> SpatialDomain:
-        """Union of bases of cylinders whose open interval covers step k."""
-        return time_section(self, self.level_time(k) + 0.5 * self.dt)
-
     def step_masks(self) -> np.ndarray:
         """Every step's base, stacked as ``(num_steps, *extents)``: row k is
         the union of the bases of the cylinders whose open interval covers
@@ -393,25 +376,12 @@ def parabolic_boundary(d: SpaceTimeDomain) -> np.ndarray:
     minus the core of step k - 1's base.  For one cylinder this is the
     full base at the bottom level plus the boundary ring at every later
     level up to and including the top.  On a union the cores are those of
-    the time sections, so a cell where two bases meet side by side is
+    the step bases, so a cell where two bases meet side by side is
     interior, and a top swallowed by a taller cylinder is not boundary.
     These are exactly the samples a solve pins to its data.
     """
     defined, interior = d.samples
     return defined & ~interior
-
-
-def time_section(d: SpaceTimeDomain, T: float) -> SpatialDomain:
-    """Union of bases of cylinders whose open time interval contains T.
-
-    Outside [t_min, t_max] (or at junction times covered by no open interval)
-    the result has an empty mask; check ``is_empty`` on the result.
-    """
-    out = np.zeros(d.grid.extents, dtype=bool)
-    for cyl in d.cylinders:
-        if cyl.t1 < T < cyl.t2:
-            out |= cyl.base.mask
-    return SpatialDomain(d.grid, out)
 
 
 def check_monotone_sections(d: SpaceTimeDomain) -> tuple[bool, float | None]:

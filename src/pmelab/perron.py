@@ -10,8 +10,11 @@ Probes turn the asymptotic boundary-regularity definitions into desk-scale
 decisions: gaps between the bracket fields and the boundary value are
 measured over shrinking space-time balls, extrapolated linearly over the
 three smallest radii, and compared against a discretization error estimate
-obtained from a coarse companion solve.  All decision thresholds are
-explicit fields of the returned report.
+obtained from a coarse companion solve.  A probe solves its whole family
+in one pass per domain, estimates every member in one coarse pass,
+selects its balls once per domain and certifies each barrier member's
+sign once.  All decision thresholds are explicit fields of the returned
+report.
 """
 
 from __future__ import annotations
@@ -148,20 +151,24 @@ def _block_compare(fine: Field, coarse: Field) -> float:
     return best
 
 
-def discretization_estimate(d: SpaceTimeDomain, f: BoundaryData,
-                            cfg: SolverConfig, m: float,
-                            fine: Field | None = None) -> float:
-    """Sup difference between the solve for f and a 2x-coarser companion.
+def discretization_estimate(fines: list[Field], datas: list[BoundaryData],
+                            cfg: SolverConfig, m: float) -> list[float]:
+    """Sup difference between each solved field and the solve for its data
+    on the 2x-coarser companion.
 
-    Self-calibrating error scale for probe verdicts: data profiles with a
-    poor modulus of attainment (a steep tent at the probed point, say) are
-    judged against their own resolution sensitivity.
+    ``fines[i]`` is the caller's solve for ``datas[i]``; all of them lie on
+    one domain object, whose companion solves every datum in one
+    ``solve_union_many`` pass.  Self-calibrating error scale for probe
+    verdicts: data profiles with a poor modulus of attainment (a steep tent
+    at the probed point, say) are judged against their own resolution
+    sensitivity.
     """
-    if fine is None:
-        fine = solve_union(d, f, cfg, m)
-    d2 = coarsen_domain(d)
-    coarse = solve_union(d2, f, cfg, m)
-    return _block_compare(fine, coarse)
+    if len(fines) != len(datas):
+        raise PerronError(f"{len(fines)} fields for {len(datas)} data")
+    if len({id(fine.domain) for fine in fines}) != 1:
+        raise PerronError("the fields must lie on one domain object")
+    coarse = solve_union_many(coarsen_domain(fines[0].domain), datas, cfg, m)
+    return [_block_compare(fine, c) for fine, c in zip(fines, coarse)]
 
 
 # ---------------------------------------------------------------------------
@@ -206,48 +213,51 @@ class RegularityProbe:
         }
 
 
+MEMBER_SAMPLING = SamplingPolicy(seed=0, max_samples=20000)
+
+
 def check_upper_member(spec: BarrierSpec, d: SpaceTimeDomain,
-                       data: BoundaryData, seed: int = 0,
-                       max_samples: int = 20000) -> float:
-    """Verify that a barrier member belongs to the upper class for ``data``.
+                       datas: list[BoundaryData]) -> list[float]:
+    """Verify that a barrier member belongs to the upper class for each of
+    ``datas``.
 
     Two certificates are required: the residual sign over the domain
-    (superparabolic, sampled) and domination of the boundary data at every
-    parabolic-boundary sample.  Returns the smallest domination margin.
-    Raises on failure.
+    (superparabolic, sampled once by ``MEMBER_SAMPLING``) and domination of
+    each datum at every parabolic-boundary sample.  Returns each datum's
+    smallest domination margin.  Raises on failure.
     """
     if CLAIMED_SIGN[spec.kind] <= 0:
         raise PerronError(f"{spec.kind} is subparabolic; not an upper-class kind")
-    report = verify_sign(spec, d, SamplingPolicy(seed=seed,
-                                                 max_samples=max_samples))
+    report = verify_sign(spec, d, MEMBER_SAMPLING)
     if not report.certified:
         raise PerronError(
             f"barrier sign certification failed with {len(report.violating_samples)}"
             " violations; not superparabolic at this sampling")
     on_pb = parabolic_boundary(d)
     centers = d.grid.centers()
-    margin = math.inf
+    margins = [math.inf] * len(datas)
     for k in range(d.num_levels):
         pts, t = centers[on_pb[k]], d.level_time(k)
         if len(pts):
-            gaps = barrier_evaluate(spec, pts, t) - data.sample(pts, t)
-            margin = min(margin, float(gaps.min()))
-    if margin < -1e-9 * max(1.0, data.bounds[1]):
-        raise PerronError(
-            f"barrier does not dominate the boundary data (margin {margin:.3e})")
-    return margin
+            w = barrier_evaluate(spec, pts, t)
+            margins = [min(margin, float((w - data.sample(pts, t)).min()))
+                       for margin, data in zip(margins, datas)]
+    for margin, data in zip(margins, datas):
+        if margin < -1e-9 * max(1.0, data.bounds[1]):
+            raise PerronError("barrier does not dominate the boundary data "
+                              f"(margin {margin:.3e})")
+    return margins
 
 
-def _ball_masks(field: Field, xi: np.ndarray, radii) -> np.ndarray:
-    """Interior samples of ``field`` within each radius of xi = (x0, t0),
+def _ball_masks(d: SpaceTimeDomain, xi: np.ndarray, radii) -> np.ndarray:
+    """Interior samples of ``d`` within each radius of xi = (x0, t0),
     stacked as ``(len(radii), levels, *extents)``."""
-    d = field.domain
     d2x = ((d.grid.centers() - xi[:-1]) ** 2).sum(axis=-1)
     # scalar squares (pow), which can round otherwise than an array's x*x
     d2t = np.array([(t - xi[-1]) ** 2 for t in d.level_times()])
     r2 = np.array([r ** 2 for r in radii])
     d2 = d2x + d2t.reshape(-1, *(1,) * d.grid.n)
-    balls = field.scheme_mask & (d2 <= r2.reshape(-1, *(1,) * d2.ndim))
+    balls = d.samples[1] & (d2 <= r2.reshape(-1, *(1,) * d2.ndim))
     if not all(ball.any() for ball in balls):
         raise PerronError("no interior samples within the given radius")
     return balls
@@ -385,16 +395,19 @@ def _verdict(up_ints: list[float], low_ints: list[float],
     return "inconclusive"
 
 
-def default_data_family(d: SpaceTimeDomain, xi0, tent_width: float | None = None
+TENT_WIDTH = 0.75          # of the grid's longest side
+
+
+def default_data_family(d: SpaceTimeDomain, xi0
                         ) -> tuple[list[BoundaryData], list[str]]:
     """Constants 1 and 2, a positive linear-in-x profile, and a tent profile
-    positive at xi0 and vanishing away from it; exercises both the upper and
-    the lower regularity definitions with few solves."""
+    positive at xi0 and vanishing ``TENT_WIDTH`` of the grid's longest side
+    away from it; exercises both the upper and the lower regularity
+    definitions with few solves."""
     x0, t0 = np.asarray(xi0[0], dtype=float), float(xi0[1])
     lo = np.asarray(d.grid.origin)
     span = max(float(e * d.grid.h) for e in d.grid.extents)
-    if tent_width is None:
-        tent_width = 0.75 * span
+    tent_width = TENT_WIDTH * span
 
     def linear(x, t):
         return 1.0 + (x[..., 0] - lo[0]) / span
@@ -434,33 +447,30 @@ def regularity_probe(d: SpaceTimeDomain, xi0, family: list[BoundaryData],
     labels = family_labels or [f"member-{i}" for i in range(len(family))]
     members = list(upper_members or [])
 
-    f_xis = []
-    for f in family:
-        f_xis.append(float(f.sample(x0, t0)))
-        if f_xis[-1] <= 0:
-            raise PerronError("family members must be positive at xi0")
-        for spec in members:
-            check_upper_member(spec, d, f.shifted(eps))
+    f_xis = [float(f.sample(x0, t0)) for f in family]
+    if min(f_xis) <= 0:
+        raise PerronError("family members must be positive at xi0")
+    ups = [f.shifted(eps) for f in family]
+    for spec in members:
+        check_upper_member(spec, d, ups)
     # one pass per domain; each member's f + eps and (f - eps)_+ alternate
     fields = solve_union_many(
-        d, [g for f in family for g in (f.shifted(eps), f.clipped_down(eps))],
+        d, [g for f, up in zip(family, ups) for g in (up, f.clipped_down(eps))],
         cfg, m)
     uppers, lowers = fields[::2], fields[1::2]
-    envelopes = uppers if removability is None else solve_union_many(
-        removability.envelope_domain, [f.shifted(eps) for f in family],
-        cfg, m)
+    balls = _ball_masks(d, xi, radii)
+    envelopes, env_balls = uppers, balls
+    if removability is not None:
+        env_domain = removability.envelope_domain
+        envelopes = solve_union_many(env_domain, ups, cfg, m)
+        env_balls = _ball_masks(env_domain, xi, radii)
+    # a one-cell puncture does not survive block coarsening, so the probed
+    # domain has no faithful coarse companion; the estimates are calibrated
+    # on the envelopes' domain
+    disc_ests = discretization_estimate(envelopes, ups, cfg, m)
 
-    up_gaps, low_gaps, up_ints, low_ints, disc_ests = [], [], [], [], []
-    for f, f_xi, upper, lower, envelope in zip(family, f_xis, uppers, lowers,
-                                               envelopes):
-        # a one-cell puncture does not survive block coarsening, so the
-        # probed domain has no faithful coarse companion; the estimate is
-        # calibrated on the envelope's domain
-        disc_ests.append(discretization_estimate(
-            envelope.domain, f.shifted(eps), cfg, m, fine=envelope))
-        balls = _ball_masks(upper, xi, radii)     # lower shares the domain
-        env_balls = (balls if envelope is upper
-                     else _ball_masks(envelope, xi, radii))
+    up_gaps, low_gaps, up_ints, low_ints = [], [], [], []
+    for f_xi, upper, lower, envelope in zip(f_xis, uppers, lowers, envelopes):
         ug, lg = [], []
         for ball, env_ball in zip(balls, env_balls):
             up_est = min(upper.values[ball].max(),
@@ -528,16 +538,16 @@ def dichotomy_check(d: SpaceTimeDomain, xi0, f: BoundaryData,
     eps = 0.025 * max(f.bounds[1], f_xi)
     solve_domain = d if removability is None else removability.envelope_domain
     members = list(upper_members or [])
+    up = f.shifted(eps)
     for spec in members:
-        check_upper_member(spec, solve_domain, f.shifted(eps))
-    upper = solve_union(solve_domain, f.shifted(eps), cfg, m)
-    disc_est = discretization_estimate(solve_domain, f.shifted(eps), cfg, m,
-                                       fine=upper)
+        check_upper_member(spec, solve_domain, [up])
+    upper = solve_union(solve_domain, up, cfg, m)
+    (disc_est,) = discretization_estimate([upper], [up], cfg, m)
     if tol is None:
         tol = max(0.1 * f_xi, 2 * disc_est)
     tol = min(tol, 0.4 * f_xi)
     mins = [(r, _min_over_ball(upper, members, ball, eps))
-            for r, ball in zip(radii, _ball_masks(upper, xi, radii))]
+            for r, ball in zip(radii, _ball_masks(solve_domain, xi, radii))]
     est = _fit_intercept(radii, [v for _, v in mins])     # liminf estimate
     if est >= f_xi - tol:
         branch = "attains"

@@ -444,7 +444,8 @@ def _op_perron(doc, report, rng):
     ladder = op.get("eps_ladder", [frac * data.bounds[1]
                                    for frac in perron.DEFAULT_EPS_LADDER])
     bracket = perron.perron_bracket(d, data, ladder, cfg, m)
-    disc = perron.discretization_estimate(d, data, cfg, m)
+    (disc,) = perron.discretization_estimate(
+        [solve_union(d, data, cfg, m)], [data], cfg, m)
     gaps = bracket.gaps
     report.write_csv("gaps.csv", ["epsilon", "gap"],
                      zip(bracket.epsilons, gaps))
@@ -469,7 +470,8 @@ def _removability_from_op(op, d, report):
     env = SpaceTimeDomain(
         [Cylinder(env_base, c.t1, c.t2) for c in d.cylinders], d.dt)
     x0 = _point(rem["x0"], d.grid, "operation/removability/x0")
-    prof, verdict = _thickness(d.step_base(0), x0, rem.get("k_max", 5))
+    prof, verdict = _thickness(SpatialDomain(d.grid, d.step_masks()[0]), x0,
+                               rem.get("k_max", 5))
     report.payload["thickness"] = verdict.to_dict()
     return perron.RemovabilityCertificate(env, prof, verdict)
 

@@ -773,8 +773,12 @@ def scheme_residual(f: Field) -> np.ndarray:
     return out
 
 
-def comparison_check(u: Field, v: Field, tol: float = 1e-10) -> tuple[bool, list]:
-    """Check v <= u at all interior samples (discrete comparison principle)."""
+COMPARISON_TOL = 1e-10      # relative to max(1, sup |u|, sup |v|)
+
+
+def comparison_check(u: Field, v: Field) -> tuple[bool, list]:
+    """Check v <= u at all interior samples (discrete comparison principle),
+    up to ``COMPARISON_TOL``."""
     if u.domain is not v.domain and (
             u.domain.num_levels != v.domain.num_levels
             or not u.domain.grid.compatible_with(v.domain.grid)):
@@ -782,7 +786,7 @@ def comparison_check(u: Field, v: Field, tol: float = 1e-10) -> tuple[bool, list
     scale = max(1.0, u.sup(), v.sup())
     sel = u.scheme_mask & v.scheme_mask
     diff = v.values - u.values
-    bad = sel & (diff > tol * scale)
+    bad = sel & (diff > COMPARISON_TOL * scale)
     violations = [(tuple(map(int, w[1:])), int(w[0]), float(diff[tuple(w)]))
                   for w in np.argwhere(bad)]
     return len(violations) == 0, violations

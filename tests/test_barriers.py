@@ -252,8 +252,8 @@ def test_out_of_region_array_names_the_point():
 def _reference_nodes(region):
     """(level, cell) node set of a per-cell loop over every step's base."""
     nodes = set()
-    for k in range(region.num_steps):
-        for idx in map(tuple, np.argwhere(region.step_base(k).mask)):
+    for k, step in enumerate(region.step_masks()):
+        for idx in map(tuple, np.argwhere(step)):
             nodes |= {(k, *idx), (k + 1, *idx)}
     return nodes
 
@@ -297,8 +297,7 @@ def test_region_samples_nodes_and_jitter(region, seed, factor):
     X, T = _region_samples(region, SamplingPolicy(seed=seed,
                                                   jitter_factor=factor))
     # draws on a step with an empty base are dropped
-    bases = np.array([region.step_base(k).mask
-                      for k in range(region.num_steps)])
+    bases = region.step_masks()
     steps = np.random.Generator(np.random.Philox(seed)).integers(
         region.num_steps, size=factor * len(ref))
     dropped = int((~bases.reshape(len(bases), -1).any(1))[steps].sum())

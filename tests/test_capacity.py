@@ -230,7 +230,8 @@ def test_torsion_minimum_shrinks_under_refinement():
     for cells in (8, 16, 32):
         U = square_domain(h=1 / cells, cells=cells)
         v = torsion_profile(U, np.array([0.0, 0.0]))
-        mins.append(v.min_within(np.array([0.0, 0.0]), 4 / cells))
+        near = np.linalg.norm(U.grid.centers(), axis=-1) <= 4 / cells
+        mins.append(float(v.values[U.mask & near].min()))
     assert mins[0] > mins[1] > mins[2]
 
 

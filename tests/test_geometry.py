@@ -15,7 +15,6 @@ from pmelab.geometry import (
     diameter,
     exterior_adjacent,
     parabolic_boundary,
-    time_section,
 )
 
 
@@ -191,13 +190,13 @@ def test_step_masks_and_samples_follow_the_sections():
                         dt=0.25)
     steps = d.step_masks()
     assert steps.shape == (d.num_steps, 8, 8)
-    for k in range(d.num_steps):
-        assert np.array_equal(steps[k], d.step_base(k).mask)
+    for k, base in enumerate([small, small, np.zeros((8, 8), bool), ~small]):
+        assert np.array_equal(steps[k], base)
     defined, interior = d.samples
     assert d.samples is d.samples                 # built once per domain
     assert not (defined.flags.writeable or interior.flags.writeable)
     for k in range(1, d.num_levels):
-        below = d.step_base(k - 1)
+        below = SpatialDomain(g, steps[k - 1])
         above = steps[k] if k < d.num_steps else np.zeros((8, 8), bool)
         assert np.array_equal(defined[k], below.mask | above)
         assert np.array_equal(interior[k], below.core_mask)
@@ -219,7 +218,7 @@ def test_union_boundary_has_no_open_top_interior():
         assert not pb[l2][cyl.base.core_mask].any()
 
 
-def test_time_section():
+def test_step_masks_of_an_expanding_union():
     g = Grid(n=2, h=0.25, origin=(0, 0), extents=(8, 8))
     small = np.zeros((8, 8), dtype=bool)
     small[2:6, 2:6] = True
@@ -227,10 +226,10 @@ def test_time_section():
     V = SpatialDomain(g, np.ones((8, 8), dtype=bool))
     d = SpaceTimeDomain([Cylinder(U, 0.0, 0.5), Cylinder(V, 0.5, 1.0)],
                         dt=0.25)
-    assert time_section(d, -1.0).is_empty
-    assert (time_section(d, 0.25).mask == small).all()
-    assert (time_section(d, 0.75).mask == V.mask).all()
-    assert time_section(d, 0.5).is_empty      # junction not in open intervals
+    steps = d.step_masks()
+    assert [int(s.sum()) for s in steps] == [16, 16, 64, 64]
+    assert (steps[0] == small).all() and (steps[1] == small).all()
+    assert (steps[2] == V.mask).all() and (steps[3] == V.mask).all()
 
 
 def test_monotone_sections():
@@ -250,7 +249,7 @@ def test_monotone_sections():
     assert not ok and t_bad == pytest.approx(0.5)
 
 
-def test_time_section_monotone_in_cylinder_list():
+def test_step_masks_monotone_in_cylinder_list():
     g = Grid(n=2, h=0.25, origin=(0, 0), extents=(8, 8))
     small = np.zeros((8, 8), dtype=bool)
     small[2:6, 2:6] = True
@@ -259,10 +258,8 @@ def test_time_section_monotone_in_cylinder_list():
     base = SpaceTimeDomain([Cylinder(U, 0.0, 1.0)], dt=0.25)
     grown = SpaceTimeDomain([Cylinder(U, 0.0, 1.0), Cylinder(V, 0.5, 1.0)],
                             dt=0.25)
-    for T in (0.125, 0.375, 0.625, 0.875):
-        before = time_section(base, T).mask
-        after = time_section(grown, T).mask
-        assert (before <= after).all()      # adding a cylinder only grows
+    # adding a cylinder only grows every step's base
+    assert (base.step_masks() <= grown.step_masks()).all()
 
 
 def test_endpoints_must_snap_to_time_grid():

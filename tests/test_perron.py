@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pmelab import solver
+from pmelab import perron, solver
 from pmelab.barriers import BarrierSpec
 from pmelab.capacity import classify_thickness, torsion_profile, wiener_profile
 from pmelab.geometry import (
@@ -97,8 +97,21 @@ def test_bracket_rejects_nonmonotone_domain():
 def test_discretization_estimate_positive_for_varying_data():
     d = square_cylinder()
     f = BoundaryData(fn=lambda x, t: 1.0 + x[..., 0] ** 2, bounds=(1.0, 1.25))
-    est = discretization_estimate(d, f, CFG, M_EXP)
+    (est,) = discretization_estimate([solve_union(d, f, CFG, M_EXP)], [f],
+                                     CFG, M_EXP)
     assert est > 0
+
+
+def test_discretization_estimate_needs_one_domain_and_a_datum_per_field():
+    f = BoundaryData(fn=lambda x, t: 1.0 + x[..., 0] ** 2, bounds=(1.0, 1.25))
+    # two equal domains, but two objects: two coarse companions
+    u, v = (solve_union(square_cylinder(), f, CFG, M_EXP) for _ in range(2))
+    with pytest.raises(PerronError, match="one domain object"):
+        discretization_estimate([u, v], [f, f], CFG, M_EXP)
+    with pytest.raises(PerronError, match="2 fields for 1 data"):
+        discretization_estimate([u, u], [f], CFG, M_EXP)
+    with pytest.raises(PerronError, match="1 fields for 2 data"):
+        discretization_estimate([u], [f, f], CFG, M_EXP)
 
 
 def test_coarsen_domain_halves_everything():
@@ -121,9 +134,9 @@ def test_estimates_on_one_domain_share_one_coarse_companion(monkeypatch):
         return step_matrices(core)
 
     monkeypatch.setattr(solver, "_step_matrices", counted)
-    first = discretization_estimate(d, f, CFG, M_EXP, fine=fine)
+    first = discretization_estimate([fine], [f], CFG, M_EXP)
     assert built == [(8, 8)]
-    assert discretization_estimate(d, f, CFG, M_EXP, fine=fine) == first
+    assert discretization_estimate([fine], [f], CFG, M_EXP) == first
     assert built == [(8, 8)]
     assert coarsen_domain(d) is coarsen_domain(d)
     assert coarsen_domain(square_cylinder()) is not coarsen_domain(d)
@@ -134,7 +147,7 @@ def test_ball_masks_match_a_per_sample_loop():
     u = Field.from_values(d, np.zeros((d.num_levels, 16, 16)), M_EXP)
     xi = np.array([0.4 - 1 / 32, 1 / 32, 0.125])
     radii = [0.3, 0.2, 0.1, 0.05]
-    balls = _ball_masks(u, xi, radii)
+    balls = _ball_masks(d, xi, radii)
     assert balls.shape == (len(radii), *u.scheme_mask.shape)
     centers, times = d.grid.centers(), d.level_times()
     for (k, *cell), interior in np.ndenumerate(u.scheme_mask):
@@ -143,7 +156,7 @@ def test_ball_masks_match_a_per_sample_loop():
         for ball, r in zip(balls, radii):
             assert ball[(k, *cell)] == (interior and d2 <= r ** 2)
     with pytest.raises(PerronError, match="no interior samples"):
-        _ball_masks(u, xi, [0.3, 1e-3])
+        _ball_masks(d, xi, [0.3, 1e-3])
 
 
 def test_lateral_probe_regular():
@@ -153,6 +166,29 @@ def test_lateral_probe_regular():
     probe = regularity_probe(d, xi0, fam, [0.25, 0.2, 0.15, 0.1, 0.07],
                              CFG, M_EXP, family_labels=labels)
     assert probe.verdict == "regular evidence"
+
+
+def test_probe_estimates_its_family_in_one_coarse_pass(monkeypatch):
+    d = square_cylinder()
+    xi0 = ((-0.5 + 1 / 32, 1 / 32), 0.125)
+    family = [BoundaryData.constant(1.0), BoundaryData.constant(2.0),
+              BoundaryData(fn=lambda x, t: 1.5 + x[..., 0], bounds=(1.0, 2.0))]
+    many, single = [], []
+    solve_many = perron.solve_union_many
+
+    def counted(dom, datas, cfg, m):
+        many.append((dom, len(datas)))
+        return solve_many(dom, datas, cfg, m)
+
+    monkeypatch.setattr(perron, "solve_union_many", counted)
+    monkeypatch.setattr(perron, "solve_union",
+                        lambda *args: single.append(args))
+    probe = regularity_probe(d, xi0, family, [0.25, 0.2, 0.15, 0.1, 0.07],
+                             CFG, M_EXP)
+    # the f + eps and (f - eps)_+ solves, then every member's coarse solve
+    assert many == [(d, 6), (coarsen_domain(d), 3)]
+    assert not single
+    assert len(probe.disc_ests) == 3
 
 
 def test_probe_rejects_points_off_the_boundary():
@@ -255,34 +291,36 @@ def test_scale_transform_rejects_heat_exponent():
         scale_transform(u, 4.0, 1.0)
 
 
-def test_check_upper_member_torsion():
+def torsion_member_box():
+    """A unit-square cylinder and a torsion barrier anchored on its side."""
     g = Grid(n=2, h=1 / 16, origin=(0, 0), extents=(16, 16))
     U = SpatialDomain(g, np.ones((16, 16), dtype=bool))
     d = SpaceTimeDomain([Cylinder(U, -0.25, 0.25)], dt=1 / 16)
     v = torsion_profile(U, np.array([0.0, 0.5]))
     spec = BarrierSpec("torsion_super", c=0.5, j=1, m=2.0, n=2, diam=1.6,
                        torsion_field=v, anchor=((0.0, 0.5), 0.0))
+    return d, spec
+
+
+SUBPARABOLIC = BarrierSpec("quadratic_sub", c=1.0, j=1, m=2.0, n=2, diam=1.6)
+
+
+def test_check_upper_member_torsion():
+    d, spec = torsion_member_box()
     small = BoundaryData.constant(0.2)
-    margin = check_upper_member(spec, d, small)
+    (margin,) = check_upper_member(spec, d, [small])
     assert margin >= 0
     with pytest.raises(PerronError):
-        check_upper_member(
-            BarrierSpec("quadratic_sub", c=1.0, j=1, m=2.0, n=2, diam=1.6),
-            d, small)
+        check_upper_member(SUBPARABOLIC, d, [small])
 
 
 def test_dichotomy_upper_members():
-    g = Grid(n=2, h=1 / 16, origin=(0, 0), extents=(16, 16))
-    U = SpatialDomain(g, np.ones((16, 16), dtype=bool))
-    d = SpaceTimeDomain([Cylinder(U, -0.25, 0.25)], dt=1 / 16)
-    v = torsion_profile(U, np.array([0.0, 0.5]))
-    spec = BarrierSpec("torsion_super", c=0.5, j=1, m=2.0, n=2, diam=1.6,
-                       torsion_field=v, anchor=((0.0, 0.5), 0.0))
+    d, spec = torsion_member_box()
     small = BoundaryData.constant(0.2)
     xi0, radii = ((1 / 32, 15 / 32), 0.0), [0.3, 0.2, 0.15, 0.1]
     with pytest.raises(PerronError, match="subparabolic"):
-        dichotomy_check(d, xi0, small, radii, CFG, M_EXP, upper_members=[
-            BarrierSpec("quadratic_sub", c=1.0, j=1, m=2.0, n=2, diam=1.6)])
+        dichotomy_check(d, xi0, small, radii, CFG, M_EXP,
+                        upper_members=[SUBPARABOLIC])
     bare = dichotomy_check(d, xi0, small, radii, CFG, M_EXP)
     capped = dichotomy_check(d, xi0, small, radii, CFG, M_EXP,
                              upper_members=[spec])
@@ -290,6 +328,30 @@ def test_dichotomy_upper_members():
     for (_, low), (_, low_capped) in zip(bare.per_radius, capped.per_radius):
         assert low_capped <= low
     assert capped.liminf_estimate <= bare.liminf_estimate
+
+
+def test_probe_upper_members_certify_each_barrier_once(monkeypatch):
+    d, spec = torsion_member_box()
+    family = [BoundaryData.constant(0.2), BoundaryData.constant(0.1)]
+    xi0, radii = ((1 / 32, 15 / 32), 0.0), [0.3, 0.2, 0.15, 0.1]
+    with pytest.raises(PerronError, match="subparabolic"):
+        regularity_probe(d, xi0, family, radii, CFG, M_EXP,
+                         upper_members=[SUBPARABOLIC])
+    bare = regularity_probe(d, xi0, family, radii, CFG, M_EXP)
+    certified, verify = [], perron.verify_sign
+
+    def counted(spec, region, policy):
+        certified.append(spec)
+        return verify(spec, region, policy)
+
+    monkeypatch.setattr(perron, "verify_sign", counted)
+    capped = regularity_probe(d, xi0, family, radii, CFG, M_EXP,
+                              upper_members=[spec])
+    assert certified == [spec]          # once for the whole family
+    # a certified member can only lower the lower envelope estimate
+    for low, low_capped in zip(bare.lower_gaps, capped.lower_gaps):
+        assert all(c >= b for b, c in zip(low, low_capped))
+    assert capped.upper_gaps == bare.upper_gaps
 
 
 def punctured_setup(h=1 / 32):
@@ -320,7 +382,7 @@ def assert_pinned_solve_positive_near_puncture(dp, data):
     # zero data would give the same verdicts as the tent, so the solve
     # pinned to the data must carry the tent next to the puncture column
     u = solve_union(dp, data, CFG, M_EXP)
-    ball = _ball_masks(u, np.array([0.0, 0.0, 0.125]), [0.07])[0]
+    ball = _ball_masks(dp, np.array([0.0, 0.0, 0.125]), [0.07])[0]
     assert u.values[ball].min() > 0.5
 
 

@@ -366,7 +366,8 @@ def test_union_builds_one_stencil_per_core_mask():
     d = scenarios.build_domain(doc)
     data = scenarios.build_data(doc["data"], 2.0, d.grid)
     u = solve_union(d, data, SolverConfig(), 2.0)
-    cores = {d.step_base(k).core_mask.tobytes() for k in range(d.num_steps)}
+    cores = {SpatialDomain(d.grid, step).core_mask.tobytes()
+             for step in d.step_masks()}
     assert len(cores) == 2
     assert u.stats["assemblies"] == len(cores)
 
