@@ -49,6 +49,7 @@ stream) in one call.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,43 +292,79 @@ class SamplingPolicy:
     seed: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignReport:
+    """A sign certificate's verdict.  The samples on the wrong side of the
+    claimed sign are kept as read-only arrays ``x`` (k, n), ``t`` (k,) and
+    ``residual`` (k,); ``violations`` is k."""
+
     kind: str
     claimed_sign: int
     min_residual: float
     max_residual: float
-    violating_samples: list          # (x as a list, t, residual) each
+    x: np.ndarray
+    t: np.ndarray
+    residual: np.ndarray
     samples_checked: int
     samples_excluded: int
 
     @property
+    def violations(self) -> int:
+        return len(self.t)
+
+    @property
     def certified(self) -> bool:
-        return not self.violating_samples
+        return not self.violations
 
     def to_dict(self) -> dict:
+        """A fixed-size summary: the scalars, the violation count and the
+        sample furthest on the wrong side (``None`` when certified)."""
+        worst = None
+        if self.violations:
+            i = int(np.argmin(self.claimed_sign * self.residual))
+            worst = {"x": self.x[i].tolist(), "t": float(self.t[i]),
+                     "residual": float(self.residual[i])}
         return {
             "kind": self.kind,
             "claimed_sign": self.claimed_sign,
             "min_residual": self.min_residual,
             "max_residual": self.max_residual,
-            "violations": [
-                {"x": x, "t": t, "residual": r}
-                for x, t, r in self.violating_samples],
+            "violations": self.violations,
+            "worst_violation": worst,
             "samples_checked": self.samples_checked,
             "samples_excluded": self.samples_excluded,
             "certified": self.certified,
         }
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+# Each region object's samples per policy, kept as long as the object
+# lives.  Keyed by identity, like ``solver._SLABS``, so a rebuilt equal
+# region draws its own.
+_SAMPLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _region_samples(region: SpaceTimeDomain, policy: SamplingPolicy):
-    """Sample points X (N, n) and times T (N,) over the region.
+    """Sample points X (N, n) and times T (N,) over the region, read-only
+    and drawn once per region object and policy.
 
     Nodes, level-major: the cell centers of the region's defined samples
     (at level L the bases of steps L - 1 and L).  Then per node
     ``jitter_factor`` Philox draws of a step k, a cell of its base (dropped
     if empty), a uniform point of that cell and a time in [t_k, t_k + dt).
     """
+    per_policy = _SAMPLES.setdefault(region, {})
+    if policy not in per_policy:
+        per_policy[policy] = _read_only(*_draw_samples(region, policy))
+    return per_policy[policy]
+
+
+def _draw_samples(region: SpaceTimeDomain, policy: SamplingPolicy):
     if region.num_steps == 0:
         raise BarrierError("empty sample set")
     rng = np.random.Generator(np.random.Philox(policy.seed))
@@ -378,10 +415,9 @@ def verify_sign(spec: BarrierSpec, region: SpaceTimeDomain,
         raise BarrierError("all samples were excluded")
     tol = _SIGN_TOL_REL * scale
     bad = r > tol if sign < 0 else r < -tol
-    violations = list(zip(X[bad].tolist(), T[bad].tolist(),
-                          r[bad].tolist()))
     return SignReport(spec.kind, sign, float(r.min()), float(r.max()),
-                      violations, len(r), total - len(r))
+                      *_read_only(X[bad], T[bad], r[bad]), len(r),
+                      total - len(r))
 
 
 def min_valid_j(kind: str, c: float, m: float, n: int, diam: float,

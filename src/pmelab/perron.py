@@ -62,6 +62,7 @@ class PerronBracket:
     lowers: list[Field]
     uppers: list[Field]
     gaps: list[float]                # sup of (upper - lower) per epsilon
+    field: Field                     # the solve with data f itself
 
     def to_dict(self) -> dict:
         return {"epsilons": self.epsilons, "gaps": self.gaps}
@@ -72,16 +73,16 @@ def perron_bracket(d: SpaceTimeDomain, f: BoundaryData,
     """Bracket the Perron solution by solves with data f + eps and (f - eps)_+.
 
     The bracket ordering lower <= upper holds pointwise for each eps (checked);
-    on resolutive instances the gap shrinks along the eps ladder.  Every
-    solve of the ladder runs in one ``solve_union_many`` pass.
+    on resolutive instances the gap shrinks along the eps ladder.  The solve
+    with data f itself and every solve of the ladder run in one
+    ``solve_union_many`` pass.
     """
     epsilons = list(eps_ladder)
     if any(eps <= 0 for eps in epsilons):
         raise PerronError("epsilon ladder entries must be positive")
-    fields = solve_union_many(
-        d, [g for eps in epsilons
-            for g in (f.shifted(eps), f.clipped_down(eps))],
-        cfg, m) if epsilons else []
+    field, *fields = solve_union_many(
+        d, [f] + [g for eps in epsilons
+                  for g in (f.shifted(eps), f.clipped_down(eps))], cfg, m)
     uppers, lowers, gaps = fields[::2], fields[1::2], []
     for upper, lower in zip(uppers, lowers):
         sel = upper.scheme_mask & lower.scheme_mask
@@ -91,7 +92,7 @@ def perron_bracket(d: SpaceTimeDomain, f: BoundaryData,
         if diff.min() < -1e-8 * max(1.0, f.bounds[1]):
             raise PerronError("bracket ordering violated; solver inconsistency")
         gaps.append(float(diff.max()))
-    return PerronBracket(epsilons, lowers, uppers, gaps)
+    return PerronBracket(epsilons, lowers, uppers, gaps, field)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +232,7 @@ def check_upper_member(spec: BarrierSpec, d: SpaceTimeDomain,
     report = verify_sign(spec, d, MEMBER_SAMPLING)
     if not report.certified:
         raise PerronError(
-            f"barrier sign certification failed with {len(report.violating_samples)}"
+            f"barrier sign certification failed with {report.violations}"
             " violations; not superparabolic at this sampling")
     on_pb = parabolic_boundary(d)
     centers = d.grid.centers()

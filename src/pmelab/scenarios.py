@@ -429,13 +429,13 @@ def _op_verify_barrier(doc, report, rng):
     rep = barriers.verify_sign(spec, region, policy)
     report.payload["sign_report"] = rep.to_dict()
     report.write_csv("violations.csv", ["x", "t", "residual"],
-                     ((";".join(map(str, x)), t, r)
-                      for x, t, r in rep.violating_samples))
+                     ((";".join(map(str, x)), t, r) for x, t, r in zip(
+                         rep.x.tolist(), rep.t.tolist(),
+                         rep.residual.tolist())))
     certify = expect == "certified"
     report.check("claimed residual sign certified" if certify
                  else "violations found (as expected)",
-                 rep.certified == certify,
-                 {"violations": len(rep.violating_samples)})
+                 rep.certified == certify, {"violations": rep.violations})
 
 
 def _op_perron(doc, report, rng):
@@ -444,8 +444,7 @@ def _op_perron(doc, report, rng):
     ladder = op.get("eps_ladder", [frac * data.bounds[1]
                                    for frac in perron.DEFAULT_EPS_LADDER])
     bracket = perron.perron_bracket(d, data, ladder, cfg, m)
-    (disc,) = perron.discretization_estimate(
-        [solve_union(d, data, cfg, m)], [data], cfg, m)
+    (disc,) = perron.discretization_estimate([bracket.field], [data], cfg, m)
     gaps = bracket.gaps
     report.write_csv("gaps.csv", ["epsilon", "gap"],
                      zip(bracket.epsilons, gaps))

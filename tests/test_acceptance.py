@@ -55,7 +55,8 @@ def test_criterion_2_barrier_sign_certification():
             spec = BarrierSpec("quadratic_sub", c=c, j=j, m=2.0, n=2,
                                diam=2.0)
             rep = verify_sign(spec, region, policy)
-            assert rep.certified, (c, j, rep.violating_samples[:3])
+            assert rep.certified, (c, j, rep.violations,
+                                   rep.to_dict()["worst_violation"])
             assert rep.samples_checked <= 10 ** 4
 
     j_min = min_valid_j("earliest_super", 1.0, 2.0, 2, 1.0)

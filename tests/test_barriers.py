@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pmelab import barriers
 from pmelab.barriers import (
     KINDS,
     BarrierError,
@@ -180,6 +182,70 @@ def test_log_family_excludes_singular_column():
     rep = verify_sign(spec, square_region(), SamplingPolicy(seed=3))
     assert rep.samples_excluded > 0
     assert rep.certified
+
+
+def criterion_2_region():
+    g = Grid(n=2, h=1 / 16, origin=(-0.5, -0.5), extents=(16, 16))
+    U = SpatialDomain(g, np.ones((16, 16), dtype=bool))
+    return SpaceTimeDomain([Cylinder(U, 0.0, 0.5)], dt=1 / 16)
+
+
+def test_violations_are_arrays_summarized_in_fixed_size():
+    region = criterion_2_region()
+    policy = SamplingPolicy(seed=77, max_samples=10 ** 4)
+    bad = BarrierSpec("earliest_super", c=1.0, j=1, m=2.0, n=2, diam=1.0)
+    rep = verify_sign(bad, region, policy)
+    assert rep.violations == 10 ** 4 == rep.samples_checked
+    assert rep.x.shape == (10 ** 4, 2)
+    assert rep.t.shape == rep.residual.shape == (10 ** 4,)
+    assert not any(a.flags.writeable for a in (rep.x, rep.t, rep.residual))
+    np.testing.assert_array_equal(rep.residual, residual(bad, rep.x, rep.t))
+    assert (rep.residual < 0).all()
+    summary = rep.to_dict()
+    assert len(json.dumps(summary)) < 1024
+    assert summary["violations"] == 10 ** 4
+    i = int(np.argmin(rep.residual))
+    assert summary["worst_violation"] == {
+        "x": rep.x[i].tolist(), "t": float(rep.t[i]),
+        "residual": float(rep.residual[i])}
+    assert summary["worst_violation"]["residual"] == rep.min_residual
+
+    good = BarrierSpec("quadratic_sub", c=1.0, j=4, m=2.0, n=2, diam=2.0)
+    rep = verify_sign(good, region, policy)
+    assert rep.certified and rep.violations == 0
+    assert rep.x.shape == (0, 2)
+    summary = rep.to_dict()
+    assert summary["violations"] == 0
+    assert summary["worst_violation"] is None
+
+
+def test_region_samples_are_drawn_once_per_region_and_policy(monkeypatch):
+    draws, draw = [], barriers._draw_samples
+
+    def counted(region, policy):
+        draws.append(policy)
+        return draw(region, policy)
+
+    monkeypatch.setattr(barriers, "_draw_samples", counted)
+    region, policy = square_region(), SamplingPolicy(seed=5)
+    X, T = _region_samples(region, policy)
+    assert not X.flags.writeable and not T.flags.writeable
+    with pytest.raises(ValueError):
+        X[0, 0] = 0.0
+    X0, T0 = draw(square_region(), policy)
+    assert X.tobytes() == X0.tobytes() and T.tobytes() == T0.tobytes()
+    spec = BarrierSpec("quadratic_sub", c=1.0, j=3, m=2.0, n=2, diam=2.0)
+    for _ in range(3):
+        assert verify_sign(spec, region, policy).certified
+        got = _region_samples(region, policy)
+        assert got[0] is X and got[1] is T
+    assert draws == [policy]
+    other = SamplingPolicy(seed=6)
+    assert _region_samples(region, other)[0] is not X
+    rebuilt = square_region()
+    X1, _ = _region_samples(rebuilt, policy)
+    assert X1 is not X and X1.tobytes() == X.tobytes()
+    assert draws == [policy, other, policy]
 
 
 # -- the array contract ----------------------------------------------------------

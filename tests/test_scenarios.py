@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmelab import perron, scenarios
+from pmelab import perron, scenarios, solver
 from pmelab.barriers import barenblatt
 from pmelab.bundled import bundled_scenario, list_bundled
 from pmelab.geometry import Cylinder, SpaceTimeDomain
@@ -229,9 +229,28 @@ def test_torsion_operation_pins_its_check_payload_and_table(tmp_path):
     assert lines[1 + 4] == "0,4,0"
 
 
+def test_perron_operation_solves_its_domain_in_one_fine_pass(
+        monkeypatch, tmp_path):
+    calls, solve_many = [], solver.solve_union_many
+
+    def counted(d, datas, cfg, m):
+        calls.append((d, len(datas)))
+        return solve_many(d, datas, cfg, m)
+
+    monkeypatch.setattr(solver, "solve_union_many", counted)
+    monkeypatch.setattr(perron, "solve_union_many", counted)
+    doc = bundled_scenario("union-resolutivity")
+    report = run_scenario(doc, tmp_path)
+    assert report["all_pass"], report["checks"]
+    # f itself and the f + eps, (f - eps)_+ ladder, then f's coarse companion
+    (fine, members), (coarse, one) = calls
+    assert members == 1 + 2 * len(doc["operation"]["eps_ladder"])
+    assert coarse is perron.coarsen_domain(fine) and one == 1
+
+
 SIGN_REPORT_KEYS = ["kind", "claimed_sign", "min_residual", "max_residual",
-                    "violations", "samples_checked", "samples_excluded",
-                    "certified"]
+                    "violations", "worst_violation", "samples_checked",
+                    "samples_excluded", "certified"]
 
 
 # earliest_super needs j >= 129 on this region; the torsion case builds its
@@ -253,10 +272,11 @@ def test_verify_barrier_operation_pins_its_check_payload_and_table(
     assert list(sign) == SIGN_REPORT_KEYS
     assert sign["certified"] == (expect == "certified")
     assert report["checks"] == [{"check": check, "pass": True, "detail": {
-        "violations": len(sign["violations"])}}]
+        "violations": sign["violations"]}}]
+    assert (sign["worst_violation"] is None) == sign["certified"]
     lines = (tmp_path / "violations.csv").read_text().splitlines()
     assert lines[0] == "x,t,residual"
-    assert len(lines) == 1 + len(sign["violations"])
+    assert len(lines) == 1 + sign["violations"]
 
 
 @pytest.mark.parametrize("operation, where", [
