@@ -11,10 +11,9 @@ decisions: gaps between the bracket fields and the boundary value are
 measured over shrinking space-time balls, extrapolated linearly over the
 three smallest radii, and compared against a discretization error estimate
 obtained from a coarse companion solve.  A probe solves its whole family
-in one pass per domain, estimates every member in one coarse pass,
-selects its balls once per domain and certifies each barrier member's
-sign once.  All decision thresholds are explicit fields of the returned
-report.
+in one pass per domain, estimates every member in one coarse pass and
+selects its balls once per domain.  All decision thresholds are explicit
+fields of the returned report.
 """
 
 from __future__ import annotations
@@ -25,13 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barriers import (
-    CLAIMED_SIGN,
-    BarrierSpec,
-    SamplingPolicy,
-    evaluate as barrier_evaluate,
-    verify_sign,
-)
 from .capacity import CapacityProfile, ThicknessVerdict
 from .geometry import (
     Cylinder,
@@ -214,42 +206,6 @@ class RegularityProbe:
         }
 
 
-MEMBER_SAMPLING = SamplingPolicy(seed=0, max_samples=20000)
-
-
-def check_upper_member(spec: BarrierSpec, d: SpaceTimeDomain,
-                       datas: list[BoundaryData]) -> list[float]:
-    """Verify that a barrier member belongs to the upper class for each of
-    ``datas``.
-
-    Two certificates are required: the residual sign over the domain
-    (superparabolic, sampled once by ``MEMBER_SAMPLING``) and domination of
-    each datum at every parabolic-boundary sample.  Returns each datum's
-    smallest domination margin.  Raises on failure.
-    """
-    if CLAIMED_SIGN[spec.kind] <= 0:
-        raise PerronError(f"{spec.kind} is subparabolic; not an upper-class kind")
-    report = verify_sign(spec, d, MEMBER_SAMPLING)
-    if not report.certified:
-        raise PerronError(
-            f"barrier sign certification failed with {report.violations}"
-            " violations; not superparabolic at this sampling")
-    on_pb = parabolic_boundary(d)
-    centers = d.grid.centers()
-    margins = [math.inf] * len(datas)
-    for k in range(d.num_levels):
-        pts, t = centers[on_pb[k]], d.level_time(k)
-        if len(pts):
-            w = barrier_evaluate(spec, pts, t)
-            margins = [min(margin, float((w - data.sample(pts, t)).min()))
-                       for margin, data in zip(margins, datas)]
-    for margin, data in zip(margins, datas):
-        if margin < -1e-9 * max(1.0, data.bounds[1]):
-            raise PerronError("barrier does not dominate the boundary data "
-                              f"(margin {margin:.3e})")
-    return margins
-
-
 def _ball_masks(d: SpaceTimeDomain, xi: np.ndarray, radii) -> np.ndarray:
     """Interior samples of ``d`` within each radius of xi = (x0, t0),
     stacked as ``(len(radii), levels, *extents)``."""
@@ -264,21 +220,11 @@ def _ball_masks(d: SpaceTimeDomain, xi: np.ndarray, radii) -> np.ndarray:
     return balls
 
 
-def _min_over_ball(field: Field, members: list[BarrierSpec],
-                   ball: np.ndarray, eps: float) -> float:
-    """Min over the ball's samples of min(pinned solve - eps, members).
-
-    The pinned solve is debiased by its data shift eps; certified members
-    are used as-is (conservative upper bounds for the envelope).
-    """
-    vals = field.values[ball] - eps
-    if members:
-        level, *cell = np.nonzero(ball)
-        pts = field.domain.grid.centers()[tuple(cell)]
-        t = field.domain.level_times()[level]
-        for spec in members:
-            vals = np.minimum(vals, barrier_evaluate(spec, pts, t))
-    return float(vals.min())
+def _min_over_ball(field: Field, ball: np.ndarray, eps: float) -> float:
+    """Min over the ball's samples of the pinned solve, debiased by its data
+    shift eps.  Kept a function of its own because ``bench/tracer.py``
+    binds it as the layer ``perron.min_over_ball``."""
+    return float(field.values[ball].min()) - eps
 
 
 @dataclass(frozen=True)
@@ -426,7 +372,6 @@ def default_data_family(d: SpaceTimeDomain, xi0
 def regularity_probe(d: SpaceTimeDomain, xi0, family: list[BoundaryData],
                      radii: list[float], cfg: SolverConfig, m: float,
                      family_labels: list[str] | None = None,
-                     upper_members: list[BarrierSpec] | None = None,
                      removability: RemovabilityCertificate | None = None
                      ) -> RegularityProbe:
     """Probe upper/lower boundary regularity at xi0 with a data family.
@@ -436,24 +381,19 @@ def regularity_probe(d: SpaceTimeDomain, xi0, family: list[BoundaryData],
     max over interior samples within r of the (f + eps)-solve, minus
     f(xi0) + eps; lower gaps mirror this with min and (f - eps)_+.
 
-    ``upper_members`` (certified upper-class barriers, see
-    :func:`check_upper_member`) and a :class:`RemovabilityCertificate`
-    tighten the upper envelope; since the lower envelope never exceeds the
-    upper one, the lower gap then uses f(xi0) minus the min of the
-    estimates, which is what exposes irregularity at boundary columns of
-    vanishing capacity.
+    A :class:`RemovabilityCertificate` is the one thing that tightens the
+    upper envelope; since the lower envelope never exceeds the upper one,
+    the lower gap then uses f(xi0) minus the min of the two estimates, which
+    is what exposes irregularity at boundary columns of vanishing capacity.
     """
     x0, t0, xi, radii = _probe_setup(d, xi0, radii, removability)
     eps = 0.025 * max(f.bounds[1] for f in family)
     labels = family_labels or [f"member-{i}" for i in range(len(family))]
-    members = list(upper_members or [])
 
     f_xis = [float(f.sample(x0, t0)) for f in family]
     if min(f_xis) <= 0:
         raise PerronError("family members must be positive at xi0")
     ups = [f.shifted(eps) for f in family]
-    for spec in members:
-        check_upper_member(spec, d, ups)
     # one pass per domain; each member's f + eps and (f - eps)_+ alternate
     fields = solve_union_many(
         d, [g for f, up in zip(family, ups) for g in (up, f.clipped_down(eps))],
@@ -478,9 +418,6 @@ def regularity_probe(d: SpaceTimeDomain, xi0, family: list[BoundaryData],
                          envelope.values[env_ball].max()) - eps
             ug.append(float(up_est) - f_xi)
             low_est = float(lower.values[ball].min()) + eps
-            if members:
-                low_est = min(low_est,
-                              _min_over_ball(upper, members, ball, eps) + eps)
             if envelope is not upper:
                 low_est = min(low_est,
                               float(envelope.values[env_ball].min()) - eps)
@@ -513,7 +450,6 @@ class DichotomyResult:
 def dichotomy_check(d: SpaceTimeDomain, xi0, f: BoundaryData,
                     radii: list[float], cfg: SolverConfig, m: float,
                     tol: float | None = None,
-                    upper_members: list[BarrierSpec] | None = None,
                     removability: RemovabilityCertificate | None = None
                     ) -> DichotomyResult:
     """Classify the boundary behaviour at xi0: attain f(xi0) or drop to zero.
@@ -523,14 +459,12 @@ def dichotomy_check(d: SpaceTimeDomain, xi0, f: BoundaryData,
     drops-to-zero if <= tol, otherwise inconclusive.  tol is capped at
     0.4 * f(xi0) so the two branches stay mutually exclusive.
 
-    The base envelope estimate is the pinned solve of f + eps.  It can be
-    tightened by two certified mechanisms: the pointwise min with
-    upper-class barrier members (``upper_members``; each is certified by
-    sign and boundary domination before use), and a
-    :class:`RemovabilityCertificate`, which replaces the solve domain by
-    one with a capacity-thin boundary column reinstated (the envelope sheds
-    such columns; the pinned solve alone cannot see this because any
-    nonempty voxel column carries positive capacity at fixed h).
+    The envelope estimate is the pinned solve of f + eps.  One certified
+    mechanism tightens it: a :class:`RemovabilityCertificate`, which
+    replaces the solve domain by one with a capacity-thin boundary column
+    reinstated (the envelope sheds such columns; the pinned solve alone
+    cannot see this because any nonempty voxel column carries positive
+    capacity at fixed h).
     """
     x0, t0, xi, radii = _probe_setup(d, xi0, radii, removability)
     f_xi = float(f.sample(x0, t0))
@@ -538,16 +472,13 @@ def dichotomy_check(d: SpaceTimeDomain, xi0, f: BoundaryData,
         raise PerronError("dichotomy needs f(xi0) > 0")
     eps = 0.025 * max(f.bounds[1], f_xi)
     solve_domain = d if removability is None else removability.envelope_domain
-    members = list(upper_members or [])
     up = f.shifted(eps)
-    for spec in members:
-        check_upper_member(spec, solve_domain, [up])
     upper = solve_union(solve_domain, up, cfg, m)
     (disc_est,) = discretization_estimate([upper], [up], cfg, m)
     if tol is None:
         tol = max(0.1 * f_xi, 2 * disc_est)
     tol = min(tol, 0.4 * f_xi)
-    mins = [(r, _min_over_ball(upper, members, ball, eps))
+    mins = [(r, _min_over_ball(upper, ball, eps))
             for r, ball in zip(radii, _ball_masks(solve_domain, xi, radii))]
     est = _fit_intercept(radii, [v for _, v in mins])     # liminf estimate
     if est >= f_xi - tol:
@@ -562,7 +493,8 @@ def dichotomy_check(d: SpaceTimeDomain, xi0, f: BoundaryData,
 def future_truncation_probe(d: SpaceTimeDomain, xi0,
                             family: list[BoundaryData], radii: list[float],
                             cfg: SolverConfig, m: float,
-                            **kwargs) -> tuple[RegularityProbe, RegularityProbe, bool]:
+                            family_labels: list[str] | None = None
+                            ) -> tuple[RegularityProbe, RegularityProbe, bool]:
     """Pair a probe on the full domain with one on the past truncation.
 
     The truncation keeps only times strictly before t0.  If xi0 is no longer
@@ -571,13 +503,14 @@ def future_truncation_probe(d: SpaceTimeDomain, xi0,
     instead of gap tables.  Returns (full, truncated, verdicts agree).
     """
     x0, t0 = np.asarray(xi0[0], dtype=float), float(xi0[1])
-    full = regularity_probe(d, xi0, family, radii, cfg, m, **kwargs)
+    full = regularity_probe(d, xi0, family, radii, cfg, m,
+                            family_labels=family_labels)
     trunc = d.truncate(t0) if t0 < d.t_max else d
     if not trunc.cylinders or trunc.num_steps < 1:
         raise PerronError("truncation at t0 is empty")
     try:
         trunc_probe = regularity_probe(trunc, xi0, family, radii, cfg, m,
-                                       **kwargs)
+                                       family_labels=family_labels)
     except OffBoundaryError:
         trunc_probe = RegularityProbe(
             (tuple(map(float, x0)), t0), _approach_radii(radii),

@@ -429,7 +429,7 @@ def _op_verify_barrier(doc, report, rng):
     rep = barriers.verify_sign(spec, region, policy)
     report.payload["sign_report"] = rep.to_dict()
     report.write_csv("violations.csv", ["x", "t", "residual"],
-                     ((";".join(map(str, x)), t, r) for x, t, r in zip(
+                     ((";".join(map(_fmt, x)), t, r) for x, t, r in zip(
                          rep.x.tolist(), rep.t.tolist(),
                          rep.residual.tolist())))
     certify = expect == "certified"

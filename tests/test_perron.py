@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from pmelab import perron, solver
-from pmelab.barriers import BarrierSpec
-from pmelab.capacity import classify_thickness, torsion_profile, wiener_profile
+from pmelab.capacity import classify_thickness, wiener_profile
 from pmelab.geometry import (
     Cylinder,
     Grid,
@@ -16,7 +15,6 @@ from pmelab.perron import (
     PerronError,
     RemovabilityCertificate,
     _ball_masks,
-    check_upper_member,
     coarsen_domain,
     default_data_family,
     dichotomy_check,
@@ -289,69 +287,6 @@ def test_scale_transform_rejects_heat_exponent():
     u = solve_union(d, BoundaryData.constant(1.0), CFG, M_EXP)
     with pytest.raises(PerronError):
         scale_transform(u, 4.0, 1.0)
-
-
-def torsion_member_box():
-    """A unit-square cylinder and a torsion barrier anchored on its side."""
-    g = Grid(n=2, h=1 / 16, origin=(0, 0), extents=(16, 16))
-    U = SpatialDomain(g, np.ones((16, 16), dtype=bool))
-    d = SpaceTimeDomain([Cylinder(U, -0.25, 0.25)], dt=1 / 16)
-    v = torsion_profile(U, np.array([0.0, 0.5]))
-    spec = BarrierSpec("torsion_super", c=0.5, j=1, m=2.0, n=2, diam=1.6,
-                       torsion_field=v, anchor=((0.0, 0.5), 0.0))
-    return d, spec
-
-
-SUBPARABOLIC = BarrierSpec("quadratic_sub", c=1.0, j=1, m=2.0, n=2, diam=1.6)
-
-
-def test_check_upper_member_torsion():
-    d, spec = torsion_member_box()
-    small = BoundaryData.constant(0.2)
-    (margin,) = check_upper_member(spec, d, [small])
-    assert margin >= 0
-    with pytest.raises(PerronError):
-        check_upper_member(SUBPARABOLIC, d, [small])
-
-
-def test_dichotomy_upper_members():
-    d, spec = torsion_member_box()
-    small = BoundaryData.constant(0.2)
-    xi0, radii = ((1 / 32, 15 / 32), 0.0), [0.3, 0.2, 0.15, 0.1]
-    with pytest.raises(PerronError, match="subparabolic"):
-        dichotomy_check(d, xi0, small, radii, CFG, M_EXP,
-                        upper_members=[SUBPARABOLIC])
-    bare = dichotomy_check(d, xi0, small, radii, CFG, M_EXP)
-    capped = dichotomy_check(d, xi0, small, radii, CFG, M_EXP,
-                             upper_members=[spec])
-    # a certified member can only lower the envelope estimate
-    for (_, low), (_, low_capped) in zip(bare.per_radius, capped.per_radius):
-        assert low_capped <= low
-    assert capped.liminf_estimate <= bare.liminf_estimate
-
-
-def test_probe_upper_members_certify_each_barrier_once(monkeypatch):
-    d, spec = torsion_member_box()
-    family = [BoundaryData.constant(0.2), BoundaryData.constant(0.1)]
-    xi0, radii = ((1 / 32, 15 / 32), 0.0), [0.3, 0.2, 0.15, 0.1]
-    with pytest.raises(PerronError, match="subparabolic"):
-        regularity_probe(d, xi0, family, radii, CFG, M_EXP,
-                         upper_members=[SUBPARABOLIC])
-    bare = regularity_probe(d, xi0, family, radii, CFG, M_EXP)
-    certified, verify = [], perron.verify_sign
-
-    def counted(spec, region, policy):
-        certified.append(spec)
-        return verify(spec, region, policy)
-
-    monkeypatch.setattr(perron, "verify_sign", counted)
-    capped = regularity_probe(d, xi0, family, radii, CFG, M_EXP,
-                              upper_members=[spec])
-    assert certified == [spec]          # once for the whole family
-    # a certified member can only lower the lower envelope estimate
-    for low, low_capped in zip(bare.lower_gaps, capped.lower_gaps):
-        assert all(c >= b for b, c in zip(low, low_capped))
-    assert capped.upper_gaps == bare.upper_gaps
 
 
 def punctured_setup(h=1 / 32):

@@ -253,12 +253,16 @@ SIGN_REPORT_KEYS = ["kind", "claimed_sign", "min_residual", "max_residual",
                     "samples_excluded", "certified"]
 
 
-# earliest_super needs j >= 129 on this region; the torsion case builds its
-# torsion field on the region's grid
+# earliest_super needs j >= 129 on this region; the torsion cases build
+# their torsion field on the region's grid
 @pytest.mark.parametrize("barrier, expect, check", [
     ({"kind": "earliest_super", "c": 1.0, "j": 1, "m": 2.0, "n": 2,
       "diam": 1.0}, "violations", "violations found (as expected)"),
     ({"kind": "torsion_sub", "c": 1.0, "j": 4, "m": 2.0, "n": 2,
+      "diam": 1.5, "anchor": [[0.5, 0.0], 0.0],
+      "torsion": {"base": {"shape": "box"}, "x0": [0.5, 0.0]}},
+     "certified", "claimed residual sign certified"),
+    ({"kind": "torsion_super", "c": 1.0, "j": 4, "m": 2.0, "n": 2,
       "diam": 1.5, "anchor": [[0.5, 0.0], 0.0],
       "torsion": {"base": {"shape": "box"}, "x0": [0.5, 0.0]}},
      "certified", "claimed residual sign certified"),
@@ -277,6 +281,11 @@ def test_verify_barrier_operation_pins_its_check_payload_and_table(
     lines = (tmp_path / "violations.csv").read_text().splitlines()
     assert lines[0] == "x,t,residual"
     assert len(lines) == 1 + sign["violations"]
+    # every number of every cell, the x coordinates too, is written .17g
+    for line in lines[1:]:
+        for cell in line.split(","):
+            for c in cell.split(";"):
+                assert c == format(float(c), ".17g")
 
 
 @pytest.mark.parametrize("operation, where", [
