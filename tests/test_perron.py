@@ -240,6 +240,36 @@ def test_dichotomy_rejects_vanishing_point_value():
         dichotomy_check(d, xi0, zero, [0.2, 0.15, 0.1], CFG, M_EXP)
 
 
+def test_dichotomy_ball_min_is_the_debiased_pinned_solve():
+    # with no certificate, each ball's envelope estimate is the min of the
+    # pinned f + eps solve over the ball, less eps, and nothing else
+    d = square_cylinder()
+    xi0 = ((-0.5 + 1 / 32, 1 / 32), 0.125)
+    f = BoundaryData(fn=lambda x, t: 1.5 + x[..., 0], bounds=(1.0, 2.0))
+    res = dichotomy_check(d, xi0, f, [0.25, 0.2, 0.15, 0.1, 0.07], CFG, M_EXP)
+    eps = 0.025 * 2.0
+    upper = solve_union(d, f.shifted(eps), CFG, M_EXP)
+    radii = [r for r, _ in res.per_radius]
+    balls = _ball_masks(d, np.array([*xi0[0], xi0[1]]), radii)
+    for (_, low), ball in zip(res.per_radius, balls):
+        assert low == float(upper.values[ball].min()) - eps
+
+
+def test_future_truncation_labels_both_probes():
+    d = square_cylinder(h=1 / 16, cells=16)
+    xi0 = ((-0.5 + 1 / 32, 1 / 32), 0.125)
+    fam = [BoundaryData.constant(1.0), BoundaryData.constant(2.0)]
+    labels = ["one", "two"]
+    full, trunc, _ = future_truncation_probe(
+        d, xi0, fam, [0.25, 0.2, 0.15, 0.1, 0.07], CFG, M_EXP,
+        family_labels=labels)
+    assert full.family_labels == trunc.family_labels == labels
+    assert full.to_dict()["family"] == labels
+    with pytest.raises(TypeError):
+        future_truncation_probe(d, xi0, fam, [0.25, 0.2, 0.15], CFG, M_EXP,
+                                upper_members=[])
+
+
 def test_future_truncation_agrees_on_lateral_point():
     d = square_cylinder(h=1 / 16, cells=16)
     xi0 = ((-0.5 + 1 / 32, 1 / 32), 0.125)
