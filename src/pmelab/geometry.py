@@ -146,10 +146,13 @@ class Stencil(NamedTuple):
     unselected neighbours among all grid cells, so ``pinned @ v.ravel()``
     sums grid values ``v`` over those.  Neighbours beyond the grid edge are
     dropped.  Both are canonical (sorted indices, no duplicates), so a
-    product adds each row's entries in C order.
+    product adds each row's entries in C order.  A solver slab may replace
+    ``adjacency`` by the same matrix as a ``scipy.sparse.dia_matrix`` with
+    ascending offsets, whose products add in that same order (see
+    ``solver``).
     """
 
-    adjacency: sp.csr_matrix
+    adjacency: sp.csr_matrix | sp.dia_matrix
     flat: np.ndarray
     pinned: sp.csr_matrix
 

@@ -14,8 +14,21 @@ data are array-valued (see ``BoundaryData``): each level's pinned samples
 are drawn in one call.
 
 A slab is a run of levels with one interior mask, and ``_step_matrices``
-builds each one: the core's ``geometry.face_stencil``, the constant
-Jacobian part ``M = 2n*I - A`` and its Jacobian pattern, all read-only.
+builds each one, read-only, from the core's ``geometry.face_stencil``.
+How a slab stores the stencil's adjacency ``A`` and the constant Jacobian
+part ``M = 2n*I - A`` depends on how many distinct index offsets
+``col - row`` its cells see their neighbours at.  A core with at most 2n
+of them, which every box core is, is stored by its diagonals: the
+stencil's adjacency becomes a ``scipy.sparse.dia_matrix`` with ascending
+offsets, and that is all the slab keeps of A and M.  Any other core (the
+punctured disk of the benchmark has 60) keeps CSR: the adjacency, M and
+M's Jacobian pattern.  Either storage gives the same bits.  A CSR product
+adds a row's products from 0 in column order; a DIA product adds the
+diagonals from 0 in their stored order, which is that same column order,
+and a diagonal's other entries (where a cell has no neighbour at that
+offset) are exact zeros (+0), which leave every sum as it is.  At
+h = 1/128 (15,876 unknowns) the diagonals take 0.5 MB, where CSR would
+take 3.3 MB.
 ``_slabs`` keeps a domain object's slabs for as long as it lives (a
 ``weakref.WeakKeyDictionary`` keyed by identity, so a rebuilt domain, even
 an equal one, builds its own), and every solve and residual check on it
@@ -44,9 +57,11 @@ while the others iterate.  No norm is pooled across members.
 Newton's symmetrized Jacobian is ``I + c*S M S`` with
 ``S = diag(sqrt(m|u|^(m-1)))``.  A solve gives each slab it enters a
 workspace (``_SlabJacobian``) that holds its mutable buffers, so solves
-share no state.  Its CSR matrix is block diagonal, one block per member
-still iterating, each on M's index pattern, and each Newton iteration
-rewrites the matrix data in place by scaling M's stored data.
+share no state.  Its matrix is block diagonal, one block per member still
+iterating, stored as the slab is: by M's diagonals, or in CSR on M's index
+pattern.  Each Newton iteration rewrites the matrix data in place, every
+entry as ``((s_row * m) * s_col) * c`` with 1.0 added on the diagonal, in
+either storage.
 Cells are numbered in C order, so the Jacobian is banded; its bandwidth
 is the largest index distance between neighbours (a row of the core in
 2-D).  When that is at most ``_BAND_MAX`` (32), each iteration factors
@@ -168,7 +183,8 @@ def cg(A, b: np.ndarray, *, rtol: float, atol: float = 0.0, maxiter: int,
         act, r, tol = act[~zero], r[~zero], tol[~zero]
     whole = act.size == size
     for it in range(maxiter):
-        stop = np.sqrt(np.vecdot(r, r)) < tol
+        rr = np.vecdot(r, r)
+        stop = np.sqrt(rr) < tol
         stopped = np.count_nonzero(stop)
         if stopped:
             info[act[stop]] = 0
@@ -176,20 +192,21 @@ def cg(A, b: np.ndarray, *, rtol: float, atol: float = 0.0, maxiter: int,
                 counts[act[stop]] += it
             if stopped == act.size:
                 break
-            act, r, tol = act[~stop], r[~stop], tol[~stop]
+            act, r, tol, rr = act[~stop], r[~stop], tol[~stop], rr[~stop]
             if it:
                 p, rho_prev = p[~stop], rho_prev[~stop]
             whole = False
         elif not act.size:          # every b was zero
             break
-        if M is None:
-            z = r
-        elif whole:
-            z = M(r.reshape(b.shape)).reshape(r.shape)
+        if M is None:               # z is r: the stopping test's dot is rho
+            z, rho = r, rr
         else:
-            z = M(_spread(r, act, size).reshape(b.shape)
-                  ).reshape(B.shape)[act]
-        rho = np.vecdot(r, z)
+            if whole:
+                z = M(r.reshape(b.shape)).reshape(r.shape)
+            else:
+                z = M(_spread(r, act, size).reshape(b.shape)
+                      ).reshape(B.shape)[act]
+            rho = np.vecdot(r, z)
         if it:
             p *= (rho / rho_prev)[:, None]
             p += z
@@ -345,64 +362,86 @@ def cfl_max_dt(L: float, h: float, m: float, n: int) -> float:
     return h * h / (2 * n * m * L ** (m - 1))
 
 
-def _lap_h2(A: sp.csr_matrix, w: np.ndarray, bdry_w: np.ndarray,
-            deg: float) -> np.ndarray:
+def _lap_h2(A: sp.csr_matrix | sp.dia_matrix, w: np.ndarray,
+            bdry_w: np.ndarray, deg: float) -> np.ndarray:
     """h^2 * lap_h(w) on the core: A w + pinned neighbours - 2n w, for one
     vector ``w`` or a stack of rows."""
     return _rows(A, w) + bdry_w - deg * w
 
 
-def _rows(mat: sp.csr_matrix, w: np.ndarray) -> np.ndarray:
+def _rows(mat: sp.csr_matrix | sp.dia_matrix, w: np.ndarray) -> np.ndarray:
     """``mat @ w`` for one vector, or for every row of a stack.  scipy
     multiplies a block of columns entry by entry in the order that it
-    multiplies one vector, so each row gets the one-vector product's bits."""
+    multiplies one vector, so each row gets the one-vector product's bits.
+    ``mat`` is CSR, which adds a row's products in column order, or DIA with
+    ascending offsets, which adds the diagonals in that same order."""
     return (mat @ w.T).T
 
 
 class _Slab(NamedTuple):
-    """One slab's stencil and where its Jacobian ``I + c*S M S`` puts M's
-    stored data.
+    """One slab's stencil and what its Jacobian ``I + c*S M S`` is built
+    from, with ``M = 2n*I - A`` and ``deg = 2n``.
 
-    ``M = 2n*I - A``.  ``rows`` is the CSR row of each stored entry of M and
-    ``diag`` the positions of the diagonal ones.  ``upper`` lists the
-    entries on or above the diagonal and ``band`` their flat index into the
-    Fortran-ordered ``(bw + 1, n)`` upper banded storage (row
-    ``bw + row - col``), where ``bw`` is the largest ``col - row``.
-    Every array is read-only.
+    ``bw`` is the largest ``col - row`` of M, the Jacobian's bandwidth.  A
+    diagonal slab's ``stencil.adjacency`` is a DIA matrix with ascending
+    offsets, and M's CSR fields are None.  A CSR slab keeps M: ``rows`` is
+    the CSR row of each stored entry of M and ``diag`` the positions of the
+    diagonal ones.  ``upper`` lists the entries on or above the diagonal and
+    ``band`` their flat index into the Fortran-ordered ``(bw + 1, n)``
+    upper banded storage (row ``bw + row - col``).  Every array is
+    read-only.
     """
 
     stencil: Stencil
-    M: sp.csr_matrix
-    rows: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-    band: np.ndarray
+    deg: float
     bw: int
+    M: sp.csr_matrix | None = None
+    rows: np.ndarray | None = None
+    diag: np.ndarray | None = None
+    upper: np.ndarray | None = None
+    band: np.ndarray | None = None
 
 
 def _step_matrices(core: np.ndarray) -> _Slab:
-    """The slab of the core cells ``core``: their stencil, ``M = 2n*I - A``
-    and its Jacobian pattern.
+    """The slab of the core cells ``core``: their stencil and M's storage.
+
+    A core whose cells see their neighbours at no more than 2n distinct
+    index offsets (every box) is stored by its diagonals; any other core
+    keeps CSR, with M and its Jacobian pattern.
 
     The solver's one slab builder.  Its name is the stencil-assembly layer
     that the benchmark's tracer wraps (``bench/tracer.py``, as
     ``solver.assemble``), so it keeps that name.
     """
     st = face_stencil(core)
-    A = st.adjacency
-    M = (sp.diags(np.full(A.shape[0], 2.0 * core.ndim)) - A).tocsr()
-    n = M.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(M.indptr))
-    offset = M.indices - rows
-    bw = int(offset.max(initial=0))
-    upper = np.flatnonzero(offset >= 0)
-    band = M.indices[upper] * (bw + 1) + bw - offset[upper]
-    diag = np.flatnonzero(offset == 0)
-    for arr in (A.data, A.indices, A.indptr, st.pinned.data,
-                st.pinned.indices, st.pinned.indptr, st.flat, M.data,
-                M.indices, M.indptr, rows, diag, upper, band):
+    A, deg = st.adjacency, 2.0 * core.ndim
+    n = A.shape[0]
+    offsets = np.unique(A.indices - np.repeat(
+        np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr)))
+    if len(offsets) <= deg:
+        # column j of diagonal off holds A[j - off, j]
+        data = np.zeros((len(offsets), n))
+        for row, off in zip(data, offsets.tolist()):
+            row[max(off, 0):n + min(off, 0)] = A.diagonal(off)
+        A = sp.dia_matrix((data, offsets), shape=A.shape)
+        st = st._replace(adjacency=A)
+        slab = _Slab(st, deg, int(offsets.max(initial=0)))
+        frozen = (A.data, A.offsets)
+    else:
+        M = (sp.diags(np.full(n, deg)) - A).tocsr()
+        rows = np.repeat(np.arange(n), np.diff(M.indptr))
+        offset = M.indices - rows
+        bw = int(offset.max(initial=0))
+        upper = np.flatnonzero(offset >= 0)
+        band = M.indices[upper] * (bw + 1) + bw - offset[upper]
+        diag = np.flatnonzero(offset == 0)
+        slab = _Slab(st, deg, bw, M, rows, diag, upper, band)
+        frozen = (A.data, A.indices, A.indptr, M.data, M.indices, M.indptr,
+                  rows, diag, upper, band)
+    for arr in (*frozen, st.pinned.data, st.pinned.indices, st.pinned.indptr,
+                st.flat):
         arr.setflags(write=False)
-    return _Slab(st, M, rows, diag, upper, band, bw)
+    return slab
 
 
 # Each domain object's slabs, kept as long as the object lives.  Keyed by
@@ -441,35 +480,46 @@ class _SlabJacobian:
     to ``size`` members.
 
     ``update`` takes the scales of the k members still iterating and makes
-    ``J`` their block-diagonal matrix: k blocks on M's index pattern, each
-    one member's Jacobian, with its data rewritten in place.  When
-    ``bw <= _BAND_MAX`` it also factors each block in place in its own
-    slot of one band buffer by LAPACK ``pbtrf``, and ``precond`` applies
-    slot i's factor to row i of a stack by ``pbtrs``; otherwise
-    ``precond`` is None.
+    ``J`` their block-diagonal matrix, each block one member's Jacobian,
+    with its data rewritten in place.  On a diagonal slab J is a DIA matrix
+    on M's offsets, whose diagonals run through the k blocks and are zero
+    where they cross from one block to the next; otherwise J is CSR, k
+    blocks on M's index pattern.  When ``bw <= _BAND_MAX`` it also factors
+    each block in place in its own slot of one band buffer by LAPACK
+    ``pbtrf``, and ``precond`` applies slot i's factor to row i of a stack
+    by ``pbtrs``; otherwise ``precond`` is None.
     """
 
     def __init__(self, slab: _Slab, size: int = 1):
-        M = slab.M
-        n, nnz = M.shape[0], M.nnz
         self.slab = slab
-        # J's pattern, and the row of each stored entry and the positions
-        # of the diagonal ones, for every block of the stack
-        self._indices = _tiled(M.indices, n, size).astype(M.indices.dtype,
-                                                           copy=False)
-        self._indptr = np.append(_tiled(M.indptr[:-1], nnz, size),
-                                 size * nnz).astype(M.indptr.dtype)
-        self._rows = _tiled(slab.rows, n, size)
-        self._diag = _tiled(slab.diag, nnz, size)
+        self._n = n = len(slab.stencil.flat)
+        A = slab.stencil.adjacency
+        if slab.M is None:
+            # M's offsets, and A's diagonal at each (None at the main one)
+            self._main = main = int(np.searchsorted(A.offsets, 0))
+            self._offsets = np.insert(A.offsets, main, 0)
+            self._adj = [*A.data[:main], None, *A.data[main:]]
+        else:
+            # J's pattern, and the row of each stored entry and the
+            # positions of the diagonal ones, for every block of the stack
+            M = slab.M
+            self._indices = _tiled(M.indices, n, size).astype(
+                M.indices.dtype, copy=False)
+            self._indptr = np.append(_tiled(M.indptr[:-1], M.nnz, size),
+                                     size * M.nnz).astype(M.indptr.dtype)
+            self._rows = _tiled(slab.rows, n, size)
+            self._diag = _tiled(slab.diag, M.nnz, size)
         self._blocks(size)
         self.precond = None
         if slab.bw <= _BAND_MAX:
             # slot i viewed as a Fortran-ordered (bw + 1, n) array, which
-            # pbtrf factors in place; the stored entries on or above the
-            # diagonal, and where they go, for every block
+            # pbtrf factors in place
             self._band = np.zeros((size, n * (slab.bw + 1)))
-            self._upper = _tiled(slab.upper, nnz, size)
-            self._band_at = _tiled(slab.band, n * (slab.bw + 1), size)
+            if slab.M is not None:
+                # the stored entries on or above the diagonal, and where
+                # they go, for every block
+                self._upper = _tiled(slab.upper, M.nnz, size)
+                self._band_at = _tiled(slab.band, n * (slab.bw + 1), size)
             self._slots = [row.reshape(n, slab.bw + 1).T for row in self._band]
             # The callable closes over the factor list, not over self, so
             # that the workspace and its callable form no reference cycle.
@@ -485,35 +535,72 @@ class _SlabJacobian:
 
     def _blocks(self, k: int) -> None:
         """Make ``J`` the block-diagonal matrix of k blocks."""
-        n, nnz = self.slab.M.shape[0], self.slab.M.nnz
-        self.J = sp.csr_matrix(
-            (np.empty(k * nnz), self._indices[:k * nnz],
-             self._indptr[:k * n + 1]), shape=(k * n, k * n))
+        n = self._n
+        if self.slab.M is None:
+            self.J = sp.dia_matrix(
+                (np.zeros((len(self._offsets), k * n)), self._offsets),
+                shape=(k * n, k * n))
+        else:
+            nnz = self.slab.M.nnz
+            self.J = sp.csr_matrix(
+                (np.empty(k * nnz), self._indices[:k * nnz],
+                 self._indptr[:k * n + 1]), shape=(k * n, k * n))
         self._k = k
 
     def update(self, s: np.ndarray, c: float) -> None:
         """Set block i of J to ``I + c*S M S`` with ``S = diag(s[i])``, for
         each row of the stack ``s``; factor the blocks if the band is
-        narrow."""
-        k, (n, nnz) = len(s), (self.slab.M.shape[0], self.slab.M.nnz)
+        narrow.
+
+        Each entry is ``((s_row * m) * s_col) * c``, plus 1.0 on the
+        diagonal, in either storage."""
+        k, n = len(s), self._n
         if k != self._k:
             self._blocks(k)
-        s, data = s.reshape(-1), self.J.data
-        np.multiply(s[self._rows[:k * nnz]].reshape(k, nnz), self.slab.M.data,
-                    out=data.reshape(k, nnz))
-        data *= s[self._indices[:k * nnz]]
-        data *= c
-        data[self._diag[:k * n]] += 1.0
+        data = self.J.data
+        if self.slab.M is None:
+            blocks = data.reshape(len(data), k, n)
+            for diag, adj, off in zip(blocks, self._adj,
+                                      self._offsets.tolist()):
+                # each block's entries on the diagonal: columns lo to hi;
+                # the columns before lo or from hi on stay +0
+                lo, hi = max(off, 0), n + min(off, 0)
+                out, s_row = diag[:, lo:hi], s[:, lo - off:hi - off]
+                if adj is None:
+                    np.multiply(s_row, self.slab.deg, out=out)
+                else:
+                    # s_row * -1 where A has an entry, +0 where it has none
+                    np.multiply(s_row, adj[lo:hi], out=out)
+                    np.subtract(0.0, out, out=out)
+                out *= s[:, lo:hi]
+            data *= c
+            data[self._main] += 1.0
+        else:
+            s, nnz = s.reshape(-1), self.slab.M.nnz
+            np.multiply(s[self._rows[:k * nnz]].reshape(k, nnz),
+                        self.slab.M.data, out=data.reshape(k, nnz))
+            data *= s[self._indices[:k * nnz]]
+            data *= c
+            data[self._diag[:k * n]] += 1.0
         if self.precond is not None:
             self.factor()
 
     def factor(self) -> None:
         """The banded Cholesky factor of each block of J, in place in its
         slot of the band buffer."""
-        k, upper = self._k, len(self.slab.upper)
-        band = self._band[:k].reshape(-1)
+        k, n, bw = self._k, self._n, self.slab.bw
+        band = self._band[:k]
         band.fill(0.0)              # clears the last factors' fill-in
-        band[self._band_at[:k * upper]] = self.J.data[self._upper[:k * upper]]
+        if self.slab.M is None:
+            # band row bw - off of a slot is the block's diagonal off
+            cols = band.reshape(k, n, bw + 1)
+            for diag, off in zip(self.J.data[self._main:],
+                                 self._offsets[self._main:].tolist()):
+                cols[:, :, bw - off] = diag.reshape(k, n)
+        else:
+            upper = len(self.slab.upper)
+            band.reshape(-1)[self._band_at[:k * upper]] = self.J.data[
+                self._upper[:k * upper]]
         for i in range(k):
             cb, info = _PBTRF(self._slots[i], overwrite_ab=1)
             if info > 0:
@@ -541,9 +628,9 @@ def _pick(idx: np.ndarray, size: int):
 
 
 def _newton_step(prev: np.ndarray, start: np.ndarray, bdry_w: np.ndarray,
-                 A: sp.csr_matrix, jac: _SlabJacobian, deg: float, c: float,
-                 m: float, cfg: SolverConfig, res_scale: np.ndarray,
-                 dt: float) -> _NewtonResult:
+                 A: sp.csr_matrix | sp.dia_matrix, jac: _SlabJacobian,
+                 deg: float, c: float, m: float, cfg: SolverConfig,
+                 res_scale: np.ndarray, dt: float) -> _NewtonResult:
     """Solve u - c*(A w(u) + g - deg*w(u)) = prev for one implicit step of
     every member of a stack (one row each).
 

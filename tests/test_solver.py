@@ -265,10 +265,13 @@ def test_wide_band_cg_meets_linear_tol_on_the_true_residual(monkeypatch):
 
 
 def test_band_factor_of_non_spd_matrix_raises():
-    # a two-cell 1-D slab, with J's stored data rewritten to
-    # [[1, 2], [2, 1]], which is indefinite (eigenvalues -1 and 3)
+    # a two-cell 1-D slab, stored by its diagonals (offsets -1, 0, 1), with
+    # J's diagonals rewritten to [[1, 2], [2, 1]], which is indefinite
+    # (eigenvalues -1 and 3); column j of diagonal off holds J[j - off, j]
     jac = solver._SlabJacobian(solver._step_matrices(np.ones(2, dtype=bool)))
-    jac.J.data[:] = [1.0, 2.0, 2.0, 1.0]
+    assert jac.J.format == "dia" and jac.J.offsets.tolist() == [-1, 0, 1]
+    jac.J.data[:] = [[2.0, 0.0], [1.0, 1.0], [0.0, 2.0]]
+    assert np.array_equal(jac.J.toarray(), [[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(SolverError, match="Cholesky"):
         jac.factor()
 
@@ -511,6 +514,111 @@ def test_face_stencil_matches_per_cell_loop(sel):
     assert np.array_equal(stencil.pinned.toarray(), ref)
     _assert_canonical(stencil.adjacency)
     _assert_canonical(stencil.pinned)
+
+
+@st.composite
+def _slab_cores(draw):
+    """A box of 1 to 6 cells a side in 1-D to 3-D (1-cell-wide ones too),
+    amid 0 to 2 unselected cells on each side, or a random mask with
+    holes; never empty."""
+    if draw(st.booleans()):
+        ndim = draw(st.integers(1, 3))
+        box = [draw(st.integers(1, 6)) for _ in range(ndim)]
+        pads = [(draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+                for _ in range(ndim)]
+        core = np.pad(np.ones(box, dtype=bool), pads)
+    else:
+        core = draw(_masks_with_holes())
+    assume(core.any())
+    return core
+
+
+def _csr_jacobian(core, s, c):
+    """Reference: I + c*S_i M S_i per row of ``s``, block-diagonal CSR on
+    face_stencil's pattern, each entry ((s_row * m) * s_col) * c."""
+    A = face_stencil(core).adjacency
+    M = (sp.diags(np.full(A.shape[0], 2.0 * core.ndim)) - A).tocsr()
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    blocks = []
+    for si in s:
+        data = ((si[rows] * M.data) * si[M.indices]) * c
+        data[M.indices == rows] += 1.0
+        blocks.append(sp.csr_matrix((data, M.indices, M.indptr), M.shape))
+    J = sp.block_diag(blocks, format="csr")
+    _assert_canonical(J)
+    return J
+
+
+def _band_factor(block, bw):
+    """pbtrf of a dense block from its upper banded storage."""
+    ab = np.zeros((bw + 1, len(block)))
+    for k in range(min(bw, len(block) - 1) + 1):
+        ab[bw - k, k:] = np.diag(block, k)
+    cb, info = solver._PBTRF(ab)
+    assert info == 0
+    return cb
+
+
+@settings(max_examples=120, deadline=None)
+@given(core=_slab_cores(), size=st.integers(1, 4), data=st.data(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_slab_storage_matches_csr_bit_for_bit(core, size, data, seed):
+    # a box core is stored by its diagonals, other cores mostly keep CSR;
+    # either way J's products and band factors, and the slab's Laplacian,
+    # are those of CSR on face_stencil's pattern, bit for bit
+    rng = np.random.default_rng(seed)
+    slab = solver._step_matrices(core)
+    n = len(slab.stencil.flat)
+    assert (slab.stencil.adjacency.format == "dia") == (slab.M is None)
+    if slab.M is None:
+        assert (np.diff(slab.stencil.adjacency.offsets) > 0).all()
+    jac = solver._SlabJacobian(slab, size)
+    # a first update of the whole stack, then one of k of its members
+    jac.update(rng.uniform(0.1, 3.0, (size, n)), 0.5)
+    k = data.draw(st.integers(1, size))
+    s = rng.uniform(0.1, 3.0, (k, n)) ** rng.integers(1, 4)
+    c = float(rng.uniform(1e-3, 10.0))
+    jac.update(s, c)
+    ref = _csr_jacobian(core, s, c)
+    assert np.array_equal(jac.J.toarray(), ref.toarray())
+    x = rng.standard_normal((2, k * n)) * 10.0 ** rng.integers(-6, 7,
+                                                                (2, k * n))
+    assert np.array_equal(jac.J @ x[0], ref @ x[0])
+    assert np.array_equal(solver._rows(jac.J, x), solver._rows(ref, x))
+    if jac.precond is not None:
+        for i in range(k):
+            block = ref[i * n:(i + 1) * n, i * n:(i + 1) * n].toarray()
+            assert np.array_equal(jac._factors[i],
+                                  _band_factor(block, slab.bw))
+    # the slab's Laplacian against the CSR adjacency, for a stack and a row
+    w = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-6, 7, (k, n))
+    bdry = rng.standard_normal((k, n))
+    A = face_stencil(core).adjacency
+    deg = 2 * core.ndim
+    assert np.array_equal(solver._lap_h2(slab.stencil.adjacency, w, bdry, deg),
+                          solver._lap_h2(A, w, bdry, deg))
+    assert np.array_equal(
+        solver._lap_h2(slab.stencil.adjacency, w[0], bdry[0], deg),
+        solver._lap_h2(A, w[0], bdry[0], deg))
+
+
+def test_box_slabs_are_diagonal_and_a_punctured_box_keeps_csr():
+    box = np.ones((9, 7), dtype=bool)
+    slab = solver._step_matrices(box)
+    assert slab.stencil.adjacency.format == "dia"
+    assert slab.stencil.adjacency.offsets.tolist() == [-7, -1, 1, 7]
+    assert slab.M is slab.rows is slab.band is None
+    assert slab.bw == 7
+    box[4, 3] = False
+    slab = solver._step_matrices(box)
+    assert slab.stencil.adjacency.format == "csr"
+    assert slab.M is not None and slab.bw == 7
+    # a 1-cell-wide box and a single cell: fewer than 2n offsets
+    assert solver._step_matrices(
+        np.ones((1, 5, 1), dtype=bool)).stencil.adjacency.offsets.tolist() \
+        == [-1, 1]
+    single = solver._step_matrices(np.ones((1, 1), dtype=bool))
+    assert single.stencil.adjacency.format == "dia" and single.bw == 0
 
 
 def test_union_rejects_shrinking_stack():
