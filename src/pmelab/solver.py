@@ -493,9 +493,9 @@ class _SlabJacobian:
     def __init__(self, slab: _Slab, size: int = 1):
         self.slab = slab
         self._n = n = len(slab.stencil.flat)
-        A = slab.stencil.adjacency
         if slab.M is None:
             # M's offsets, and A's diagonal at each (None at the main one)
+            A = slab.stencil.adjacency
             self._main = main = int(np.searchsorted(A.offsets, 0))
             self._offsets = np.insert(A.offsets, main, 0)
             self._adj = [*A.data[:main], None, *A.data[main:]]
