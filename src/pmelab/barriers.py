@@ -49,7 +49,6 @@ stream) in one call.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -343,25 +342,17 @@ def _read_only(*arrays):
     return arrays
 
 
-# Each region object's samples per policy, kept as long as the object
-# lives.  Keyed by identity, like ``solver._SLABS``, so a rebuilt equal
-# region draws its own.
-_SAMPLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _region_samples(region: SpaceTimeDomain, policy: SamplingPolicy):
     """Sample points X (N, n) and times T (N,) over the region, read-only
-    and drawn once per region object and policy.
+    and drawn once per region object and policy (``region.memo``).
 
     Nodes, level-major: the cell centers of the region's defined samples
     (at level L the bases of steps L - 1 and L).  Then per node
     ``jitter_factor`` Philox draws of a step k, a cell of its base (dropped
     if empty), a uniform point of that cell and a time in [t_k, t_k + dt).
     """
-    per_policy = _SAMPLES.setdefault(region, {})
-    if policy not in per_policy:
-        per_policy[policy] = _read_only(*_draw_samples(region, policy))
-    return per_policy[policy]
+    return region.memo(("samples", policy), lambda r: _read_only(
+        *_draw_samples(r, policy)))
 
 
 def _draw_samples(region: SpaceTimeDomain, policy: SamplingPolicy):

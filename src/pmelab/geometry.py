@@ -14,10 +14,12 @@ a shared uniform time step.  Each one holds one sample structure
 (``SpaceTimeDomain.samples``): the defined and the interior samples of
 every level, built from the stacked step bases (``step_masks``).  The
 parabolic boundary, the samples that the solver pins and every per-step
-walk elsewhere read that structure.
+walk elsewhere read that structure.  What other modules plan once per
+domain (the solver's slabs, the coarse companion of ``perron``, the sign
+certificates' samples) each domain object keeps in ``memo``.
 
-Everything here is immutable after construction and safe to share across
-threads.
+Everything here is immutable after construction, and safe to share across
+threads apart from ``memo``, which two threads may both build.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -277,6 +279,7 @@ class SpaceTimeDomain:
                  grid: Grid | None = None):
         if not dt > 0:
             raise GeometryError(f"time step must be positive, got {dt}")
+        self._memos: dict = {}
         self.cylinders = list(cylinders)
         self.dt = float(dt)
         if not self.cylinders:
@@ -306,6 +309,14 @@ class SpaceTimeDomain:
     @property
     def num_levels(self) -> int:
         return self.num_steps + 1
+
+    def memo(self, key, build: Callable[["SpaceTimeDomain"], object]):
+        """``build(self)``, computed once per domain object and ``key`` and
+        kept as long as the object lives.  The memo is the object's own,
+        so a rebuilt domain, even an equal one, builds its own."""
+        if key not in self._memos:
+            self._memos[key] = build(self)
+        return self._memos[key]
 
     def level_time(self, k: int) -> float:
         return self.t_min + k * self.dt

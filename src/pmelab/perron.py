@@ -19,7 +19,6 @@ fields of the returned report.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,24 +98,21 @@ def _blocks(a: np.ndarray) -> list[np.ndarray]:
             for offsets in np.ndindex(*(2,) * a.ndim)]
 
 
-# Each domain object's coarse companion, kept as long as the object lives,
-# so that every estimate on one domain shares one companion and the slabs
-# that the solver plans for it.  Keyed by identity, like ``solver._SLABS``.
-_COARSE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def coarsen_domain(d: SpaceTimeDomain) -> SpaceTimeDomain:
     """Companion domain at doubled h and doubled dt (masks join by blocks),
-    built once per domain object."""
-    coarse = _COARSE.get(d)
-    if coarse is None:
-        g = d.grid
-        g2 = Grid(n=g.n, h=2 * g.h, origin=g.origin,
-                  extents=tuple((e + 1) // 2 for e in g.extents))
-        cyls = [Cylinder(SpatialDomain(g2, np.logical_or.reduce(
-            _blocks(c.base.mask))), c.t1, c.t2) for c in d.cylinders]
-        coarse = _COARSE[d] = SpaceTimeDomain(cyls, 2 * d.dt)
-    return coarse
+    built once per domain object (``d.memo``), so that every estimate on
+    one domain shares one companion and the slabs that the solver plans
+    for it."""
+    return d.memo("coarse", _coarsen)
+
+
+def _coarsen(d: SpaceTimeDomain) -> SpaceTimeDomain:
+    g = d.grid
+    g2 = Grid(n=g.n, h=2 * g.h, origin=g.origin,
+              extents=tuple((e + 1) // 2 for e in g.extents))
+    cyls = [Cylinder(SpatialDomain(g2, np.logical_or.reduce(
+        _blocks(c.base.mask))), c.t1, c.t2) for c in d.cylinders]
+    return SpaceTimeDomain(cyls, 2 * d.dt)
 
 
 def _block_compare(fine: Field, coarse: Field) -> float:

@@ -16,26 +16,27 @@ are drawn in one call.
 A slab is a run of levels with one interior mask, and ``_step_matrices``
 builds each one, read-only, from the core's ``geometry.face_stencil``.
 How a slab stores the stencil's adjacency ``A`` and the constant Jacobian
-part ``M = 2n*I - A`` depends on how many distinct index offsets
-``col - row`` its cells see their neighbours at.  A core with at most 2n
-of them, which every box core is, is stored by its diagonals: the
-stencil's adjacency becomes a ``scipy.sparse.dia_matrix`` with ascending
-offsets, and that is all the slab keeps of A and M.  Any other core (the
-punctured disk of the benchmark has 60) keeps CSR: the adjacency, M and
-M's Jacobian pattern.  Either storage gives the same bits.  A CSR product
-adds a row's products from 0 in column order; a DIA product adds the
-diagonals from 0 in their stored order, which is that same column order,
-and a diagonal's other entries (where a cell has no neighbour at that
-offset) are exact zeros (+0), which leave every sum as it is.  At
-h = 1/128 (15,876 unknowns) the diagonals take 0.5 MB, where CSR would
-take 3.3 MB.
-``_slabs`` keeps a domain object's slabs for as long as it lives (a
-``weakref.WeakKeyDictionary`` keyed by identity, so a rebuilt domain, even
-an equal one, builds its own), and every solve and residual check on it
-shares them.  ``Field.stats["assemblies"]`` counts the slabs a solve
-enters.  Core values are gathered and scattered through the stencil's
-flat grid indices; the pinned neighbours' Dirichlet contributions are one
-product, ``stencil.pinned @ w.ravel()``.
+part ``M = 2n*I - A`` depends on the distinct index offsets ``col - row``
+at which its cells see their neighbours; the largest is the bandwidth
+``bw``.  A core with at most 2n offsets (every box core) or with
+``bw <= _BAND_MAX`` is stored by its diagonals: the stencil's adjacency
+becomes a ``scipy.sparse.dia_matrix`` with ascending offsets, and that is
+all the slab keeps of A and M.  Any other core (the benchmark's punctured
+disk has 60 offsets and bw 75) keeps CSR: the adjacency, M and M's
+Jacobian pattern, and plain CG.  So every factored Jacobian (below) is
+stored by its at most 2*bw + 1 diagonals, under twice the band that its
+factor takes.  Either storage gives the same bits.  A CSR product adds a
+row's products from 0 in column order; a DIA product adds the diagonals
+from 0 in their stored order, which is that same column order, and a
+diagonal's other entries (where a cell has no neighbour at that offset)
+are exact zeros (+0), which leave every sum as it is.  At h = 1/128
+(15,876 unknowns) the diagonals take 0.5 MB, where CSR would take 3.3 MB.
+``_slabs`` keeps a domain object's slabs in its ``memo``, so every solve
+and residual check on it shares them and a rebuilt domain, even an equal
+one, builds its own.  ``Field.stats["assemblies"]`` counts the slabs a
+solve enters.  Core values are gathered and scattered through the
+stencil's flat grid indices; the pinned neighbours' Dirichlet
+contributions are one product, ``stencil.pinned @ w.ravel()``.
 
 ``solve_union_many`` solves a family of data on one domain in one pass,
 and ``solve_union`` is its one-member case, so there is one stepping
@@ -113,7 +114,6 @@ limit system is an M-matrix with nonnegative data.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -274,13 +274,21 @@ class BoundaryData:
             raise SolverError(f"bounds must satisfy 0 <= inf <= sup < inf, got {self.bounds}")
 
     def sample(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Data at points ``x`` (shape ``(..., n)``), shape ``x.shape[:-1]``."""
+        """Data at points ``x`` (shape ``(..., n)``), shape ``x.shape[:-1]``.
+
+        A value that is not finite, or below -1e-12, raises ``SolverError``;
+        small negative values are clipped to 0."""
         x = np.asarray(x, dtype=float)
         try:
             v = np.broadcast_to(self.fn(x, t), x.shape[:-1])
         except ValueError:
             raise SolverError(
                 f"boundary data must broadcast to {x.shape[:-1]}") from None
+        finite = np.isfinite(v)
+        if not finite.all():
+            i = np.unravel_index(np.argmin(finite), v.shape)
+            raise SolverError(
+                f"boundary data is not finite at ({x[i]}, {t}): {v[i]}")
         if (v < -1e-12).any():
             i = np.unravel_index(np.argmin(v), v.shape)
             raise SolverError(
@@ -374,8 +382,11 @@ def _rows(mat: sp.csr_matrix | sp.dia_matrix, w: np.ndarray) -> np.ndarray:
     multiplies a block of columns entry by entry in the order that it
     multiplies one vector, so each row gets the one-vector product's bits.
     ``mat`` is CSR, which adds a row's products in column order, or DIA with
-    ascending offsets, which adds the diagonals in that same order."""
-    return (mat @ w.T).T
+    ascending offsets, which adds the diagonals in that same order.  The
+    block is a C-contiguous copy of the stack's transpose, which scipy
+    multiplies faster than the strided view (n = 15,876, K = 8, one BLAS
+    thread: 1.2 against 2.0 ms)."""
+    return (mat @ np.ascontiguousarray(w.T)).T
 
 
 class _Slab(NamedTuple):
@@ -386,10 +397,7 @@ class _Slab(NamedTuple):
     diagonal slab's ``stencil.adjacency`` is a DIA matrix with ascending
     offsets, and M's CSR fields are None.  A CSR slab keeps M: ``rows`` is
     the CSR row of each stored entry of M and ``diag`` the positions of the
-    diagonal ones.  ``upper`` lists the entries on or above the diagonal and
-    ``band`` their flat index into the Fortran-ordered ``(bw + 1, n)``
-    upper banded storage (row ``bw + row - col``).  Every array is
-    read-only.
+    diagonal ones.  Every array is read-only.
     """
 
     stencil: Stencil
@@ -398,16 +406,16 @@ class _Slab(NamedTuple):
     M: sp.csr_matrix | None = None
     rows: np.ndarray | None = None
     diag: np.ndarray | None = None
-    upper: np.ndarray | None = None
-    band: np.ndarray | None = None
 
 
 def _step_matrices(core: np.ndarray) -> _Slab:
     """The slab of the core cells ``core``: their stencil and M's storage.
 
-    A core whose cells see their neighbours at no more than 2n distinct
-    index offsets (every box) is stored by its diagonals; any other core
-    keeps CSR, with M and its Jacobian pattern.
+    A core is stored by its diagonals when its cells see their neighbours
+    at no more than 2n distinct index offsets (every box) or its bandwidth
+    is at most ``_BAND_MAX``, so every slab whose Jacobian is factored is a
+    diagonal one.  Any other core keeps CSR, with M and its Jacobian
+    pattern.
 
     The solver's one slab builder.  Its name is the stencil-assembly layer
     that the benchmark's tracer wraps (``bench/tracer.py``, as
@@ -418,54 +426,47 @@ def _step_matrices(core: np.ndarray) -> _Slab:
     n = A.shape[0]
     offsets = np.unique(A.indices - np.repeat(
         np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr)))
-    if len(offsets) <= deg:
+    bw = int(offsets.max(initial=0))
+    if len(offsets) <= deg or bw <= _BAND_MAX:
         # column j of diagonal off holds A[j - off, j]
         data = np.zeros((len(offsets), n))
         for row, off in zip(data, offsets.tolist()):
             row[max(off, 0):n + min(off, 0)] = A.diagonal(off)
         A = sp.dia_matrix((data, offsets), shape=A.shape)
         st = st._replace(adjacency=A)
-        slab = _Slab(st, deg, int(offsets.max(initial=0)))
+        slab = _Slab(st, deg, bw)
         frozen = (A.data, A.offsets)
     else:
         M = (sp.diags(np.full(n, deg)) - A).tocsr()
         rows = np.repeat(np.arange(n), np.diff(M.indptr))
-        offset = M.indices - rows
-        bw = int(offset.max(initial=0))
-        upper = np.flatnonzero(offset >= 0)
-        band = M.indices[upper] * (bw + 1) + bw - offset[upper]
-        diag = np.flatnonzero(offset == 0)
-        slab = _Slab(st, deg, bw, M, rows, diag, upper, band)
+        diag = np.flatnonzero(M.indices == rows)
+        slab = _Slab(st, deg, bw, M, rows, diag)
         frozen = (A.data, A.indices, A.indptr, M.data, M.indices, M.indptr,
-                  rows, diag, upper, band)
+                  rows, diag)
     for arr in (*frozen, st.pinned.data, st.pinned.indices, st.pinned.indptr,
                 st.flat):
         arr.setflags(write=False)
     return slab
 
 
-# Each domain object's slabs, kept as long as the object lives.  Keyed by
-# identity, so a rebuilt equal domain builds its own.
-_SLABS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _slabs(d: SpaceTimeDomain) -> list[tuple[int, _Slab]]:
     """(level, slab) for every level with interior samples, built once per
-    domain object and shared, read-only, by every solve on it.
+    domain object (``d.memo``) and shared, read-only, by every solve on it.
 
     A slab is built only where a level's interior mask differs from the
     last one built, and the levels of one slab share one ``_Slab``.
     """
-    out = _SLABS.get(d)
-    if out is None:
-        out, slab, core = [], None, None
-        for k, sel in enumerate(d.samples[1]):
-            if not sel.any():
-                continue
-            if core is None or not np.array_equal(sel, core):
-                slab, core = _step_matrices(sel), sel
-            out.append((k, slab))
-        _SLABS[d] = out
+    return d.memo("slabs", _plan_slabs)
+
+
+def _plan_slabs(d: SpaceTimeDomain) -> list[tuple[int, _Slab]]:
+    out, slab, core = [], None, None
+    for k, sel in enumerate(d.samples[1]):
+        if not sel.any():
+            continue
+        if core is None or not np.array_equal(sel, core):
+            slab, core = _step_matrices(sel), sel
+        out.append((k, slab))
     return out
 
 
@@ -484,10 +485,10 @@ class _SlabJacobian:
     with its data rewritten in place.  On a diagonal slab J is a DIA matrix
     on M's offsets, whose diagonals run through the k blocks and are zero
     where they cross from one block to the next; otherwise J is CSR, k
-    blocks on M's index pattern.  When ``bw <= _BAND_MAX`` it also factors
-    each block in place in its own slot of one band buffer by LAPACK
-    ``pbtrf``, and ``precond`` applies slot i's factor to row i of a stack
-    by ``pbtrs``; otherwise ``precond`` is None.
+    blocks on M's index pattern.  When ``bw <= _BAND_MAX`` (so on a
+    diagonal slab) it also factors each block in place in its own slot of
+    one band buffer by LAPACK ``pbtrf``, and ``precond`` applies slot i's
+    factor to row i of a stack by ``pbtrs``; otherwise ``precond`` is None.
     """
 
     def __init__(self, slab: _Slab, size: int = 1):
@@ -515,11 +516,6 @@ class _SlabJacobian:
             # slot i viewed as a Fortran-ordered (bw + 1, n) array, which
             # pbtrf factors in place
             self._band = np.zeros((size, n * (slab.bw + 1)))
-            if slab.M is not None:
-                # the stored entries on or above the diagonal, and where
-                # they go, for every block
-                self._upper = _tiled(slab.upper, M.nnz, size)
-                self._band_at = _tiled(slab.band, n * (slab.bw + 1), size)
             self._slots = [row.reshape(n, slab.bw + 1).T for row in self._band]
             # The callable closes over the factor list, not over self, so
             # that the workspace and its callable form no reference cycle.
@@ -587,20 +583,15 @@ class _SlabJacobian:
 
     def factor(self) -> None:
         """The banded Cholesky factor of each block of J, in place in its
-        slot of the band buffer."""
+        slot of the band buffer; J is stored by its diagonals."""
         k, n, bw = self._k, self._n, self.slab.bw
         band = self._band[:k]
         band.fill(0.0)              # clears the last factors' fill-in
-        if self.slab.M is None:
-            # band row bw - off of a slot is the block's diagonal off
-            cols = band.reshape(k, n, bw + 1)
-            for diag, off in zip(self.J.data[self._main:],
-                                 self._offsets[self._main:].tolist()):
-                cols[:, :, bw - off] = diag.reshape(k, n)
-        else:
-            upper = len(self.slab.upper)
-            band.reshape(-1)[self._band_at[:k * upper]] = self.J.data[
-                self._upper[:k * upper]]
+        # band row bw - off of a slot is the block's diagonal off
+        cols = band.reshape(k, n, bw + 1)
+        for diag, off in zip(self.J.data[self._main:],
+                             self._offsets[self._main:].tolist()):
+            cols[:, :, bw - off] = diag.reshape(k, n)
         for i in range(k):
             cb, info = _PBTRF(self._slots[i], overwrite_ab=1)
             if info > 0:

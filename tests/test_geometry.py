@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmelab import bundled, scenarios
+from pmelab import barriers, bundled, perron, scenarios, solver
 from pmelab.geometry import (
     Cylinder,
     GeometryError,
@@ -305,3 +305,33 @@ def test_diameter_empty_rejected():
     g = Grid(n=2, h=0.5, origin=(0, 0), extents=(4, 4))
     with pytest.raises(GeometryError):
         diameter(SpatialDomain(g, np.zeros((4, 4), dtype=bool)))
+
+
+def test_memo_keeps_one_plan_per_domain_object():
+    # the solver's slabs, the coarse companion and the sign certificates'
+    # samples: one object shares its plan, and a rebuilt equal domain
+    # builds its own, with the same bits
+    def build():
+        return SpaceTimeDomain([Cylinder(box_domain(h=1 / 8), 0.0, 0.25)],
+                               dt=0.0625)
+
+    def slab_bits(slabs):
+        return [(k, slab.bw, slab.stencil.flat.tobytes(),
+                 slab.stencil.adjacency.data.tobytes()) for k, slab in slabs]
+
+    def domain_bits(c):
+        return (c.grid.h, c.dt, c.samples[0].tobytes(), c.samples[1].tobytes())
+
+    policy = barriers.SamplingPolicy(seed=3)
+    plans = [(solver._slabs, slab_bits),
+             (perron.coarsen_domain, domain_bits),
+             (lambda d: barriers._region_samples(d, policy),
+              lambda xt: (xt[0].tobytes(), xt[1].tobytes()))]
+    d, rebuilt = build(), build()
+    for plan, bits in plans:
+        assert plan(d) is plan(d)
+        assert plan(rebuilt) is not plan(d)
+        assert bits(plan(rebuilt)) == bits(plan(d))
+    calls = []
+    assert d.memo("key", calls.append) is d.memo("key", calls.append) is None
+    assert calls == [d]

@@ -519,16 +519,25 @@ def test_face_stencil_matches_per_cell_loop(sel):
 @st.composite
 def _slab_cores(draw):
     """A box of 1 to 6 cells a side in 1-D to 3-D (1-cell-wide ones too),
-    amid 0 to 2 unselected cells on each side, or a random mask with
-    holes; never empty."""
-    if draw(st.booleans()):
+    amid 0 to 2 unselected cells on each side, a random mask with holes
+    (nearly always narrow enough to be stored by its diagonals), or a
+    2-D strip of 2 or 3 rows wider than ``_BAND_MAX`` less one cell, which
+    keeps CSR; never empty."""
+    kind = draw(st.sampled_from(["box", "holes", "wide"]))
+    if kind == "box":
         ndim = draw(st.integers(1, 3))
         box = [draw(st.integers(1, 6)) for _ in range(ndim)]
         pads = [(draw(st.integers(0, 2)), draw(st.integers(0, 2)))
                 for _ in range(ndim)]
         core = np.pad(np.ones(box, dtype=bool), pads)
-    else:
+    elif kind == "holes":
         core = draw(_masks_with_holes())
+    else:
+        core = np.ones((draw(st.integers(2, 3)),
+                        solver._BAND_MAX + draw(st.integers(2, 6))),
+                       dtype=bool)
+        core[draw(st.integers(0, core.shape[0] - 2)),
+             draw(st.integers(1, core.shape[1] - 2))] = False
     assume(core.any())
     return core
 
@@ -563,16 +572,26 @@ def _band_factor(block, bw):
 @given(core=_slab_cores(), size=st.integers(1, 4), data=st.data(),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_slab_storage_matches_csr_bit_for_bit(core, size, data, seed):
-    # a box core is stored by its diagonals, other cores mostly keep CSR;
-    # either way J's products and band factors, and the slab's Laplacian,
-    # are those of CSR on face_stencil's pattern, bit for bit
+    # a core with at most 2n offsets or a band of at most _BAND_MAX is
+    # stored by its diagonals, any other keeps CSR; either way J's products
+    # and band factors, the stacked products and the slab's Laplacian are
+    # those of CSR on face_stencil's pattern, bit for bit
     rng = np.random.default_rng(seed)
     slab = solver._step_matrices(core)
     n = len(slab.stencil.flat)
-    assert (slab.stencil.adjacency.format == "dia") == (slab.M is None)
-    if slab.M is None:
-        assert (np.diff(slab.stencil.adjacency.offsets) > 0).all()
+    A = face_stencil(core).adjacency
+    offsets = np.unique(A.indices - np.repeat(np.arange(n), np.diff(A.indptr)))
+    assert slab.bw == offsets.max(initial=0)
+    diagonal = len(offsets) <= 2 * core.ndim or slab.bw <= solver._BAND_MAX
+    assert (slab.stencil.adjacency.format == "dia") == diagonal
+    assert (slab.M is None) == diagonal
+    if diagonal:
+        assert slab.stencil.adjacency.offsets.tolist() == offsets.tolist()
     jac = solver._SlabJacobian(slab, size)
+    # only a diagonal slab is factored
+    assert (jac.precond is not None) == (slab.bw <= solver._BAND_MAX)
+    if jac.precond is not None:
+        assert jac.J.format == "dia"
     # a first update of the whole stack, then one of k of its members
     jac.update(rng.uniform(0.1, 3.0, (size, n)), 0.5)
     k = data.draw(st.integers(1, size))
@@ -590,10 +609,16 @@ def test_slab_storage_matches_csr_bit_for_bit(core, size, data, seed):
             block = ref[i * n:(i + 1) * n, i * n:(i + 1) * n].toarray()
             assert np.array_equal(jac._factors[i],
                                   _band_factor(block, slab.bw))
+    # a stack's products, row by row, are the one-vector products
+    for K in (1, 2, 5):
+        w = rng.standard_normal((K, n)) * 10.0 ** rng.integers(-6, 7, (K, n))
+        for mat in (slab.stencil.adjacency, A):
+            stacked = solver._rows(mat, w)
+            for i in range(K):
+                assert stacked[i].tobytes() == (mat @ w[i]).tobytes()
     # the slab's Laplacian against the CSR adjacency, for a stack and a row
     w = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-6, 7, (k, n))
     bdry = rng.standard_normal((k, n))
-    A = face_stencil(core).adjacency
     deg = 2 * core.ndim
     assert np.array_equal(solver._lap_h2(slab.stencil.adjacency, w, bdry, deg),
                           solver._lap_h2(A, w, bdry, deg))
@@ -603,16 +628,32 @@ def test_slab_storage_matches_csr_bit_for_bit(core, size, data, seed):
 
 
 def test_box_slabs_are_diagonal_and_a_punctured_box_keeps_csr():
+    # diagonals for at most 2n offsets or a band of at most _BAND_MAX, CSR
+    # (and plain CG) otherwise
     box = np.ones((9, 7), dtype=bool)
     slab = solver._step_matrices(box)
     assert slab.stencil.adjacency.format == "dia"
     assert slab.stencil.adjacency.offsets.tolist() == [-7, -1, 1, 7]
-    assert slab.M is slab.rows is slab.band is None
+    assert slab.M is slab.rows is slab.diag is None
     assert slab.bw == 7
+    # a hole adds offsets, but the band stays narrow: still diagonal
     box[4, 3] = False
     slab = solver._step_matrices(box)
+    assert slab.stencil.adjacency.format == "dia" and slab.M is None
+    assert len(slab.stencil.adjacency.offsets) > 4 and slab.bw == 7
+    assert solver._SlabJacobian(slab).precond is not None
+    # a box wider than the band limit has 4 offsets: diagonal, plain CG
+    wide = np.ones((40, 40), dtype=bool)
+    slab = solver._step_matrices(wide)
+    assert slab.stencil.adjacency.offsets.tolist() == [-40, -1, 1, 40]
+    assert slab.M is None and slab.bw == 40 > solver._BAND_MAX
+    assert solver._SlabJacobian(slab).precond is None
+    # less one cell it has more offsets and a wide band: CSR, plain CG
+    wide[20, 20] = False
+    slab = solver._step_matrices(wide)
     assert slab.stencil.adjacency.format == "csr"
-    assert slab.M is not None and slab.bw == 7
+    assert slab.M is not None and slab.bw == 40
+    assert solver._SlabJacobian(slab).precond is None
     # a 1-cell-wide box and a single cell: fewer than 2n offsets
     assert solver._step_matrices(
         np.ones((1, 5, 1), dtype=bool)).stencil.adjacency.offsets.tolist() \
@@ -843,6 +884,24 @@ def test_boundary_data_validation():
     point_indexed = BoundaryData(fn=lambda x, t: 1.0 + x[0], bounds=(1.0, 2.0))
     with pytest.raises(SolverError, match="broadcast"):
         point_indexed.sample(np.zeros((3, 2)), 0.0)
+
+
+@pytest.mark.parametrize("cell", [(0, 0), (0, 8)])
+def test_non_finite_boundary_data_raises_naming_the_point(cell):
+    # a NaN on one boundary cell of a 16x16 box: on a corner, which no core
+    # cell sees, or on a side cell next to the core; both are data errors
+    d, _ = box_cylinder(t2=0.05)
+    centre = (np.array(cell) + 0.5) / 16
+    data = BoundaryData(
+        fn=lambda x, t: np.where(np.isclose(x, centre).all(axis=-1),
+                                 np.nan, 1.0),
+        bounds=(1.0, 1.0))
+    with pytest.raises(SolverError,
+                       match=r"not finite at \(\[0\.03125 0\.\d+\], 0\.0\): nan"):
+        solve_union(d, data, SolverConfig(), M_EXP)
+    with pytest.raises(SolverError, match="not finite"):
+        BoundaryData(fn=lambda x, t: -np.inf, bounds=(0.0, 1.0)).sample(
+            np.zeros(2), 0.0)
 
 
 def test_declared_data_bounds_are_checked_against_the_samples():
