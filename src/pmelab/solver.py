@@ -395,9 +395,10 @@ class _Slab(NamedTuple):
 
     ``bw`` is the largest ``col - row`` of M, the Jacobian's bandwidth.  A
     diagonal slab's ``stencil.adjacency`` is a DIA matrix with ascending
-    offsets, and M's CSR fields are None.  A CSR slab keeps M: ``rows`` is
-    the CSR row of each stored entry of M and ``diag`` the positions of the
-    diagonal ones.  Every array is read-only.
+    offsets, and M's CSR fields are None.  A CSR slab, whose band is too
+    wide to factor, keeps M: ``rows`` is the CSR row of each stored entry
+    of M and ``diag`` the positions of the diagonal ones.  Every array is
+    read-only.
     """
 
     stencil: Stencil
