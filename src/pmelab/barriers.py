@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SpaceTimeDomain, SpatialField
+from .geometry import SpaceTimeDomain, SpatialField, per_time
 
 KINDS = ("quadratic_sub", "log_super", "earliest_super", "earliest_sub",
          "torsion_super", "torsion_sub")
@@ -455,24 +455,28 @@ def min_valid_j(kind: str, c: float, m: float, n: int, diam: float,
     raise BarrierError(f"no j <= {j_cap} satisfies the {kind} condition")
 
 
-def barenblatt(x, t: float, m: float, n: int, C: float) -> np.ndarray:
+def barenblatt(x, t, m: float, n: int, C: float) -> np.ndarray:
     """Self-similar source solution; the solver's exact oracle for m > 1.
 
     value = t^(-n*beta) * (C - (beta*(m-1)/(2m)) |x|^2 / t^(2*beta))_+^(1/(m-1))
-    with beta = 1/(n*(m-1)+2), at points ``x`` of shape ``(..., n)``; the
-    result has shape ``x.shape[:-1]``.
+    with beta = 1/(n*(m-1)+2), at points ``x`` of shape ``(..., n)`` and
+    times ``t``, a float or one per point (broadcasting against
+    ``x.shape[:-1]``); the result has shape ``x.shape[:-1]``.  The powers
+    of t are Python's, once per distinct time, so an array of times gives
+    the bits of the per-time calls.
     """
     if m == 1:
         raise BarrierError("the source-solution oracle needs m > 1")
-    if t <= 0:
+    if (np.asarray(t) <= 0).any():
         raise BarrierError("the source solution is defined for t > 0")
     if C <= 0:
         raise BarrierError("the mass constant must be positive")
     x = np.asarray(x, dtype=float)
     beta = 1.0 / (n * (m - 1) + 2)
     kappa = beta * (m - 1) / (2 * m)
-    arg = C - kappa * (x * x).sum(-1) / t ** (2 * beta)
-    return t ** (-n * beta) * np.maximum(arg, 0.0) ** (1.0 / (m - 1))
+    arg = C - kappa * (x * x).sum(-1) / per_time(lambda s: s ** (2 * beta), t)
+    return (per_time(lambda s: s ** (-n * beta), t)
+            * np.maximum(arg, 0.0) ** (1.0 / (m - 1)))
 
 
 def barenblatt_support_radius(t: float, m: float, n: int, C: float) -> float:

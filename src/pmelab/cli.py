@@ -18,6 +18,7 @@ from pathlib import Path
 from . import bundled, scenarios
 from .barriers import KINDS, BarrierError
 from .capacity import CapacityError
+from .degiorgi import IterationError
 from .geometry import GeometryError
 from .perron import PerronError
 from .solver import SolverError
@@ -172,7 +173,7 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, GeometryError, BarrierError, CapacityError,
-            PerronError) as exc:
+            PerronError, IterationError) as exc:
         print(f"operation failed: {exc}", file=sys.stderr)
         return 1
 

@@ -398,6 +398,18 @@ def parabolic_boundary(d: SpaceTimeDomain) -> np.ndarray:
     return defined & ~interior
 
 
+def per_time(f: Callable[[float], float], t: float | np.ndarray
+             ) -> np.ndarray:
+    """``f`` of every time in ``t`` (a float or an array), shaped like ``t``.
+
+    ``f`` takes a Python float and runs once per distinct time, so its
+    scalar arithmetic keeps the bits it has on a float: numpy's array
+    ``**`` and Python's ``pow`` differ in the last bit on some inputs."""
+    times, inverse = np.unique(t, return_inverse=True)
+    return np.array([f(s) for s in times.tolist()])[inverse].reshape(
+        np.shape(t))
+
+
 def check_monotone_sections(d: SpaceTimeDomain) -> tuple[bool, float | None]:
     """True iff step sections are nondecreasing as cell sets.
 

@@ -30,6 +30,7 @@ from .geometry import (
     SpaceTimeDomain,
     SpatialDomain,
     parabolic_boundary,
+    per_time,
 )
 from .solver import (
     BoundaryData,
@@ -356,7 +357,8 @@ def default_data_family(d: SpaceTimeDomain, xi0
         return 1.0 + (x[..., 0] - lo[0]) / span
 
     def tent(x, t):
-        r = np.sqrt(((x - x0) ** 2).sum(-1) + (t - t0) ** 2)
+        r = np.sqrt(((x - x0) ** 2).sum(-1)
+                    + per_time(lambda s: (s - t0) ** 2, t))
         return np.maximum(1.0 - r / tent_width, 0.0)
 
     family = [BoundaryData.constant(1.0), BoundaryData.constant(2.0),

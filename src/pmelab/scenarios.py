@@ -30,6 +30,7 @@ from .geometry import (
     SpaceTimeDomain,
     SpatialDomain,
     diameter,
+    per_time,
 )
 from .solver import (
     BoundaryData,
@@ -162,6 +163,14 @@ def build_spatial(spec: dict, grid: Grid, where: str = "base"
         radius = float(spec["radius"])
         mask = np.linalg.norm(centers - center, axis=-1) < radius
         if kind == "punctured_ball":
+            # cell_of clips to the grid: an off-grid centre would puncture
+            # an edge cell
+            lo = np.asarray(grid.origin)
+            hi = lo + np.asarray(grid.extents) * grid.h
+            if not ((lo <= center) & (center <= hi)).all():
+                raise ScenarioError(
+                    f"{where}/center {spec['center']} lies off the grid, "
+                    f"which spans {lo.tolist()} to {hi.tolist()}")
             mask[grid.cell_of(center)] = False
         return SpatialDomain(grid, mask)
     if kind not in ("box", "box_minus_segment"):
@@ -231,7 +240,8 @@ def build_data(spec: dict, m: float, grid: Grid, where: str = "data"
         peak = float(spec.get("peak", 1.0))
 
         def tent(x, t):
-            r = np.sqrt(((x - center) ** 2).sum(-1) + (t - t0) ** 2)
+            r = np.sqrt(((x - center) ** 2).sum(-1)
+                        + per_time(lambda s: (s - t0) ** 2, t))
             return np.maximum(peak * (1.0 - r / width), floor)
 
         return BoundaryData(fn=tent, bounds=(max(floor, 0.0), peak))
@@ -245,7 +255,7 @@ def build_data(spec: dict, m: float, grid: Grid, where: str = "data"
         def rt(x, t):
             r = np.linalg.norm(x - center, axis=-1)
             return np.maximum(np.maximum(1.0 - r / width, 0.0)
-                              * min(t / ramp, 1.0), floor)
+                              * np.minimum(t / ramp, 1.0), floor)
 
         return BoundaryData(fn=rt, bounds=(max(floor, 0.0), 1.0))
     raise ScenarioError(f"unknown data profile {kind!r}")
@@ -784,18 +794,24 @@ SCHEMA = {
                 "kind": {"enum": list(_HANDLERS)},
                 "trials": {"type": "integer", "minimum": 1},
                 "jitter_factor": {"type": "integer", "minimum": 0},
-                **dict.fromkeys(("m", "C", "M", "t0", "t1", "t2", "rho",
-                                 "sigma", "k", "box_halfwidth",
-                                 "runtime_budget_s"), _NUMBER),
+                # the equation's exponent: the laboratory covers m >= 1
+                "m": {"type": "number", "minimum": 1},
+                "rho": {"type": "number", "exclusiveMinimum": 0},
+                **dict.fromkeys(("C", "M", "t0", "t1", "t2", "sigma", "k",
+                                 "box_halfwidth", "runtime_budget_s"),
+                                _NUMBER),
                 **dict.fromkeys(("n", "k_max", "j_max", "base_cells",
                                  "base_steps", "max_samples"), _INTEGER),
-                **dict.fromkeys(("radii", "x0", "eps_ladder", "multipliers",
+                **dict.fromkeys(("radii", "x0", "multipliers",
                                  "refinement_ladder"), _NUMBERS),
                 **dict.fromkeys(("base", "ambient", "set"), _BASE),
                 **dict.fromkeys(("expect", "expect_thickness"),
                                 {"type": "string"}),
                 "require_intercepts_within_disc": {"type": "boolean"},
-                "levels": {"type": "array", "items": _INTEGER},
+                # an empty list would make the checks over it pass vacuously
+                "levels": {"type": "array", "items": _INTEGER,
+                           "minItems": 1},
+                "eps_ladder": {**_NUMBERS, "minItems": 1},
                 "removability": {
                     "type": "object",
                     "required": ["base", "x0"],

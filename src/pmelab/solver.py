@@ -10,8 +10,8 @@ the parabolic boundary data at the junction time.
 The defined and the interior samples of every level are the domain's own
 (``SpaceTimeDomain.samples``), for solves and for wrapped closed forms
 alike, and the samples a solve pins are its parabolic boundary.  Boundary
-data are array-valued (see ``BoundaryData``): each level's pinned samples
-are drawn in one call.
+data are array-valued, with a time per point (see ``BoundaryData``): each
+member's pinned samples, over all levels, are drawn in one call.
 
 A slab is a run of levels with one interior mask, and ``_step_matrices``
 builds each one, read-only, from the core's ``geometry.face_stencil``.
@@ -261,11 +261,15 @@ class SolverConfig:
 class BoundaryData:
     """Nonnegative data on parabolic-boundary samples.
 
-    ``fn(x, t)`` takes points ``x`` of shape ``(..., n)`` at one time ``t``
-    and returns values that broadcast to ``x.shape[:-1]``.
+    ``fn(x, t)`` takes points ``x`` of shape ``(..., n)`` and times ``t``,
+    one per point: a float, or an array that broadcasts against
+    ``x.shape[:-1]``.  It returns values that broadcast to
+    ``x.shape[:-1]``.  Scalar arithmetic on the times, such as a power,
+    goes through ``geometry.per_time``, which keeps the bits it has on a
+    float.
     """
 
-    fn: Callable[[np.ndarray, float], np.ndarray]
+    fn: Callable[[np.ndarray, float | np.ndarray], np.ndarray]
     bounds: tuple[float, float]
 
     def __post_init__(self):
@@ -273,26 +277,28 @@ class BoundaryData:
         if not (0 <= lo <= hi < math.inf):
             raise SolverError(f"bounds must satisfy 0 <= inf <= sup < inf, got {self.bounds}")
 
-    def sample(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Data at points ``x`` (shape ``(..., n)``), shape ``x.shape[:-1]``.
+    def sample(self, x: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+        """Data at points ``x`` (shape ``(..., n)``) and times ``t`` (a
+        float or one per point), shape ``x.shape[:-1]``.
 
-        A value that is not finite, or below -1e-12, raises ``SolverError``;
-        small negative values are clipped to 0."""
+        A value that is not finite, or below -1e-12, raises ``SolverError``
+        naming its point and time; small negative values are clipped to 0."""
         x = np.asarray(x, dtype=float)
+        v = self.fn(x, t)
         try:
-            v = np.broadcast_to(self.fn(x, t), x.shape[:-1])
+            v = np.broadcast_to(v, x.shape[:-1])
         except ValueError:
             raise SolverError(
                 f"boundary data must broadcast to {x.shape[:-1]}") from None
         finite = np.isfinite(v)
         if not finite.all():
             i = np.unravel_index(np.argmin(finite), v.shape)
-            raise SolverError(
-                f"boundary data is not finite at ({x[i]}, {t}): {v[i]}")
+            raise SolverError(f"boundary data is not finite at "
+                              f"({x[i]}, {_time_at(t, v.shape, i)}): {v[i]}")
         if (v < -1e-12).any():
             i = np.unravel_index(np.argmin(v), v.shape)
-            raise SolverError(
-                f"boundary data is negative at ({x[i]}, {t}): {v[i]}")
+            raise SolverError(f"boundary data is negative at "
+                              f"({x[i]}, {_time_at(t, v.shape, i)}): {v[i]}")
         return np.maximum(v, 0.0)
 
     @classmethod
@@ -311,6 +317,11 @@ class BoundaryData:
         return BoundaryData(fn=lambda x, t: np.maximum(base(x, t) - eps, 0.0),
                             bounds=(max(self.bounds[0] - eps, 0.0),
                                     max(self.bounds[1] - eps, 0.0)))
+
+
+def _time_at(t: float | np.ndarray, shape: tuple, i: tuple) -> float:
+    """The time of point ``i`` when ``t`` broadcasts to ``shape``."""
+    return float(np.broadcast_to(t, shape)[i])
 
 
 class Field:
@@ -707,6 +718,47 @@ def _newton_step(prev: np.ndarray, start: np.ndarray, bdry_w: np.ndarray,
                          failures)
 
 
+def _pin_data(d: SpaceTimeDomain, datas: list[BoundaryData],
+              values: np.ndarray) -> list[list[float]]:
+    """Write each member's data on the pinned samples of every level (the
+    parabolic boundary and the junction cells) into its row of ``values``,
+    in one ``sample`` call per member, and return each member's observed
+    ``[min, max]``.  The points and times drawn for the call live only
+    here, so the solve does not hold them."""
+    defined, interior = d.samples
+    pinned = defined & ~interior
+    points = np.broadcast_to(d.grid.centers(),
+                             (*pinned.shape, d.grid.n))[pinned]
+    times = np.broadcast_to(
+        d.level_times().reshape(-1, *(1,) * d.grid.n), pinned.shape)[pinned]
+    observed = []
+    for row, data in zip(values, datas):
+        sampled = data.sample(points, times)
+        row[pinned] = sampled
+        observed.append([float(sampled.min(initial=math.inf)),
+                         float(sampled.max(initial=-math.inf))])
+    return observed
+
+
+def _raise_out_of_bounds(d: SpaceTimeDomain, values: np.ndarray,
+                         declared: list[list[float]]) -> None:
+    """Raise ``SolverError`` for the first level, and at it the first
+    member, whose pinned samples in ``values`` leave the member's declared
+    bounds."""
+    defined, interior = d.samples
+    for k in range(d.num_levels):
+        pinned = defined[k] & ~interior[k]
+        for i, (lo, hi) in enumerate(declared):
+            sampled = values[i, k][pinned]
+            s_lo = float(sampled.min(initial=math.inf))
+            s_hi = float(sampled.max(initial=-math.inf))
+            if s_lo < lo or s_hi > hi:
+                raise SolverError(
+                    f"member {i}: boundary data at t={d.level_time(k)} span "
+                    f"[{s_lo}, {s_hi}], outside the declared bounds "
+                    f"[{lo}, {hi}]")
+
+
 def solve_union(d: SpaceTimeDomain, data: BoundaryData, cfg: SolverConfig,
                 m: float) -> Field:
     """Slab-by-slab Dirichlet solve on a monotone union of cylinders.
@@ -750,28 +802,13 @@ def solve_union_many(d: SpaceTimeDomain, datas: list[BoundaryData],
                     f"member {i}: explicit step dt={dt} exceeds the CFL "
                     f"bound {max_dt:.6g}")
 
-    centers = grid.centers()
     levels = d.num_levels
-    defined, scheme_mask = d.samples
-    values = np.full((members, *defined.shape), np.nan)
+    values = np.full((members, levels, *grid.extents), np.nan)
     declared = [list(map(float, data.bounds)) for data in datas]
-    observed = [[math.inf, -math.inf] for _ in datas]
-    for k in range(levels):     # parabolic boundary and junction cells
-        pinned = defined[k] & ~scheme_mask[k]
-        points, t = centers[pinned], d.level_time(k)
-        for i, data in enumerate(datas):
-            sampled = data.sample(points, t)
-            s_lo = float(sampled.min(initial=math.inf))
-            s_hi = float(sampled.max(initial=-math.inf))
-            lo, hi = declared[i]
-            if s_lo < lo or s_hi > hi:
-                raise SolverError(
-                    f"member {i}: boundary data at t={t} span "
-                    f"[{s_lo}, {s_hi}], outside the declared bounds "
-                    f"[{lo}, {hi}]")
-            seen = observed[i]
-            observed[i] = [min(seen[0], s_lo), max(seen[1], s_hi)]
-            values[i, k][pinned] = sampled
+    observed = _pin_data(d, datas, values)
+    if any(s_lo < lo or s_hi > hi
+           for (lo, hi), (s_lo, s_hi) in zip(declared, observed)):
+        _raise_out_of_bounds(d, values, declared)
 
     newton_iters: list[list[int]] = [[] for _ in datas]
     linear_iters: list[list[int]] = [[] for _ in datas]

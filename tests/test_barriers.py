@@ -473,6 +473,22 @@ def test_barenblatt_self_similarity():
     assert lhs == pytest.approx(rhs, rel=1e-14)
 
 
+def test_barenblatt_with_an_array_of_times_equals_its_scalar_calls():
+    # the powers of t are Python's, once per distinct time; numpy's array
+    # power differs from them in the last bit on some inputs
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-0.6, 0.6, (400, 2))
+    t = rng.choice(rng.uniform(0.05, 2.0, 60), 400)
+    batch = barenblatt(x, t, 2.5, 2, 0.05)
+    per_time = np.full(400, np.nan)
+    for s in np.unique(t).tolist():
+        per_time[t == s] = barenblatt(x[t == s], s, 2.5, 2, 0.05)
+    assert batch.tobytes() == per_time.tobytes()
+    assert (batch == 0).any() and (batch > 0).any()
+    with pytest.raises(BarrierError):
+        barenblatt(x, np.where(np.arange(400) == 150, 0.0, t), 2.5, 2, 0.05)
+
+
 def test_barenblatt_rejects_heat_exponent_and_bad_time():
     with pytest.raises(BarrierError):
         barenblatt([0.0, 0.0], 1.0, 1.0, 2, 0.05)

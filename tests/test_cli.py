@@ -233,6 +233,46 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, path, value):
     assert f"{path}: {value!r} is not a finite number" in (
         capsys.readouterr().err)
 
+# Each of these ran: m = 0 raised ZeroDivisionError in the CFL bound and
+# m = 0.5 solved outside the laboratory's scope (m >= 1); rho = 0 raised
+# degiorgi's IterationError as a traceback; empty Barenblatt levels and an
+# empty eps ladder exited 0 on checks that held vacuously; and a punctured
+# ball centred off the grid punctured the edge cell that cell_of clips to.
+@pytest.mark.parametrize("name, path, value", [
+    ("constant-solve", "operation/m", 0),
+    ("constant-solve", "operation/m", 0.5),
+    ("barenblatt-convergence", "operation/m", 0.5),
+    ("degiorgi-barenblatt", "operation/m", 0.99),
+    ("degiorgi-barenblatt", "operation/rho", 0),
+    ("barenblatt-convergence", "operation/levels", []),
+    ("union-resolutivity", "operation/eps_ladder", []),
+    ("constant-solve", "domain/cylinders/0/base",
+     {"shape": "punctured_ball", "center": [0.75, 0.75], "radius": 2.0}),
+])
+def test_cli_refuses_out_of_scope_values_and_empty_lists(tmp_path, capsys,
+                                                          name, path, value):
+    doc = bundled_scenario(name)
+    *parents, key = path.split("/")
+    target = doc
+    for part in parents:
+        target = target[int(part) if part.isdigit() else part]
+    target[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
+    assert path in capsys.readouterr().err
+
+
+def test_cli_degiorgi_iteration_error_exits_one(tmp_path, capsys):
+    # sigma outside (0, 1) is degiorgi's own check, an operation failure
+    doc = bundled_scenario("degiorgi-barenblatt")
+    doc["operation"]["sigma"] = 1.5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path)]) == 1
+    assert "operation failed: need 0 < sigma < 1" in capsys.readouterr().err
+
+
 def test_barrier_schema_names_the_spec_fields():
     barrier = SCHEMA["properties"]["operation"]["properties"]["barrier"]
     spec_fields = {f.name for f in dataclasses.fields(BarrierSpec)}

@@ -339,7 +339,7 @@ def punctured_setup(h=1 / 32):
 def ramped_tent():
     def fn(x, t):
         r = np.linalg.norm(x, axis=-1)
-        return np.maximum(1.0 - r / 0.45, 0.0) * min(t / 0.05, 1.0)
+        return np.maximum(1.0 - r / 0.45, 0.0) * np.minimum(t / 0.05, 1.0)
     return BoundaryData(fn=fn, bounds=(0.0, 1.0))
 
 

@@ -8,7 +8,7 @@ import pytest
 from pmelab import perron, scenarios, solver
 from pmelab.barriers import barenblatt
 from pmelab.bundled import bundled_scenario, list_bundled
-from pmelab.geometry import Cylinder, SpaceTimeDomain
+from pmelab.geometry import Cylinder, Grid, SpaceTimeDomain
 from pmelab.perron import default_data_family
 from pmelab.scenarios import (
     SCHEMA,
@@ -89,6 +89,19 @@ def test_unknown_shape_and_profile_rejected():
         build_data({"profile": "mystery"}, 2.0, g)
 
 
+def test_punctured_ball_centred_off_the_grid_is_refused():
+    # cell_of clips the centre (5, 5) to the grid: cell (3, 3) was removed
+    g = Grid(n=2, h=0.25, origin=(0.0, 0.0), extents=(4, 4))
+    spec = {"shape": "punctured_ball", "center": [5.0, 5.0], "radius": 9.0}
+    with pytest.raises(ScenarioError, match=r"cyl/center \[5\.0, 5\.0\] lies "
+                                            r"off the grid"):
+        build_spatial(spec, g, "cyl")
+    # a centre on the grid's closed box punctures the cell holding it
+    for center, cell in (([1.0, 0.0], (3, 0)), ([0.3, 0.6], (1, 2))):
+        U = build_spatial(spec | {"center": center}, g)
+        assert list(zip(*np.nonzero(~U.mask))) == [cell]
+
+
 def test_data_profiles_evaluate():
     m = 2.0
     g = build_grid(GRID)
@@ -130,6 +143,11 @@ def test_data_profiles_evaluate():
             assert np.array_equal(batch, singles)
             grid_shaped = data.sample(pts.reshape(7, 7, 2), t)
             assert np.array_equal(grid_shaped, batch.reshape(7, 7))
+        # a time per point, as a solve samples its parabolic boundary
+        each = np.resize(times, len(pts))
+        batch = data.sample(pts, each)
+        singles = np.array([data.sample(p, t) for p, t in zip(pts, each)])
+        assert batch.tobytes() == singles.tobytes()
     for t in times:
         batch = barenblatt(pts, t, 2.0, 2, 0.02)
         singles = np.array([barenblatt(p, t, 2.0, 2, 0.02) for p in pts])

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -175,7 +176,7 @@ def test_newton_failure_carries_residual():
     # a hard jump from a near-vacuum initial state needs several Newton
     # iterations; capping them at one must fail loudly with the residual
     d, _ = box_cylinder(t2=0.25, dt=0.25)
-    data = BoundaryData(fn=lambda x, t: 0.01 if t <= 0 else 2.0,
+    data = BoundaryData(fn=lambda x, t: np.where(t <= 0, 0.01, 2.0),
                         bounds=(0.01, 2.0))
     with pytest.raises(SolverError, match="worst step residual"):
         solve_union(d, data, SolverConfig(newton_max=1), M_EXP)
@@ -185,8 +186,7 @@ def test_line_search_failures_are_counted():
     # a jump to 20 from near vacuum at m = 4: one Newton step is kept
     # although none of its 10 halvings meets the Armijo test
     d, _ = box_cylinder(t2=0.25, dt=0.25)
-    data = BoundaryData(fn=lambda x, t: np.full(x.shape[:-1],
-                                                0.01 if t <= 0 else 20.0),
+    data = BoundaryData(fn=lambda x, t: np.where(t <= 0, 0.01, 20.0),
                         bounds=(0.01, 20.0))
     u = solve_union(d, data, SolverConfig(), 4.0)
     assert u.stats["line_search_failures"] >= 1
@@ -1071,7 +1071,7 @@ def _member(kind, level):
         return BoundaryData.constant(level)
     if kind == "jump":
         return BoundaryData(
-            fn=lambda x, t: np.full(x.shape[:-1], 0.01 if t <= 0 else 20.0),
+            fn=lambda x, t: np.where(t <= 0, 0.01, 20.0),
             bounds=(0.01, 20.0))
     return BoundaryData(
         fn=lambda x, t: level * (1.0 + 0.5 * np.sin(5 * x[..., 0] - 3 * t
@@ -1146,8 +1146,88 @@ def test_solve_union_many_names_the_member_that_fails():
         solve_union_many(d, [ok, ok, low], SolverConfig(), M_EXP)
     # one Newton iteration is too few for the jump, not for the constant
     jump, _ = box_cylinder(t2=0.25, dt=0.25)
-    data = BoundaryData(fn=lambda x, t: 0.01 if t <= 0 else 2.0,
+    data = BoundaryData(fn=lambda x, t: np.where(t <= 0, 0.01, 2.0),
                         bounds=(0.01, 2.0))
     with pytest.raises(SolverError,
                        match="member 1: Newton did not converge.*worst step"):
         solve_union_many(jump, [ok, data], SolverConfig(newton_max=1), M_EXP)
+
+
+def _counted(fn, calls, i):
+    def counting(x, t):
+        calls[i] += 1
+        return fn(x, t)
+    return counting
+
+
+def _sample_per_level(d, datas):
+    """The pinned samples of every level, drawn one level and one member
+    at a time, with each member's observed [min, max]: the reference for
+    the one call per member that a solve makes."""
+    defined, interior = d.samples
+    centers = d.grid.centers()
+    values = np.full((len(datas), *defined.shape), np.nan)
+    observed = [[math.inf, -math.inf] for _ in datas]
+    for k in range(d.num_levels):
+        pinned = defined[k] & ~interior[k]
+        for i, data in enumerate(datas):
+            sampled = data.sample(centers[pinned], d.level_time(k))
+            values[i, k][pinned] = sampled
+            lo, hi = observed[i]
+            observed[i] = [min(lo, float(sampled.min(initial=math.inf))),
+                           max(hi, float(sampled.max(initial=-math.inf)))]
+    return values, observed
+
+
+def _timed_member(kind, level, d):
+    if kind == "wave":
+        return BoundaryData(
+            fn=lambda x, t: level * (1.0 + 0.5 * np.sin(5 * x[..., 0]
+                                                        - 300 * t)),
+            bounds=(0.5 * level, 1.5 * level))
+    if kind == "ramp":
+        return scenarios.build_data(
+            {"profile": "ramped_tent", "center": [0.25] * d.grid.n,
+             "width": 0.6, "ramp": 3 * d.dt, "floor": 0.1 * level}, M_EXP,
+            d.grid)
+    return scenarios.build_data(
+        {"profile": "tent", "center": [0.3] * d.grid.n, "t0": d.dt,
+         "width": 0.5 + level, "floor": 0.05}, M_EXP, d.grid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=_monotone_unions(),
+       members=st.lists(st.tuples(st.sampled_from(["wave", "ramp", "tent"]),
+                                  st.floats(0.25, 2.0)),
+                        min_size=1, max_size=3),
+       bad=st.data())
+def test_one_sample_call_per_member_equals_per_level_sampling(d, members,
+                                                               bad):
+    datas = [_timed_member(kind, level, d) for kind, level in members]
+    calls = [0] * len(datas)
+    counted = [replace(data, fn=_counted(data.fn, calls, i))
+               for i, data in enumerate(datas)]
+    fields = solve_union_many(d, counted, SolverConfig(), M_EXP)
+    assert calls == [1] * len(datas)
+    values, observed = _sample_per_level(d, datas)
+    pinned = parabolic_boundary(d)
+    for field, ref, seen, data in zip(fields, values, observed, datas):
+        assert field.values[pinned].tobytes() == ref[pinned].tobytes()
+        assert field.stats["data_bounds"] == {
+            "declared": list(data.bounds), "observed": seen}
+
+    # one member leaves its declared bounds from a later level on: the
+    # error names that member and that level's time, and its span there
+    j = bad.draw(st.integers(0, len(datas) - 1))
+    k = bad.draw(st.integers(1, d.num_levels - 1))
+    t_bad = d.level_time(k)
+    good = datas[j]
+    datas[j] = replace(good, fn=lambda x, t: np.where(
+        t >= t_bad - d.dt / 2, 2 * good.bounds[1] + 1.0, good.fn(x, t)))
+    values, _ = _sample_per_level(d, datas)
+    level = values[j, k][pinned[k]]
+    message = (f"member {j}: boundary data at t={t_bad} span "
+               f"[{level.min()}, {level.max()}], outside the declared "
+               f"bounds [{good.bounds[0]}, {good.bounds[1]}]")
+    with pytest.raises(SolverError, match=re.escape(message)):
+        solve_union_many(d, datas, SolverConfig(), M_EXP)
