@@ -475,8 +475,11 @@ def barenblatt(x, t, m: float, n: int, C: float) -> np.ndarray:
     beta = 1.0 / (n * (m - 1) + 2)
     kappa = beta * (m - 1) / (2 * m)
     arg = C - kappa * (x * x).sum(-1) / per_time(lambda s: s ** (2 * beta), t)
+    # the power of an array, on one point too: numpy's power of a scalar
+    # differs from its array power in the last bit on some inputs
+    pos = np.maximum(arg, 0.0)
     return (per_time(lambda s: s ** (-n * beta), t)
-            * np.maximum(arg, 0.0) ** (1.0 / (m - 1)))
+            * (pos.reshape(-1) ** (1.0 / (m - 1))).reshape(pos.shape))
 
 
 def barenblatt_support_radius(t: float, m: float, n: int, C: float) -> float:

@@ -6,11 +6,11 @@ for the *closure* of an open set U; the cells of the mask that touch the
 exterior play the role of the topological boundary of U, the remaining cells
 the role of U itself.  Every face-neighbour operation walks the faces one
 way (``faces``): the cells next to the exterior (``exterior_adjacent``),
-the one-cell dilation (``dilate``), the sum over the 2n neighbours
-(``neighbour_sum``) and the 2n+1-point Laplacian's neighbour structure on
-any cell selection (``face_stencil``).  Space-time domains are
-finite unions of cylinders (base x open time interval) over a shared grid and
-a shared uniform time step.  Each one holds one sample structure
+the one-cell dilation (``dilate``) and the sum over the 2n neighbours
+(``neighbour_sum``), and the solver's slabs take their neighbour structure
+from the same walk.  Space-time domains are finite unions of cylinders
+(base x open time interval) over a shared grid and a shared uniform time
+step.  Each one holds one sample structure
 (``SpaceTimeDomain.samples``): the defined and the interior samples of
 every level, built from the stacked step bases (``step_masks``).  The
 parabolic boundary, the samples that the solver pins and every per-step
@@ -27,10 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class GeometryError(ValueError):
@@ -137,49 +136,6 @@ def neighbour_sum(v: np.ndarray, out: np.ndarray) -> np.ndarray:
         out[upper] += v[lower]
         out[lower] += v[upper]
     return out
-
-
-class Stencil(NamedTuple):
-    """The face-neighbour (2n+1-point) stencil restricted to selected cells.
-
-    ``adjacency`` is the 0/1 CSR matrix among the selected cells, numbered in
-    C order, and ``flat`` holds each selected cell's flat grid index.
-    ``pinned`` is the 0/1 CSR matrix from the selected cells to their
-    unselected neighbours among all grid cells, so ``pinned @ v.ravel()``
-    sums grid values ``v`` over those.  Neighbours beyond the grid edge are
-    dropped.  Both are canonical (sorted indices, no duplicates), so a
-    product adds each row's entries in C order.  A solver slab may replace
-    ``adjacency`` by the same matrix as a ``scipy.sparse.dia_matrix`` with
-    ascending offsets, whose products add in that same order (see
-    ``solver``).
-    """
-
-    adjacency: sp.csr_matrix | sp.dia_matrix
-    flat: np.ndarray
-    pinned: sp.csr_matrix
-
-
-def face_stencil(sel: np.ndarray) -> Stencil:
-    """The stencil among the cells marked in ``sel``."""
-    flat = np.flatnonzero(sel)
-    row_of = np.full(sel.shape, -1, dtype=np.int64)
-    row_of.flat[flat] = np.arange(len(flat))
-    cell = np.arange(sel.size).reshape(sel.shape)
-    rows, nbs = [], []
-    for lower, upper in faces(sel.ndim):
-        for here, there in ((upper, lower), (lower, upper)):
-            on = sel[here]
-            rows.append(row_of[here][on])
-            nbs.append(cell[there][on])
-    rows, nbs = np.concatenate(rows), np.concatenate(nbs)
-    hit = sel.ravel()[nbs]
-
-    def csr(keep: np.ndarray, cols: np.ndarray, width: int):
-        return sp.csr_matrix((np.ones(len(cols)), (rows[keep], cols)),
-                             shape=(len(flat), width))
-
-    return Stencil(csr(hit, row_of.ravel()[nbs[hit]], len(flat)), flat,
-                   csr(~hit, nbs[~hit], sel.size))
 
 
 class SpatialDomain:

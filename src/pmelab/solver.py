@@ -13,37 +13,41 @@ alike, and the samples a solve pins are its parabolic boundary.  Boundary
 data are array-valued, with a time per point (see ``BoundaryData``): each
 member's pinned samples, over all levels, are drawn in one call.
 
-A slab is a run of levels with one interior mask, and ``_step_matrices``
-builds each one, read-only, from the core's ``geometry.face_stencil``.
-How a slab stores the stencil's adjacency ``A`` and the constant Jacobian
-part ``M = 2n*I - A`` depends on the distinct index offsets ``col - row``
-at which its cells see their neighbours; the largest is the bandwidth
-``bw``.  A core with at most 2n offsets (every box core) or with
-``bw <= _BAND_MAX`` is stored by its diagonals: the stencil's adjacency
-becomes a ``scipy.sparse.dia_matrix`` with ascending offsets, and that is
-all the slab keeps of A and M.  Any other core (the benchmark's punctured
-disk has 60 offsets and bw 75) keeps CSR: the adjacency, M and M's
-Jacobian pattern, and plain CG.  So every factored Jacobian (below) is
-stored by its at most 2*bw + 1 diagonals, under twice the band that its
-factor takes.  Either storage gives the same bits.  A CSR product adds a
-row's products from 0 in column order; a DIA product adds the diagonals
-from 0 in their stored order, which is that same column order, and a
-diagonal's other entries (where a cell has no neighbour at that offset)
-are exact zeros (+0), which leave every sum as it is.  At h = 1/128
-(15,876 unknowns) the diagonals take 0.5 MB, where CSR would take 3.3 MB.
-``_slabs`` keeps a domain object's slabs in its ``memo``, so every solve
-and residual check on it shares them and a rebuilt domain, even an equal
-one, builds its own.  ``Field.stats["assemblies"]`` counts the slabs a
-solve enters.  Core values are gathered and scattered through the
-stencil's flat grid indices; the pinned neighbours' Dirichlet
-contributions are one product, ``stencil.pinned @ w.ravel()``.
+A slab is a run of levels with one interior mask, its core, and
+``_step_matrices`` builds each one, read-only, from the core alone.  Every
+slab has one layout: it numbers the cells of the core's bounding box in C
+order.  A box cell outside the core is a decoupled row: no coupling,
+degree 0 and a zero right-hand side, so Newton and CG keep it at 0 and it
+is never written back.  The adjacency ``A`` among the box's cells is
+stored by its diagonals, a ``scipy.sparse.dia_matrix`` with the ascending
+offsets +-stride of each axis along which the box is more than one cell
+wide, and mask slices over ``geometry.faces`` give those diagonals
+directly; the largest offset, the box's row stride, is the bandwidth
+``bw``.  The pinned neighbours' Dirichlet contributions are a sum over
+the box grown by one cell and clipped to the grid (``_Slab.ring_sum``),
+which reads the grid only on the pinned ring, so the samples off the
+domain (NaN) never enter it.  Each core cell adds its ring terms from +0
+in ascending offset order, and a DIA product adds the diagonals from 0 in
+ascending offset order; the padding adds exact zeros (+0), which leave
+every sum as it is.  So on a box core, whose box cells are its own,
+every product adds the neighbours' terms alone in ascending offset
+order.  On any other core the vectors are longer than the core by the
+box's unfilled share, and the dots over them (in CG and Newton) may round
+differently.  The bundled punctured disk (18,081 cells in a 151 x 151
+box, so 4,720 padded cells and vectors 26 % longer, the most padding that
+the corpus and the tests reach) is the corpus's one such core: a solve on
+it moved by at most 8.1e-16, with the same report.  At h = 1/128 (15,876
+unknowns) the diagonals take 0.5 MB.  ``_slabs`` keeps a domain object's
+slabs in its ``memo``, so every solve and residual check on it shares
+them and a rebuilt domain, even an equal one, builds its own.
+``Field.stats["assemblies"]`` counts the slabs a solve enters.
 
 ``solve_union_many`` solves a family of data on one domain in one pass,
 and ``solve_union`` is its one-member case, so there is one stepping
 loop.  The members step together as the rows of ``(K, n)`` arrays, and
 each member's field and stats equal those of a solve of its own, bit for
 bit: every operation either acts entry by entry or keeps one member's
-arithmetic apart from the others'.  Products with the stencil's matrices
+arithmetic apart from the others'.  Products with the slab's matrices
 take the stack's rows as a block of columns, which scipy multiplies entry
 by entry in the one-vector order (``_rows``).  Dots and norms are
 ``np.vecdot`` rows, which give ``np.dot``'s bits (measured with numpy
@@ -59,16 +63,15 @@ Newton's symmetrized Jacobian is ``I + c*S M S`` with
 ``S = diag(sqrt(m|u|^(m-1)))``.  A solve gives each slab it enters a
 workspace (``_SlabJacobian``) that holds its mutable buffers, so solves
 share no state.  Its matrix is block diagonal, one block per member still
-iterating, stored as the slab is: by M's diagonals, or in CSR on M's index
-pattern.  Each Newton iteration rewrites the matrix data in place, every
-entry as ``((s_row * m) * s_col) * c`` with 1.0 added on the diagonal, in
-either storage.
+iterating, stored by the diagonals of ``M = diag(deg) - A``.  Each Newton
+iteration rewrites the matrix data in place, every entry as
+``((s_row * m) * s_col) * c`` with 1.0 added on the diagonal.
 Cells are numbered in C order, so the Jacobian is banded; its bandwidth
-is the largest index distance between neighbours (a row of the core in
-2-D).  When that is at most ``_BAND_MAX`` (32), each iteration factors
-each member's Jacobian in place in its slot of the workspace's band
-buffer by LAPACK ``pbtrf``, and CG is preconditioned by one callable per
-slab that applies each slot's factor by ``pbtrs``: the routines that
+is the box's row stride.  When that is at most ``_BAND_MAX`` (32), each
+iteration factors each member's Jacobian in place in its slot of the
+workspace's band buffer by LAPACK ``pbtrf``, and CG is preconditioned by
+one callable per slab that applies each slot's factor by ``pbtrs``
+(a decoupled row's factor is 1 there): the routines that
 ``scipy.linalg.cholesky_banded`` and ``cho_solve_banded`` call.  The
 factor is exact, so CG converges in one iteration; wider bands keep
 plain CG.  The factor costs about n*bw^2, so the cutoff was taken from
@@ -121,12 +124,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 
-from .geometry import (
-    SpaceTimeDomain,
-    Stencil,
-    check_monotone_sections,
-    face_stencil,
-)
+from .geometry import SpaceTimeDomain, check_monotone_sections, dilate, faces
 
 
 class SolverError(RuntimeError):
@@ -381,82 +379,126 @@ def cfl_max_dt(L: float, h: float, m: float, n: int) -> float:
     return h * h / (2 * n * m * L ** (m - 1))
 
 
-def _lap_h2(A: sp.csr_matrix | sp.dia_matrix, w: np.ndarray,
-            bdry_w: np.ndarray, deg: float) -> np.ndarray:
-    """h^2 * lap_h(w) on the core: A w + pinned neighbours - 2n w, for one
-    vector ``w`` or a stack of rows."""
+def _lap_h2(A: sp.dia_matrix, w: np.ndarray, bdry_w: np.ndarray,
+            deg: np.ndarray) -> np.ndarray:
+    """h^2 * lap_h(w) on a slab's box: A w + pinned neighbours - deg w, for
+    one vector ``w`` or a stack of rows."""
     return _rows(A, w) + bdry_w - deg * w
 
 
-def _rows(mat: sp.csr_matrix | sp.dia_matrix, w: np.ndarray) -> np.ndarray:
+def _rows(mat: sp.dia_matrix, w: np.ndarray) -> np.ndarray:
     """``mat @ w`` for one vector, or for every row of a stack.  scipy
     multiplies a block of columns entry by entry in the order that it
-    multiplies one vector, so each row gets the one-vector product's bits.
-    ``mat`` is CSR, which adds a row's products in column order, or DIA with
-    ascending offsets, which adds the diagonals in that same order.  The
-    block is a C-contiguous copy of the stack's transpose, which scipy
-    multiplies faster than the strided view (n = 15,876, K = 8, one BLAS
-    thread: 1.2 against 2.0 ms)."""
+    multiplies one vector (the diagonals from 0, in ascending offset
+    order), so each row gets the one-vector product's bits.  The block is
+    a C-contiguous copy of the stack's transpose, which scipy multiplies
+    faster than the strided view (n = 15,876, K = 8, one BLAS thread: 1.2
+    against 2.0 ms)."""
     return (mat @ np.ascontiguousarray(w.T)).T
 
 
 class _Slab(NamedTuple):
-    """One slab's stencil and what its Jacobian ``I + c*S M S`` is built
-    from, with ``M = 2n*I - A`` and ``deg = 2n``.
+    """One slab on its core's bounding box: what the Laplacian and the
+    Jacobian ``I + c*S M S``, with ``M = diag(deg) - A``, are built from.
 
-    ``bw`` is the largest ``col - row`` of M, the Jacobian's bandwidth.  A
-    diagonal slab's ``stencil.adjacency`` is a DIA matrix with ascending
-    offsets, and M's CSR fields are None.  A CSR slab, whose band is too
-    wide to factor, keeps M: ``rows`` is the CSR row of each stored entry
-    of M and ``diag`` the positions of the diagonal ones.  Every array is
-    read-only.
+    ``box`` is the core's bounding box and ``inside`` the core on it, whose
+    cells are numbered in C order; ``A`` is their adjacency, a DIA matrix
+    with ascending offsets, and ``deg`` is 2n on the core and 0 off it.
+    ``bw``, the largest offset, is the box's row stride.  ``grown`` is the
+    box grown by one cell and clipped to the grid, ``into`` where it sits
+    in the box padded by one cell on each side, and ``ring`` the pinned
+    neighbours on it: the grid cells outside the core next to one of its
+    cells.  Every array is read-only.
     """
 
-    stencil: Stencil
-    deg: float
+    box: tuple[slice, ...]
+    inside: np.ndarray
+    A: sp.dia_matrix
+    deg: np.ndarray
     bw: int
-    M: sp.csr_matrix | None = None
-    rows: np.ndarray | None = None
-    diag: np.ndarray | None = None
+    grown: tuple[slice, ...]
+    into: tuple[slice, ...]
+    ring: np.ndarray
+
+    def gather(self, a: np.ndarray) -> np.ndarray:
+        """The box cells of ``a`` (shape ``(..., *extents)``) as rows
+        ``(..., N)``, 0 off the core (where ``a`` may be NaN)."""
+        rows = np.where(self.inside, a[(..., *self.box)], 0.0)
+        return rows.reshape(*rows.shape[:-self.inside.ndim], -1)
+
+    def scatter(self, a: np.ndarray, rows: np.ndarray) -> None:
+        """Write the core cells of ``rows`` (shape ``(..., N)``) into ``a``."""
+        view = a[(..., *self.box)]
+        np.copyto(view, rows.reshape(view.shape), where=self.inside)
+
+    def ring_sum(self, u: np.ndarray, m: float) -> np.ndarray:
+        """Per box cell, the sum of ``sign(u)|u|^m`` over its pinned
+        neighbours, as rows ``(..., N)``, 0 off the core.
+
+        ``u`` has shape ``(..., *extents)`` and is read on the ring only.
+        Each core cell adds its neighbours from +0 in ascending grid offset
+        order (axis 0 step -1, ..., axis n-1 step -1, axis n-1 step +1,
+        ..., axis 0 step +1); a neighbour in the core or beyond the grid
+        adds +0, which leaves the sum as it is."""
+        ndim = self.inside.ndim
+        lead = u.shape[:-ndim]
+        padded = np.zeros((*lead, *(s + 2 for s in self.inside.shape)))
+        np.copyto(padded[(..., *self.into)], u[(..., *self.grown)],
+                  where=self.ring)
+        w = _pow_odd(padded, m)
+        below, above = [], []
+        for ax in range(ndim):
+            at = [slice(1, -1)] * ndim
+            at[ax] = slice(None, -2)
+            below.append(tuple(at))
+            at[ax] = slice(2, None)
+            above.append(tuple(at))
+        out = np.zeros((*lead, *self.inside.shape))
+        for at in below + above[::-1]:
+            out += w[(..., *at)]
+        out[..., ~self.inside] = 0.0
+        return out.reshape(*lead, -1)
 
 
 def _step_matrices(core: np.ndarray) -> _Slab:
-    """The slab of the core cells ``core``: their stencil and M's storage.
+    """The slab of the core cells ``core``, on the core's bounding box.
 
-    A core is stored by its diagonals when its cells see their neighbours
-    at no more than 2n distinct index offsets (every box) or its bandwidth
-    is at most ``_BAND_MAX``, so every slab whose Jacobian is factored is a
-    diagonal one.  Any other core keeps CSR, with M and its Jacobian
-    pattern.
+    A's diagonals come from mask slices over ``geometry.faces``: along each
+    axis on which the box is more than one cell wide, a pair of neighbours
+    in the core adds 1 at offset -stride in the lower cell's column and at
+    +stride in the upper one's.
 
     The solver's one slab builder.  Its name is the stencil-assembly layer
     that the benchmark's tracer wraps (``bench/tracer.py``, as
     ``solver.assemble``), so it keeps that name.
     """
-    st = face_stencil(core)
-    A, deg = st.adjacency, 2.0 * core.ndim
-    n = A.shape[0]
-    offsets = np.unique(A.indices - np.repeat(
-        np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr)))
-    bw = int(offsets.max(initial=0))
-    if len(offsets) <= deg or bw <= _BAND_MAX:
-        # column j of diagonal off holds A[j - off, j]
-        data = np.zeros((len(offsets), n))
-        for row, off in zip(data, offsets.tolist()):
-            row[max(off, 0):n + min(off, 0)] = A.diagonal(off)
-        A = sp.dia_matrix((data, offsets), shape=A.shape)
-        st = st._replace(adjacency=A)
-        slab = _Slab(st, deg, bw)
-        frozen = (A.data, A.offsets)
-    else:
-        M = (sp.diags(np.full(n, deg)) - A).tocsr()
-        rows = np.repeat(np.arange(n), np.diff(M.indptr))
-        diag = np.flatnonzero(M.indices == rows)
-        slab = _Slab(st, deg, bw, M, rows, diag)
-        frozen = (A.data, A.indices, A.indptr, M.data, M.indices, M.indptr,
-                  rows, diag)
-    for arr in (*frozen, st.pinned.data, st.pinned.indices, st.pinned.indptr,
-                st.flat):
+    ndim = core.ndim
+    box = tuple(slice(int(at.min()), int(at.max()) + 1)
+                for at in np.nonzero(core))
+    grown = tuple(slice(max(b.start - 1, 0), min(b.stop + 1, extent))
+                  for b, extent in zip(box, core.shape))
+    into = tuple(slice(g.start - b.start + 1, g.stop - b.start + 1)
+                 for g, b in zip(grown, box))
+    inside = core[box].copy()
+    shape, n = inside.shape, inside.size
+    axes = [ax for ax in range(ndim) if shape[ax] > 1]
+    strides = [math.prod(shape[ax + 1:]) for ax in axes]
+    below, above = [], []
+    for lower, upper in faces(ndim, axes):
+        both = inside[lower] & inside[upper]
+        for diag, at in ((below, lower), (above, upper)):
+            full = np.zeros(shape)
+            full[at] = both
+            diag.append(full.reshape(n))
+    # column j of diagonal off holds A[j - off, j]
+    A = sp.dia_matrix((np.array(below + above[::-1]).reshape(-1, n),
+                       [-s for s in strides] + strides[::-1]),
+                      shape=(n, n))
+    core_g = core[grown]
+    ring = dilate(core_g) & ~core_g
+    slab = _Slab(box, inside, A, np.where(inside, 2.0 * ndim, 0.0).reshape(n),
+                 max(strides, default=0), grown, into, ring)
+    for arr in (inside, A.data, A.offsets, slab.deg, ring):
         arr.setflags(write=False)
     return slab
 
@@ -482,46 +524,28 @@ def _plan_slabs(d: SpaceTimeDomain) -> list[tuple[int, _Slab]]:
     return out
 
 
-def _tiled(a: np.ndarray, step: int, size: int) -> np.ndarray:
-    """``a``, ``a + step``, ..., ``a + (size - 1)*step`` end to end: one
-    block's positions for every block of a stack (``a`` itself for one)."""
-    return a if size == 1 else (a + step * np.arange(size)[:, None]).ravel()
-
-
 class _SlabJacobian:
     """Newton's Jacobians ``I + c*S M S`` on one slab, for one solve of up
     to ``size`` members.
 
     ``update`` takes the scales of the k members still iterating and makes
     ``J`` their block-diagonal matrix, each block one member's Jacobian,
-    with its data rewritten in place.  On a diagonal slab J is a DIA matrix
-    on M's offsets, whose diagonals run through the k blocks and are zero
-    where they cross from one block to the next; otherwise J is CSR, k
-    blocks on M's index pattern.  When ``bw <= _BAND_MAX`` (so on a
-    diagonal slab) it also factors each block in place in its own slot of
-    one band buffer by LAPACK ``pbtrf``, and ``precond`` applies slot i's
-    factor to row i of a stack by ``pbtrs``; otherwise ``precond`` is None.
+    with its data rewritten in place: a DIA matrix on M's offsets, whose
+    diagonals run through the k blocks and are zero where they cross from
+    one block to the next.  When ``bw <= _BAND_MAX`` it also factors each
+    block in place in its own slot of one band buffer by LAPACK ``pbtrf``,
+    and ``precond`` applies slot i's factor to row i of a stack by
+    ``pbtrs``; otherwise ``precond`` is None.
     """
 
     def __init__(self, slab: _Slab, size: int = 1):
         self.slab = slab
-        self._n = n = len(slab.stencil.flat)
-        if slab.M is None:
-            # M's offsets, and A's diagonal at each (None at the main one)
-            A = slab.stencil.adjacency
-            self._main = main = int(np.searchsorted(A.offsets, 0))
-            self._offsets = np.insert(A.offsets, main, 0)
-            self._adj = [*A.data[:main], None, *A.data[main:]]
-        else:
-            # J's pattern, and the row of each stored entry and the
-            # positions of the diagonal ones, for every block of the stack
-            M = slab.M
-            self._indices = _tiled(M.indices, n, size).astype(
-                M.indices.dtype, copy=False)
-            self._indptr = np.append(_tiled(M.indptr[:-1], M.nnz, size),
-                                     size * M.nnz).astype(M.indptr.dtype)
-            self._rows = _tiled(slab.rows, n, size)
-            self._diag = _tiled(slab.diag, M.nnz, size)
+        self._n = n = slab.deg.size
+        A = slab.A
+        self._main = main = int(np.searchsorted(A.offsets, 0))
+        self._offsets = np.insert(A.offsets, main, 0)
+        # A's diagonal at each of M's offsets (None at the main one)
+        self._adj = [*A.data[:main], None, *A.data[main:]]
         self._blocks(size)
         self.precond = None
         if slab.bw <= _BAND_MAX:
@@ -543,59 +567,42 @@ class _SlabJacobian:
 
     def _blocks(self, k: int) -> None:
         """Make ``J`` the block-diagonal matrix of k blocks."""
-        n = self._n
-        if self.slab.M is None:
-            self.J = sp.dia_matrix(
-                (np.zeros((len(self._offsets), k * n)), self._offsets),
-                shape=(k * n, k * n))
-        else:
-            nnz = self.slab.M.nnz
-            self.J = sp.csr_matrix(
-                (np.empty(k * nnz), self._indices[:k * nnz],
-                 self._indptr[:k * n + 1]), shape=(k * n, k * n))
+        self.J = sp.dia_matrix(
+            (np.zeros((len(self._offsets), k * self._n)), self._offsets),
+            shape=(k * self._n, k * self._n))
         self._k = k
 
     def update(self, s: np.ndarray, c: float) -> None:
         """Set block i of J to ``I + c*S M S`` with ``S = diag(s[i])``, for
         each row of the stack ``s``; factor the blocks if the band is
-        narrow.
-
-        Each entry is ``((s_row * m) * s_col) * c``, plus 1.0 on the
-        diagonal, in either storage."""
+        narrow.  Each entry is ``((s_row * m) * s_col) * c``, plus 1.0 on
+        the diagonal."""
         k, n = len(s), self._n
         if k != self._k:
             self._blocks(k)
         data = self.J.data
-        if self.slab.M is None:
-            blocks = data.reshape(len(data), k, n)
-            for diag, adj, off in zip(blocks, self._adj,
-                                      self._offsets.tolist()):
-                # each block's entries on the diagonal: columns lo to hi;
-                # the columns before lo or from hi on stay +0
-                lo, hi = max(off, 0), n + min(off, 0)
-                out, s_row = diag[:, lo:hi], s[:, lo - off:hi - off]
-                if adj is None:
-                    np.multiply(s_row, self.slab.deg, out=out)
-                else:
-                    # s_row * -1 where A has an entry, +0 where it has none
-                    np.multiply(s_row, adj[lo:hi], out=out)
-                    np.subtract(0.0, out, out=out)
-                out *= s[:, lo:hi]
-            data *= c
-            data[self._main] += 1.0
-        else:
-            s, nnz = s.reshape(-1), self.slab.M.nnz
-            np.multiply(s[self._rows[:k * nnz]].reshape(k, nnz),
-                        self.slab.M.data, out=data.reshape(k, nnz))
-            data *= s[self._indices[:k * nnz]]
-            data *= c
-            data[self._diag[:k * n]] += 1.0
+        blocks = data.reshape(len(data), k, n)
+        for diag, adj, off in zip(blocks, self._adj,
+                                  self._offsets.tolist()):
+            # each block's entries on the diagonal: columns lo to hi; the
+            # columns before lo or from hi on stay +0
+            lo, hi = max(off, 0), n + min(off, 0)
+            out, s_row = diag[:, lo:hi], s[:, lo - off:hi - off]
+            if adj is None:
+                np.multiply(s_row, self.slab.deg, out=out)
+            else:
+                # s_row * -1 where A has an entry, +0 where it has none
+                np.multiply(s_row, adj[lo:hi], out=out)
+                np.subtract(0.0, out, out=out)
+            out *= s[:, lo:hi]
+        data *= c
+        data[self._main] += 1.0
         if self.precond is not None:
             self.factor()
 
     def factor(self) -> None:
         """The banded Cholesky factor of each block of J, in place in its
-        slot of the band buffer; J is stored by its diagonals."""
+        slot of the band buffer."""
         k, n, bw = self._k, self._n, self.slab.bw
         band = self._band[:k]
         band.fill(0.0)              # clears the last factors' fill-in
@@ -631,8 +638,8 @@ def _pick(idx: np.ndarray, size: int):
 
 
 def _newton_step(prev: np.ndarray, start: np.ndarray, bdry_w: np.ndarray,
-                 A: sp.csr_matrix | sp.dia_matrix, jac: _SlabJacobian,
-                 deg: float, c: float, m: float, cfg: SolverConfig,
+                 A: sp.dia_matrix, jac: _SlabJacobian,
+                 deg: np.ndarray, c: float, m: float, cfg: SolverConfig,
                  res_scale: np.ndarray, dt: float) -> _NewtonResult:
     """Solve u - c*(A w(u) + g - deg*w(u)) = prev for one implicit step of
     every member of a stack (one row each).
@@ -814,8 +821,6 @@ def solve_union_many(d: SpaceTimeDomain, datas: list[BoundaryData],
     linear_iters: list[list[int]] = [[] for _ in datas]
     backtracks = np.zeros(members, dtype=int)
     ls_failures = np.zeros(members, dtype=int)
-    flat_values = values.reshape(members, levels, -1)
-    deg = 2 * grid.n
     c = mu * dt / h ** 2
     scales = np.array(res_scale)
     slab, assemblies = None, 0
@@ -823,11 +828,10 @@ def solve_union_many(d: SpaceTimeDomain, datas: list[BoundaryData],
         new_slab = level_slab is not slab
         if new_slab:
             slab = level_slab
-            stencil, A = slab.stencil, slab.stencil.adjacency
             if cfg.scheme == "implicit":
                 jac = _SlabJacobian(slab, members)
             assemblies += 1
-        prev_core = flat_values[:, k - 1, stencil.flat]
+        prev_core = slab.gather(values[:, k - 1])
         if np.isnan(prev_core).any():
             raise SolverError("missing initial values on a slab core")
 
@@ -835,10 +839,10 @@ def solve_union_many(d: SpaceTimeDomain, datas: list[BoundaryData],
             # A continued slab means step k - 1 solved on this same core,
             # so level k - 2 is defined there: extrapolate linearly.
             start = (prev_core if new_slab
-                     else 2 * prev_core - flat_values[:, k - 2, stencil.flat])
-            bdry_w = _rows(stencil.pinned, _pow_odd(flat_values[:, k], m))
-            sol = _newton_step(prev_core, start, bdry_w, A, jac, deg, c, m,
-                               cfg, scales, dt)
+                     else 2 * prev_core - slab.gather(values[:, k - 2]))
+            bdry_w = slab.ring_sum(values[:, k], m)
+            sol = _newton_step(prev_core, start, bdry_w, slab.A, jac,
+                               slab.deg, c, m, cfg, scales, dt)
             u_new = sol.u
             for i in range(members):
                 newton_iters[i].append(int(sol.iterations[i]))
@@ -846,12 +850,10 @@ def solve_union_many(d: SpaceTimeDomain, datas: list[BoundaryData],
             backtracks += sol.backtracks
             ls_failures += sol.failures
         else:
-            w_prev = _pow_odd(prev_core, m)
-            bdry_w = _rows(stencil.pinned,
-                           _pow_odd(flat_values[:, k - 1], m))
-            u_new = prev_core + c * _lap_h2(A, w_prev, bdry_w, deg)
-            u_new = np.maximum(u_new, 0.0)
-        flat_values[:, k, stencil.flat] = u_new
+            lap = _lap_h2(slab.A, _pow_odd(prev_core, m),
+                          slab.ring_sum(values[:, k - 1], m), slab.deg)
+            u_new = np.maximum(prev_core + c * lap, 0.0)
+        slab.scatter(values[:, k], u_new)
 
     return [Field(d, values[i], m, cfg, {
         "newton_iterations": newton_iters[i],
@@ -877,15 +879,12 @@ def scheme_residual(f: Field) -> np.ndarray:
     d = f.domain
     lag = 0 if f.config.scheme == "implicit" else 1
     out = np.full(f.values.shape, np.nan)
-    flat_out = out.reshape(d.num_levels, -1)
-    flat_values = f.values.reshape(d.num_levels, -1)
     for k, slab in _slabs(d):
-        st = slab.stencil
-        w = _pow_odd(f.values[k - lag], f.m)
-        lap = _lap_h2(st.adjacency, w.ravel()[st.flat], st.pinned @ w.ravel(),
-                      2 * d.grid.n) / d.grid.h ** 2
-        du = flat_values[k, st.flat] - flat_values[k - 1, st.flat]
-        flat_out[k, st.flat] = du / d.dt - f.config.diffusion * lap
+        u = f.values[k - lag]
+        lap = _lap_h2(slab.A, _pow_odd(slab.gather(u), f.m),
+                      slab.ring_sum(u, f.m), slab.deg) / d.grid.h ** 2
+        du = slab.gather(f.values[k]) - slab.gather(f.values[k - 1])
+        slab.scatter(out[k], du / d.dt - f.config.diffusion * lap)
     return out
 
 

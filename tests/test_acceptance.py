@@ -7,8 +7,6 @@ when iterating.  Criteria that only read an unmodified bundled run share it
 with the digest check (``bundled_run`` in ``conftest.py``).
 """
 
-import time
-
 import numpy as np
 import pytest
 
@@ -101,19 +99,18 @@ def test_criterion_4_bottom_face_regularity(bundled_run):
                 "estimate")
 
 
-def test_criterion_5_wiener_dichotomy(tmp_path):
-    t0 = time.time()
-    punct = run_bundled("punctured-disk", tmp_path)
-    punct_time = time.time() - t0
+def test_criterion_5_wiener_dichotomy(bundled_run):
+    punct, _ = bundled_run("punctured-disk")
+    punct_time = bundled_run.wall_s["punctured-disk"]
     assert punct["all_pass"], punct["checks"]
     assert punct["thickness"]["classification"] == "thin"
     assert punct["dichotomy"]["branch"] == "drops-to-zero"
     assert punct_time < 120
 
-    t0 = time.time()
-    wien = run_bundled("square-cylinder-wiener", tmp_path)
-    probe = run_bundled("square-cylinder", tmp_path)
-    square_time = time.time() - t0
+    wien, _ = bundled_run("square-cylinder-wiener")
+    probe, _ = bundled_run("square-cylinder")
+    square_time = sum(bundled_run.wall_s[name] for name in
+                      ("square-cylinder-wiener", "square-cylinder"))
     assert wien["all_pass"] and probe["all_pass"]
     assert wien["wiener"]["classification"]["classification"] == "thick"
     assert probe["probe"]["verdict"] == "regular evidence"

@@ -442,6 +442,19 @@ def test_barenblatt_outside_support():
     assert barenblatt([r - 0.01, 0.0], 1.0, 2.0, 2, 0.05) > 0.0
 
 
+@pytest.mark.parametrize("m", [2.5, 3.0])
+def test_barenblatt_one_point_has_the_batch_bits(m):
+    # a probe samples one point where a solve pins a batch: the fractional
+    # power must be the array's on both
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-1.0, 1.0, (2000, 2))
+    t = rng.choice([1.0, 1.25, 1.5], 2000)
+    batch = barenblatt(x, t, m, 2, 0.05)
+    assert (batch > 0).sum() > 100
+    one = np.array([barenblatt(p, s, m, 2, 0.05) for p, s in zip(x, t)])
+    assert one.tobytes() == batch.tobytes()
+
+
 def test_barenblatt_mass_conservation():
     m, n, C = 2.0, 2, 0.05
     beta = 1.0 / (n * (m - 1) + 2)

@@ -20,7 +20,7 @@ from pmelab.capacity import (
     torsion_profile,
     wiener_profile,
 )
-from pmelab.geometry import Grid, SpatialDomain, face_stencil
+from pmelab.geometry import Grid, SpatialDomain, faces
 
 
 def ambient_box(h=0.1, cells=25, origin=None, n=2):
@@ -291,11 +291,38 @@ def test_complement_in_ball_matches_per_cell_loop(n, seed):
 
 # -- the box-preconditioned CG against a direct solve --------------------------
 
+def _adjacency(sel):
+    """The 0/1 CSR adjacency among the cells of ``sel``, numbered in C
+    order, and the 0/1 CSR matrix from them to their neighbours off
+    ``sel`` among all grid cells (neighbours beyond the grid edge
+    dropped)."""
+    n = int(sel.sum())
+    row_of = np.full(sel.shape, -1)
+    row_of[sel] = np.arange(n)
+    cell = np.arange(sel.size).reshape(sel.shape)
+    rows, nbs = [], []
+    for lower, upper in faces(sel.ndim):
+        for here, there in ((upper, lower), (lower, upper)):
+            on = sel[here]
+            rows.append(row_of[here][on])
+            nbs.append(cell[there][on])
+    rows, nbs = np.concatenate(rows), np.concatenate(nbs)
+    hit = sel.ravel()[nbs]
+
+    def csr(keep, cols, width):
+        return sp.csr_matrix((np.ones(len(cols)), (rows[keep], cols)),
+                             shape=(n, width))
+
+    return (csr(hit, row_of.ravel()[nbs[hit]], n),
+            csr(~hit, nbs[~hit], sel.size))
+
+
 def _direct(sel, diag, off, rhs_of):
-    """spsolve of (diag*I - off*A) x = rhs on the cells of ``sel``."""
-    st_ = face_stencil(sel)
-    A = sp.diags(np.full(len(st_.flat), diag)) - off * st_.adjacency
-    return spsolve(A.tocsc(), rhs_of(st_))
+    """spsolve of (diag*I - off*A) x = rhs on the cells of ``sel``;
+    ``rhs_of`` takes the matrix to their pinned neighbours."""
+    adjacency, pinned = _adjacency(sel)
+    A = sp.diags(np.full(adjacency.shape[0], diag)) - off * adjacency
+    return spsolve(A.tocsc(), rhs_of(pinned))
 
 
 def reference_capacity(E):
@@ -307,7 +334,7 @@ def reference_capacity(E):
     u[one] = 1.0
     if free.any():
         u[free] = _direct(free, 2 * n / h ** 2 + 1.0, 1 / h ** 2,
-                          lambda s: s.pinned @ one.astype(float).ravel() / h ** 2)
+                          lambda p: p @ one.astype(float).ravel() / h ** 2)
     return _energy(u, V.mask, h, n)
 
 
@@ -315,7 +342,7 @@ def reference_torsion(U, x0):
     h = U.grid.h
     phi = np.linalg.norm(U.grid.centers() - x0, axis=-1)
     return _direct(U.core_mask, 2 * U.grid.n / h ** 2, 1 / h ** 2,
-                   lambda s: 1.0 + s.pinned @ phi.ravel() / h ** 2)
+                   lambda p: 1.0 + p @ phi.ravel() / h ** 2)
 
 
 def disk_ambient(cells, h=0.1):
@@ -386,7 +413,7 @@ def test_box_operator_is_the_stencil_operator(data, n, edge, seed):
     values[free] = x
     op = _BoxOperator(free, diag, off)
     q = op @ op.to_box(values)
-    A = sp.diags(np.full(len(x), diag)) - off * face_stencil(free).adjacency
+    A = sp.diags(np.full(len(x), diag)) - off * _adjacency(free)[0]
     scale = (diag + 2 * n * off) * np.abs(x).max()
     assert np.abs(op.from_box(q) - A @ x).max() <= 1e-13 * scale
     assert not q.reshape(op.box)[op.fixed].any()
@@ -413,9 +440,8 @@ def test_box_preconditioner_is_the_restricted_box_inverse(cells):
     lo = coords.min(axis=0)
     box = tuple(next_fast_len(int(w) + 1, real=True) - 1
                 for w in coords.max(axis=0) - lo + 1)
-    full = face_stencil(np.ones(box, dtype=bool))
-    A_box = (diag * np.eye(len(full.flat))
-             - off * full.adjacency.toarray())
+    full = _adjacency(np.ones(box, dtype=bool))[0]
+    A_box = diag * np.eye(full.shape[0]) - off * full.toarray()
     at = np.ravel_multi_index(tuple((coords - lo).T), box)
     expected = np.linalg.inv(A_box)[np.ix_(at, at)]
     assert np.allclose(dense, expected, rtol=0.0, atol=1e-12)

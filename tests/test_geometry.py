@@ -316,8 +316,8 @@ def test_memo_keeps_one_plan_per_domain_object():
                                dt=0.0625)
 
     def slab_bits(slabs):
-        return [(k, slab.bw, slab.stencil.flat.tobytes(),
-                 slab.stencil.adjacency.data.tobytes()) for k, slab in slabs]
+        return [(k, slab.box, slab.inside.tobytes(), slab.A.data.tobytes())
+                for k, slab in slabs]
 
     def domain_bits(c):
         return (c.grid.h, c.dt, c.samples[0].tobytes(), c.samples[1].tobytes())

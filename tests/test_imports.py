@@ -1,6 +1,7 @@
 """What a run loads: scipy modules that a comparison campaign and a barrier
 sign certificate never use, and jsonschema with the packages it pulls in,
-stay out of the process, the capacity module builds no sparse stencil, and
+stay out of the process, a sign certificate on its own loads no sparse or
+dense linear algebra, the capacity module builds no sparse stencil, and
 the face walk lives only in geometry."""
 
 import ast
@@ -47,9 +48,42 @@ def test_campaign_and_sign_certificate_load_no_fft_ndimage_or_linalg():
     assert got["loaded"] == []
 
 
+# barriers and geometry need no linear algebra: a sign certificate run on
+# its own must not load it
+SIGN_CHILD = """
+import json, sys
+import numpy as np
+from pmelab import barriers
+from pmelab.geometry import Cylinder, Grid, SpaceTimeDomain, SpatialDomain
+
+grid = Grid(n=2, h=1 / 16, origin=(-0.5, -0.5), extents=(16, 16))
+base = SpatialDomain(grid, np.ones((16, 16), dtype=bool))
+region = SpaceTimeDomain([Cylinder(base, 0.0, 0.5)], dt=1 / 16)
+spec = barriers.BarrierSpec(kind="quadratic_sub", c=1.0, j=1, m=2.0, n=2,
+                            diam=2.0)
+sign = barriers.verify_sign(spec, region,
+                            barriers.SamplingPolicy(max_samples=500))
+print(json.dumps({"certified": sign.certified,
+                  "loaded": sorted(m for m in sys.modules
+                                   if m.startswith(("scipy.sparse",
+                                                    "scipy.linalg")))}))
+"""
+
+
+def test_sign_certificate_loads_no_sparse_or_dense_linear_algebra():
+    env = os.environ | {"PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", SIGN_CHILD], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=120)
+    got = json.loads(out.stdout.splitlines()[-1])
+    assert got["certified"]
+    assert got["loaded"] == []
+
+
 def test_capacity_assembles_no_sparse_stencil():
-    # capacity and torsion systems act on their sine-transform box; the
-    # solver's face_stencil stays the one stencil assembly path
+    # capacity and torsion systems act on their sine-transform box, and
+    # the solver's slabs on their cores' bounding boxes; neither builds a
+    # sparse stencil of the grid
     tree = ast.parse((SRC / "pmelab" / "capacity.py").read_text())
     modules, names = set(), set()
     for node in ast.walk(tree):

@@ -18,7 +18,6 @@ from pmelab.geometry import (
     Grid,
     SpaceTimeDomain,
     SpatialDomain,
-    face_stencil,
     parabolic_boundary,
 )
 from pmelab.solver import (
@@ -463,25 +462,40 @@ def test_solve_leaves_no_reference_cycles(build):
         gc.enable()
 
 
-def _reference_stencil(sel):
-    """Per-cell loop: dense adjacency and the pinned neighbours per cell."""
-    cells = [tuple(map(int, c)) for c in np.argwhere(sel)]
-    index = {c: i for i, c in enumerate(cells)}
-    adj = np.zeros((len(cells), len(cells)))
-    pinned = [[] for _ in cells]
-    for i, c in enumerate(cells):
-        for ax in range(sel.ndim):
+def _reference_slab(core):
+    """Per-cell walk over the core's bounding box, numbered in C order:
+    the box's slices, the dense adjacency among the core's cells, and each
+    core cell's neighbours in the core (box numbers) and its pinned
+    neighbours (grid cells), both in ascending offset order; neighbours
+    beyond the grid edge are dropped."""
+    coords = np.argwhere(core)
+    lo, hi = coords.min(axis=0), coords.max(axis=0) + 1
+    box = tuple(slice(int(a), int(b)) for a, b in zip(lo, hi))
+    shape = tuple(int(w) for w in hi - lo)
+    adj = np.zeros((math.prod(shape),) * 2)
+    inner, pinned = [], []
+    for i, at in enumerate(np.ndindex(*shape)):
+        cell = tuple(int(c) for c in lo + at)
+        inner.append([])
+        pinned.append([])
+        if not core[cell]:
+            continue
+        for ax in range(core.ndim):
             for step in (-1, 1):
-                nb = list(c)
+                nb = list(cell)
                 nb[ax] += step
-                nb = tuple(nb)
-                if not 0 <= nb[ax] < sel.shape[ax]:
+                if not 0 <= nb[ax] < core.shape[ax]:
                     continue
-                if nb in index:
-                    adj[i, index[nb]] = 1.0
+                if core[tuple(nb)]:
+                    j = int(np.ravel_multi_index(
+                        tuple(np.subtract(nb, lo)), shape))
+                    adj[i, j] = 1.0
+                    inner[i].append(j)
                 else:
-                    pinned[i].append(nb)
-    return cells, adj, pinned
+                    pinned[i].append(tuple(nb))
+        inner[i].sort()
+        pinned[i].sort(key=lambda c: np.ravel_multi_index(c, core.shape))
+    return box, adj, inner, pinned
 
 
 @st.composite
@@ -492,37 +506,12 @@ def _masks_with_holes(draw):
     return np.array(bits, dtype=bool).reshape(shape)
 
 
-def _assert_canonical(mat):
-    # a product adds each row's stored entries in their stored order
-    assert mat.has_canonical_format
-    for row in np.split(mat.indices, mat.indptr[1:-1]):
-        assert (np.diff(row) > 0).all()
-
-
-@settings(max_examples=60, deadline=None)
-@given(sel=_masks_with_holes())
-def test_face_stencil_matches_per_cell_loop(sel):
-    stencil = face_stencil(sel)
-    cells, adj, pinned = _reference_stencil(sel)
-    assert stencil.flat.tolist() == [
-        int(np.ravel_multi_index(c, sel.shape)) for c in cells]
-    assert np.array_equal(stencil.adjacency.toarray(), adj)
-    ref = np.zeros((len(cells), sel.size))
-    for i, nbs in enumerate(pinned):
-        for nb in nbs:
-            ref[i, np.ravel_multi_index(nb, sel.shape)] = 1.0
-    assert np.array_equal(stencil.pinned.toarray(), ref)
-    _assert_canonical(stencil.adjacency)
-    _assert_canonical(stencil.pinned)
-
-
 @st.composite
 def _slab_cores(draw):
-    """A box of 1 to 6 cells a side in 1-D to 3-D (1-cell-wide ones too),
-    amid 0 to 2 unselected cells on each side, a random mask with holes
-    (nearly always narrow enough to be stored by its diagonals), or a
-    2-D strip of 2 or 3 rows wider than ``_BAND_MAX`` less one cell, which
-    keeps CSR; never empty."""
+    """A box of 1 to 6 cells a side in 1-D to 3-D (1-cell-wide ones and
+    single cells too), amid 0 to 2 unselected cells on each side, a random
+    mask with holes, or a 2-D strip of 2 or 3 rows wider than
+    ``_BAND_MAX`` less one cell, which runs plain CG; never empty."""
     kind = draw(st.sampled_from(["box", "holes", "wide"]))
     if kind == "box":
         ndim = draw(st.integers(1, 3))
@@ -542,22 +531,6 @@ def _slab_cores(draw):
     return core
 
 
-def _csr_jacobian(core, s, c):
-    """Reference: I + c*S_i M S_i per row of ``s``, block-diagonal CSR on
-    face_stencil's pattern, each entry ((s_row * m) * s_col) * c."""
-    A = face_stencil(core).adjacency
-    M = (sp.diags(np.full(A.shape[0], 2.0 * core.ndim)) - A).tocsr()
-    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
-    blocks = []
-    for si in s:
-        data = ((si[rows] * M.data) * si[M.indices]) * c
-        data[M.indices == rows] += 1.0
-        blocks.append(sp.csr_matrix((data, M.indices, M.indptr), M.shape))
-    J = sp.block_diag(blocks, format="csr")
-    _assert_canonical(J)
-    return J
-
-
 def _band_factor(block, bw):
     """pbtrf of a dense block from its upper banded storage."""
     ab = np.zeros((bw + 1, len(block)))
@@ -568,98 +541,124 @@ def _band_factor(block, bw):
     return cb
 
 
+def _summed(terms):
+    """The sum of ``terms`` from 0.0, in their order."""
+    acc = 0.0
+    for term in terms:
+        acc += term
+    return acc
+
+
 @settings(max_examples=120, deadline=None)
 @given(core=_slab_cores(), size=st.integers(1, 4), data=st.data(),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_slab_storage_matches_csr_bit_for_bit(core, size, data, seed):
-    # a core with at most 2n offsets or a band of at most _BAND_MAX is
-    # stored by its diagonals, any other keeps CSR; either way J's products
-    # and band factors, the stacked products and the slab's Laplacian are
-    # those of CSR on face_stencil's pattern, bit for bit
+def test_slab_matches_per_cell_reference(core, size, data, seed):
+    # the slab on the core's bounding box against a per-cell walk: its
+    # numbering, adjacency and degrees, the pinned neighbours' sum (from
+    # +0, in ascending offset order, NaN off the ring never read), the
+    # Laplacian, the Jacobian's entries, products and band factors, bit
+    # for bit
     rng = np.random.default_rng(seed)
     slab = solver._step_matrices(core)
-    n = len(slab.stencil.flat)
-    A = face_stencil(core).adjacency
-    offsets = np.unique(A.indices - np.repeat(np.arange(n), np.diff(A.indptr)))
-    assert slab.bw == offsets.max(initial=0)
-    diagonal = len(offsets) <= 2 * core.ndim or slab.bw <= solver._BAND_MAX
-    assert (slab.stencil.adjacency.format == "dia") == diagonal
-    assert (slab.M is None) == diagonal
-    if diagonal:
-        assert slab.stencil.adjacency.offsets.tolist() == offsets.tolist()
+    box, adj, inner, pinned = _reference_slab(core)
+    n, ndim = len(adj), core.ndim
+    assert slab.box == box
+    assert np.array_equal(slab.inside, core[box])
+    assert np.array_equal(slab.A.toarray(), adj)
+    # two diagonals per axis on which the box is wider than one cell
+    strides = [math.prod(slab.inside.shape[ax + 1:]) for ax in range(ndim)
+               if slab.inside.shape[ax] > 1]
+    assert slab.A.offsets.tolist() == sorted(
+        [-s for s in strides] + strides)
+    assert slab.bw == max(strides, default=0)
+    assert slab.deg.tolist() == np.where(core[box], 2.0 * ndim,
+                                         0.0).ravel().tolist()
+
+    # u on the core and its pinned neighbours, NaN elsewhere on the grid,
+    # for a stack of K members; gather, the ring's sum and the Laplacian
+    K = data.draw(st.integers(1, 3))
+    m = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    u = np.full((K, *core.shape), np.nan)
+    ring = np.zeros(core.shape, dtype=bool)
+    for cells in pinned:
+        for cell in cells:
+            ring[cell] = True
+    live = core | ring
+    u[:, live] = rng.uniform(0.0, 2.0, (K, int(live.sum())))
+    w = solver._pow_odd(u, m)
+    on = [i for i in range(n) if slab.inside.flat[i]]
+    rows, ring_rows = slab.gather(u), slab.ring_sum(u, m)
+    lap = solver._lap_h2(slab.A, solver._pow_odd(rows, m), ring_rows,
+                         slab.deg)
+    for i in range(K):
+        ref = np.zeros(n)
+        ref[on] = u[i][box].ravel()[on]
+        assert rows[i].tobytes() == ref.tobytes()
+        w_box = w[i][box].ravel()
+        ring_ref = np.array([_summed(w[i][c] for c in cells)
+                             for cells in pinned])
+        assert ring_rows[i].tobytes() == ring_ref.tobytes()
+        w_core = np.where(slab.inside.ravel(), w_box, 0.0)
+        lap_ref = (np.array([_summed(w_core[j] for j in cols)
+                             for cols in inner]) + ring_ref
+                   - slab.deg * w_core)
+        assert lap[i].tobytes() == lap_ref.tobytes()
+    # scatter writes the core cells and nothing else
+    out = np.full((K, *core.shape), -1.0)
+    slab.scatter(out, rows + 1.0)
+    expect = np.full((K, *core.shape), -1.0)
+    expect[:, core] = u[:, core] + 1.0
+    assert np.array_equal(out, expect)
+
     jac = solver._SlabJacobian(slab, size)
-    # only a diagonal slab is factored
     assert (jac.precond is not None) == (slab.bw <= solver._BAND_MAX)
-    if jac.precond is not None:
-        assert jac.J.format == "dia"
     # a first update of the whole stack, then one of k of its members
     jac.update(rng.uniform(0.1, 3.0, (size, n)), 0.5)
     k = data.draw(st.integers(1, size))
     s = rng.uniform(0.1, 3.0, (k, n)) ** rng.integers(1, 4)
     c = float(rng.uniform(1e-3, 10.0))
     jac.update(s, c)
-    ref = _csr_jacobian(core, s, c)
+    # I + c*S M S per block, each entry ((s_row * m) * s_col) * c
+    M = np.diag(slab.deg) - adj
+    blocks = [((si[:, None] * M) * si[None, :]) * c + np.eye(n) for si in s]
+    ref = sp.block_diag(blocks, format="csr")
     assert np.array_equal(jac.J.toarray(), ref.toarray())
+    # a CSR product adds each row's entries from 0 in column order
     x = rng.standard_normal((2, k * n)) * 10.0 ** rng.integers(-6, 7,
                                                                 (2, k * n))
     assert np.array_equal(jac.J @ x[0], ref @ x[0])
     assert np.array_equal(solver._rows(jac.J, x), solver._rows(ref, x))
     if jac.precond is not None:
         for i in range(k):
-            block = ref[i * n:(i + 1) * n, i * n:(i + 1) * n].toarray()
             assert np.array_equal(jac._factors[i],
-                                  _band_factor(block, slab.bw))
-    # a stack's products, row by row, are the one-vector products
-    for K in (1, 2, 5):
-        w = rng.standard_normal((K, n)) * 10.0 ** rng.integers(-6, 7, (K, n))
-        for mat in (slab.stencil.adjacency, A):
-            stacked = solver._rows(mat, w)
-            for i in range(K):
-                assert stacked[i].tobytes() == (mat @ w[i]).tobytes()
-    # the slab's Laplacian against the CSR adjacency, for a stack and a row
-    w = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-6, 7, (k, n))
-    bdry = rng.standard_normal((k, n))
-    deg = 2 * core.ndim
-    assert np.array_equal(solver._lap_h2(slab.stencil.adjacency, w, bdry, deg),
-                          solver._lap_h2(A, w, bdry, deg))
-    assert np.array_equal(
-        solver._lap_h2(slab.stencil.adjacency, w[0], bdry[0], deg),
-        solver._lap_h2(A, w[0], bdry[0], deg))
+                                  _band_factor(blocks[i], slab.bw))
 
 
-def test_box_slabs_are_diagonal_and_a_punctured_box_keeps_csr():
-    # diagonals for at most 2n offsets or a band of at most _BAND_MAX, CSR
-    # (and plain CG) otherwise
+def test_every_slab_is_stored_by_its_box_diagonals():
+    # offsets +-stride per axis of the core's bounding box, whatever the
+    # core's shape; a box cell off the core is a decoupled row
     box = np.ones((9, 7), dtype=bool)
     slab = solver._step_matrices(box)
-    assert slab.stencil.adjacency.format == "dia"
-    assert slab.stencil.adjacency.offsets.tolist() == [-7, -1, 1, 7]
-    assert slab.M is slab.rows is slab.diag is None
-    assert slab.bw == 7
-    # a hole adds offsets, but the band stays narrow: still diagonal
+    assert slab.A.offsets.tolist() == [-7, -1, 1, 7] and slab.bw == 7
+    assert solver._SlabJacobian(slab).precond is not None
     box[4, 3] = False
     slab = solver._step_matrices(box)
-    assert slab.stencil.adjacency.format == "dia" and slab.M is None
-    assert len(slab.stencil.adjacency.offsets) > 4 and slab.bw == 7
-    assert solver._SlabJacobian(slab).precond is not None
-    # a box wider than the band limit has 4 offsets: diagonal, plain CG
-    wide = np.ones((40, 40), dtype=bool)
-    slab = solver._step_matrices(wide)
-    assert slab.stencil.adjacency.offsets.tolist() == [-40, -1, 1, 40]
-    assert slab.M is None and slab.bw == 40 > solver._BAND_MAX
-    assert solver._SlabJacobian(slab).precond is None
-    # less one cell it has more offsets and a wide band: CSR, plain CG
+    assert slab.A.offsets.tolist() == [-7, -1, 1, 7] and slab.bw == 7
+    assert slab.deg.reshape(9, 7)[4, 3] == 0.0
+    assert not slab.A.toarray()[4 * 7 + 3].any()
+    # a box wider than the band limit runs plain CG, with or without holes
+    wide = np.zeros((42, 42), dtype=bool)
+    wide[1:41, 1:41] = True
     wide[20, 20] = False
     slab = solver._step_matrices(wide)
-    assert slab.stencil.adjacency.format == "csr"
-    assert slab.M is not None and slab.bw == 40
+    assert slab.box == (slice(1, 41), slice(1, 41))
+    assert slab.A.offsets.tolist() == [-40, -1, 1, 40] and slab.bw == 40
     assert solver._SlabJacobian(slab).precond is None
     # a 1-cell-wide box and a single cell: fewer than 2n offsets
     assert solver._step_matrices(
-        np.ones((1, 5, 1), dtype=bool)).stencil.adjacency.offsets.tolist() \
-        == [-1, 1]
+        np.ones((1, 5, 1), dtype=bool)).A.offsets.tolist() == [-1, 1]
     single = solver._step_matrices(np.ones((1, 1), dtype=bool))
-    assert single.stencil.adjacency.format == "dia" and single.bw == 0
+    assert single.A.offsets.tolist() == [] and single.bw == 0
 
 
 def test_union_rejects_shrinking_stack():
@@ -1094,10 +1093,12 @@ def test_stacked_members_equal_their_own_solves(case, members, m, scheme):
     d = {"jump": _jump_box, "box": _box_32}.get(case, lambda: case)()
     cfg = SolverConfig(scheme=scheme)
     datas = [_member(kind, level) for kind, level in members]
-    try:
-        solos = [solve_union(d, data, cfg, m) for data in datas]
-    except SolverError:         # an explicit step over its CFL bound, say
-        assume(False)
+    # an explicit step over a member's CFL bound is refused; any other
+    # error fails the test
+    assume(scheme == "implicit" or all(
+        d.dt <= cfl_max_dt(data.bounds[1], d.grid.h, m, d.grid.n)
+        * (1 + 1e-12) for data in datas))
+    solos = [solve_union(d, data, cfg, m) for data in datas]
     fields = solve_union_many(d, datas, cfg, m)
     assert len(fields) == len(datas)
     for (kind, _), field, solo in zip(members, fields, solos):
@@ -1109,6 +1110,96 @@ def test_stacked_members_equal_their_own_solves(case, members, m, scheme):
             assert field.stats["line_search_backtracks"] > 0
     if case == "box":
         assert solver._slabs(d)[0][1].bw == 30
+
+
+# -- a manufactured step: the solve returns a known discrete solution -------
+
+def _backed_out(d, top, m, mu):
+    """A discrete solution of the implicit scheme on ``d``, backed out from
+    the top level down: ``top(x, t)`` on every defined sample, then, step
+    by step from the last, level k - 1 set on step k's core to
+    ``u_k - dt*mu*lap_h(u_k^m)``.  The Laplacian is taken by shifted slices
+    of the whole grid, apart from the solver's slabs, so that a fault in a
+    slab cannot move the solve and its reference together."""
+    defined, interior = d.samples
+    h, n = d.grid.h, d.grid.n
+    centers = d.grid.centers()
+    vals = np.full(defined.shape, np.nan)
+    for k in range(d.num_levels):
+        vals[k][defined[k]] = top(centers[defined[k]], d.level_time(k))
+    centre = (slice(1, -1),) * n
+    for k in range(d.num_levels - 1, 0, -1):
+        w = np.pad(np.sign(vals[k]) * np.abs(vals[k]) ** m, 1,
+                   constant_values=np.nan)
+        lap = -2 * n * w[centre]
+        for ax in range(n):
+            for step in (-1, 1):
+                at = list(centre)
+                at[ax] = slice(1 + step, w.shape[ax] - 1 + step)
+                lap = lap + w[tuple(at)]
+        core = interior[k]
+        vals[k - 1][core] = vals[k][core] - d.dt * mu * lap[core] / h ** 2
+    return vals
+
+
+def _sampled(d, vals):
+    """Boundary data that read ``vals`` at each sample."""
+    def fn(x, t):
+        level = np.rint((np.asarray(t) - d.t_min) / d.dt).astype(int)
+        return vals[(level, *d.grid.cell_of(x))]
+
+    pinned = vals[parabolic_boundary(d)]
+    return BoundaryData(fn=fn, bounds=(float(pinned.min()),
+                                       float(pinned.max())))
+
+
+def _small_punctured_disk():
+    # a 17x17 grid at h = 1/16, the disk of radius 1/2 less its centre
+    # cell: its cores are padded on their boxes; c = mu*dt/h^2 = 1/4
+    g = Grid(n=2, h=1 / 16, origin=(-17 / 32,) * 2, extents=(17, 17))
+    mask = np.linalg.norm(g.centers(), axis=-1) < 0.5
+    mask[8, 8] = False
+    return SpaceTimeDomain([Cylinder(SpatialDomain(g, mask), 0.0, 3 / 1024)],
+                           dt=1 / 1024)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.one_of(_monotone_unions(), st.just("disk")),
+       m=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       waves=st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(0.1, 0.4),
+                                st.floats(1.0, 6.0), st.floats(-6.0, 6.0),
+                                st.floats(5.0, 40.0)),
+                      min_size=1, max_size=3))
+def test_solve_returns_a_manufactured_solution(case, m, waves):
+    # each member's data are an exact solution of the scheme on its pinned
+    # samples, so each solve must return it.  Newton stops a step at a
+    # residual of at most newton_tol * residual_scale * dt, and the
+    # implicit step is a sup-norm contraction, so the error at any level
+    # is at most the steps' sum of these, plus the rounding of the backed
+    # out solution (a few ulps of the step's terms per step)
+    d = _small_punctured_disk() if case == "disk" else case
+    assume(d.samples[1].any())
+    if case == "disk":
+        assert not solver._slabs(d)[0][1].inside.all()
+    cfg = SolverConfig()
+    c = cfg.diffusion * d.dt / d.grid.h ** 2
+    targets = []
+    for a, b, kx, ky, kt in waves:
+        ky = ky if d.grid.n == 2 else 0.0
+        targets.append(_backed_out(d, lambda x, t: a + b * a * np.sin(
+            kx * x[..., 0] + ky * x[..., -1] + kt * t), m, cfg.diffusion))
+    assume(all(np.nanmin(v) > 0.0 for v in targets))
+    fields = solve_union_many(d, [_sampled(d, v) for v in targets], cfg, m)
+    defined = d.samples[0]
+    for u, want in zip(fields, targets):
+        assert sum(u.stats["newton_iterations"]) > 0
+        top = np.nanmax(want)
+        rounding = 8 * np.finfo(float).eps * (top + c * 4 * d.grid.n
+                                              * top ** m)
+        step = (cfg.newton_tol * u.stats["residual_scale"] * d.dt
+                * scenarios._ROUNDING_MARGIN + rounding)
+        err = np.abs(u.values - want)[defined].max()
+        assert err <= d.num_steps * step
 
 
 def test_campaign_steps_its_pairs_together(tmp_path, monkeypatch):
