@@ -88,16 +88,28 @@ every halving of a Newton line search (``line_search_backtracks``) and
 the line searches in which no halving met the Armijo test
 (``line_search_failures``; the last halved step is kept).
 
-Newton starts each implicit step from the linear extrapolation
-``2*u_{k-1} - u_{k-2}`` of the last two levels, whose error is O(dt^2)
-where that of ``u_{k-1}`` is O(dt).  On the finest Barenblatt level of
-the benchmark ladder (h = 1/128) it cuts every step from the third on to
-one Newton iteration, from two.  It does not apply at a slab start (the
-first step of a solve or the first step after a junction, the steps that
-enter a new slab), where level k - 2 has no values on the new core:
-there Newton starts from ``u_{k-1}``.  The explicit scheme has no Newton
-solve.  The start is not clipped, since the odd power extension below
-takes negative iterates, and the stopping test is unchanged.
+Newton starts each implicit step from the backward-difference
+extrapolation of the slab's own levels (``_extrapolated_start``), of order
+``min(_PREDICTOR_ORDER, steps already taken on the slab)`` with
+``_PREDICTOR_ORDER`` = 3: ``(2*u1 - u2) + ∇²u1 + ∇³u1``, with
+``u1 = u_{k-1}`` and ``∇²u1 = (u1 - u2) - (u2 - u3)``, truncated at that
+order.  Its error is O(dt^(order+1)) where that of ``u_{k-1}`` is O(dt).
+At a slab start (the first step of a solve or the first step after a
+junction, the steps that enter a new slab) no earlier level has values on
+the new core, and Newton starts from ``u_{k-1}`` itself; the second step
+on a slab keeps the linear ``2*u1 - u2``, bit for bit.  The difference
+form keeps a constant history exact, where the monomial form
+``4*u1 - 6*u2 + 4*u3 - u4`` turns 0.8 into 0.7999999999999996.  Counts
+at one BLAS thread against the linear start: the benchmark's 20-pair
+campaign item takes 1,305 member Newton iterations, each one banded
+factor per member, against 1,679 (1,416 at order 2); the bundled
+100-pair campaign 6,679 against 8,370, and the bundled Barenblatt ladder
+346 against 420.  On the benchmark's cut Barenblatt levels every step
+from the third on takes one Newton iteration, where at h = 1/64 each
+took two.  A few scenarios take a few more (``union-resolutivity`` 247
+against 233).  The explicit scheme has no Newton solve.  The start is not
+clipped, since the odd power extension below takes negative iterates, and
+the stopping test is unchanged.
 
 The declared ``BoundaryData.bounds`` set the residual scale and the CFL
 check, so every level's pinned samples are checked against them: a value
@@ -133,6 +145,7 @@ class SolverError(RuntimeError):
 
 _DEGENERACY_FLOOR = 1e-12   # Jacobian regularization for cells with u ~ 0
 _BAND_MAX = 32              # widest Jacobian band factored for CG
+_PREDICTOR_ORDER = 3        # highest order of Newton's extrapolated start
 _PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
 
@@ -150,7 +163,9 @@ def cg(A, b: np.ndarray, *, rtol: float, atol: float = 0.0, maxiter: int,
     Returns ``(x, 0)`` once ``norm(r) < max(atol, rtol*norm(b))`` at the top
     of an iteration, else ``(x, maxiter)``; ``callback(x)`` runs after each
     iteration.  Each step is scipy 1.17's ``scipy.sparse.linalg.cg``, with
-    the same dot and axpy order, so the iterates are its bits.
+    the same dot and axpy order, so the iterates are its bits.  The array
+    that ``A @ p`` returns is overwritten as the axpys' workspace, so it
+    must not be a view of ``p``.
 
     ``b`` may also be a stack ``(K, n)`` of independent systems.  Then
     ``A`` is their block-diagonal matrix, applied to the raveled stack, and
@@ -216,11 +231,13 @@ def cg(A, b: np.ndarray, *, rtol: float, atol: float = 0.0, maxiter: int,
             q = (A @ _spread(p, act, size).reshape(-1)
                  ).reshape(B.shape)[act]
         alpha = (rho / np.vecdot(p, q))[:, None]
+        # q is this iteration's own array and is not read again, so it
+        # takes alpha*q, then alpha*p: no temporary per iteration
+        r -= np.multiply(alpha, q, out=q)
         if whole:
-            x += alpha * p
+            x += np.multiply(alpha, p, out=q)
         else:
-            x[act] += alpha * p
-        r -= alpha * q
+            x[act] += np.multiply(alpha, p, out=q)
         rho_prev = rho
         if callback is not None:
             callback(x.reshape(b.shape))
@@ -725,6 +742,35 @@ def _newton_step(prev: np.ndarray, start: np.ndarray, bdry_w: np.ndarray,
                          failures)
 
 
+def _extrapolated_start(prev_core: np.ndarray, slab: _Slab,
+                        values: np.ndarray, k: int, order: int) -> np.ndarray:
+    """Newton's start for step k: the backward-difference extrapolation of
+    the given ``order`` from ``prev_core`` (level k - 1 on the slab's box)
+    and the ``order`` levels before it, which must be defined on the core.
+
+    The start is ``(2*u1 - u2) + ∇²u1 + ∇³u1``, truncated at ``order``,
+    with ``∇²u1 = (u1 - u2) - (u2 - u3)`` and so on: order 1 keeps the
+    linear extrapolation's bits, order 0 returns ``prev_core`` itself, and
+    a constant history gives back its constant exactly.  The older levels
+    are gathered here, so they are freed before Newton runs, and their
+    differences are taken in place.
+    """
+    if not order:
+        return prev_core
+    table = [prev_core] + [slab.gather(values[:, k - j])
+                           for j in range(2, order + 2)]
+    start = 2 * table[0] - table[1]
+    # pass i leaves the i-th backward difference at level k - 1 - (j - i)
+    # in table[j] for j >= i (from the oldest down, so that each pass
+    # reads the last one's values), and so ∇^i u1 in table[i]
+    for i in range(1, order + 1):
+        for j in range(order, i - 1, -1):
+            np.subtract(table[j - 1], table[j], out=table[j])
+        if i > 1:
+            start += table[i]
+    return start
+
+
 def _pin_data(d: SpaceTimeDomain, datas: list[BoundaryData],
               values: np.ndarray) -> list[list[float]]:
     """Write each member's data on the pinned samples of every level (the
@@ -827,7 +873,7 @@ def solve_union_many(d: SpaceTimeDomain, datas: list[BoundaryData],
     for k, level_slab in _slabs(d):
         new_slab = level_slab is not slab
         if new_slab:
-            slab = level_slab
+            slab, taken = level_slab, 0
             if cfg.scheme == "implicit":
                 jac = _SlabJacobian(slab, members)
             assemblies += 1
@@ -836,10 +882,11 @@ def solve_union_many(d: SpaceTimeDomain, datas: list[BoundaryData],
             raise SolverError("missing initial values on a slab core")
 
         if cfg.scheme == "implicit":
-            # A continued slab means step k - 1 solved on this same core,
-            # so level k - 2 is defined there: extrapolate linearly.
-            start = (prev_core if new_slab
-                     else 2 * prev_core - slab.gather(values[:, k - 2]))
+            # Each step taken on this slab solved on this same core, so
+            # that many levels before k - 1 are defined there.
+            start = _extrapolated_start(prev_core, slab, values, k,
+                                        min(_PREDICTOR_ORDER, taken))
+            taken += 1
             bdry_w = slab.ring_sum(values[:, k], m)
             sol = _newton_step(prev_core, start, bdry_w, slab.A, jac,
                                slab.deg, c, m, cfg, scales, dt)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.fft import dstn, idstn
 from scipy.sparse.linalg import LinearOperator, cg as scipy_cg
 
 from pmelab import bundled, scenarios, solver
@@ -196,8 +197,9 @@ def test_line_search_failures_are_counted():
 
 def test_extrapolated_start_takes_one_newton_iteration_per_step():
     # the cut finest Barenblatt level of the benchmark ladder: started from
-    # u_{k-1}, every step took 2 Newton iterations; started from
-    # 2 u_{k-1} - u_{k-2}, every step from the third on takes one
+    # u_{k-1}, every step took 2 Newton iterations; started from the
+    # extrapolation of the slab's own levels (linear at the second step,
+    # cubic from the fourth), every step from the third on takes one
     m, n, C = 2.0, 2, 0.05
     g = Grid(n=2, h=1 / 128, origin=(-0.5, -0.5), extents=(128, 128))
     U = SpatialDomain(g, np.ones((128, 128), dtype=bool))
@@ -212,6 +214,53 @@ def test_extrapolated_start_takes_one_newton_iteration_per_step():
     worst = np.abs(scheme_residual(u)[u.scheme_mask]).max()
     assert worst <= (cfg.newton_tol * u.stats["residual_scale"]
                      * scenarios._ROUNDING_MARGIN)
+
+
+def test_cubic_start_takes_one_newton_iteration_per_step_at_h_64():
+    # the cut h = 1/64 level of the benchmark ladder (t in [1, 1.05], 10
+    # steps): started from the linear extrapolation 2 u_{k-1} - u_{k-2},
+    # every step took 2 Newton iterations; from the third step on, the
+    # quadratic and then cubic start takes one
+    m, n, C = 2.0, 2, 0.05
+    g = Grid(n=2, h=1 / 64, origin=(-0.5, -0.5), extents=(64, 64))
+    U = SpatialDomain(g, np.ones((64, 64), dtype=bool))
+    d = SpaceTimeDomain([Cylinder(U, 1.0, 1.05)], dt=0.05 / 10)
+    data = BoundaryData(fn=lambda x, t: barenblatt(x, t, m, n, C),
+                        bounds=(0.0, float(barenblatt(np.zeros(n), 1.0, m,
+                                                      n, C))))
+    u = solve_union(d, data, SolverConfig(), m)
+    assert u.stats["newton_iterations"] == [2, 2] + [1] * 8
+
+
+@settings(max_examples=40, deadline=None)
+@given(order=st.integers(0, solver._PREDICTOR_ORDER),
+       coefs=st.lists(st.floats(-4.0, 4.0), min_size=4, max_size=4),
+       value=st.floats(0.0, 1e3), seed=st.integers(0, 2 ** 32 - 1))
+def test_extrapolated_start_is_exact_on_constant_and_cubic_histories(
+        order, coefs, value, seed):
+    # levels k - 1 - order .. k - 1 on a 6x5 core, of 1 or 2 members
+    slab = solver._step_matrices(np.ones((6, 5), dtype=bool))
+    rng = np.random.default_rng(seed)
+    members, k = int(rng.integers(1, 3)), order + 1
+    shape = (members, k, 6, 5)
+    constant = np.full(shape, value)
+    prev = slab.gather(constant[:, k - 1])
+    start = solver._extrapolated_start(prev, slab, constant, k, order)
+    assert start is prev if order == 0 else (
+        start.tobytes() == prev.tobytes())
+    # u(t) = sum_j a_j t^j per cell, at the levels t = 0 .. k - 1; the
+    # extrapolation of order 3 is exact for cubics, and that of a lower
+    # order for polynomials of that degree
+    a = np.array(coefs[:order + 1])[:, None, None, None] * rng.uniform(
+        0.5, 2.0, (order + 1, members, 6, 5))
+    times = np.arange(k + 1.0)
+    levels = np.stack([sum(a[j] * t ** j for j in range(order + 1))
+                       for t in times], axis=1)
+    prev = slab.gather(levels[:, k - 1])
+    start = solver._extrapolated_start(prev, slab, levels[:, :k], k, order)
+    want = slab.gather(levels[:, k])
+    scale = np.abs(levels).max() + 1.0
+    assert np.abs(start - want).max() <= 64 * np.finfo(float).eps * scale
 
 
 def _recording_cg(monkeypatch):
@@ -1200,6 +1249,76 @@ def test_solve_returns_a_manufactured_solution(case, m, waves):
                 * scenarios._ROUNDING_MARGIN + rounding)
         err = np.abs(u.values - want)[defined].max()
         assert err <= d.num_steps * step
+
+
+def _heat_operator(core_shape, c):
+    """Apply ``I + c*L`` and its powers on a box core with zero Dirichlet
+    data, by type-I sine transforms: L (the 2n+1-point Laplacian times
+    -h^2) has eigenvalue sum_ax 2 - 2 cos(pi j / (N_ax + 1)) on mode j."""
+    lam = sum(np.expand_dims(2 - 2 * np.cos(np.pi * np.arange(1, size + 1)
+                                            / (size + 1)),
+                             [a for a in range(len(core_shape)) if a != ax])
+              for ax, size in enumerate(core_shape))
+
+    def power(v, k):
+        return idstn((1 + c * lam) ** k * dstn(v, type=1), type=1)
+
+    return power
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(4, 16),
+       cols=st.one_of(st.integers(4, solver._BAND_MAX + 2),
+                      st.integers(solver._BAND_MAX + 3, 64)),
+       steps=st.integers(1, 8), log2_dt=st.integers(-12, -4),
+       mu=st.sampled_from([0.5, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_heat_scheme_matches_its_sine_transform_solution(rows, cols, steps,
+                                                         log2_dt, mu, seed):
+    # m = 1 on a box with zero lateral data: the implicit scheme is
+    # (I + c*L) u_k = u_{k-1}, so u_k = idstn((1 + c*lam)^-k dstn(u_0)).
+    # The core's band is its row length, cols - 2, so both factored and
+    # plain-CG slabs are drawn.  In the 2-norm (I + c*L)^-1 is at most 1,
+    # so the error at step k is at most the sum of the steps' final
+    # residuals.  Newton on a linear step stops either at its start, with
+    # residual F_0, or after CG has cut the residual to at most linear_tol
+    # times F_0; F_0 is taken here, through the transforms, from the start
+    # and the previous level that each step was given.
+    h, dt = 1 / 16, 2.0 ** log2_dt
+    g = Grid(n=2, h=h, origin=(0.0, 0.0), extents=(rows, cols))
+    U = SpatialDomain(g, np.ones((rows, cols), dtype=bool))
+    d = SpaceTimeDomain([Cylinder(U, 0.0, steps * dt)], dt=dt)
+    initial = np.zeros((rows, cols))
+    core, core_shape = (slice(1, -1), slice(1, -1)), (rows - 2, cols - 2)
+    initial[core] = np.random.default_rng(seed).uniform(0.5, 1.5, core_shape)
+    data = BoundaryData(
+        fn=lambda x, t: np.where(np.asarray(t) == 0.0,
+                                 initial[g.cell_of(x)], 0.0),
+        bounds=(0.0, float(initial.max())))
+    cfg, c = SolverConfig(diffusion=mu), mu * dt / h ** 2
+    starts, newton_step = [], solver._newton_step
+
+    def recording(prev, start, *args):
+        starts.append((prev.reshape(core_shape).copy(),
+                       start.reshape(core_shape).copy()))
+        return newton_step(prev, start, *args)
+
+    with patch.object(solver, "_newton_step", recording):
+        u = solve_union(d, data, cfg, 1.0)
+    assert (solver._slabs(d)[0][1].bw <= solver._BAND_MAX) == (
+        cols - 2 <= solver._BAND_MAX)
+    power = _heat_operator(core_shape, c)
+    u0 = initial[core]
+    eps = np.finfo(float).eps
+    bound = 0.0
+    for k, ((prev, start), its) in enumerate(
+            zip(starts, u.stats["newton_iterations"]), 1):
+        f0 = power(start, 1) - prev
+        # rounding: a few ulps of the step's terms, and of the transforms
+        bound += ((cfg.linear_tol if its else 1.0) * np.linalg.norm(f0)
+                  + 64 * eps * (1 + 8 * c) * np.linalg.norm(u0))
+        err = np.linalg.norm(u.values[k][core] - power(u0, -k))
+        assert err <= bound
+    assert len(starts) == steps and sum(u.stats["newton_iterations"]) > 0
 
 
 def test_campaign_steps_its_pairs_together(tmp_path, monkeypatch):
