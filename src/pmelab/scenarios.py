@@ -52,54 +52,59 @@ _NUMBER = {"type": "number"}
 _INTEGER = {"type": "integer"}
 _NUMBERS = {"type": "array", "items": _NUMBER}
 _OPTIONAL_NUMBER = {"type": ["number", "null"]}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_COUNT = {"type": "integer", "minimum": 1}
+_NATURAL = {"type": "integer", "minimum": 0}
+# an empty list would make the checks over it pass vacuously
+_NONEMPTY_NUMBERS = {**_NUMBERS, "minItems": 1}
+_POSITIVES = {"type": "array", "items": _POSITIVE, "minItems": 1}
 
-# The fields each profile of ``build_data`` reads without a default;
-# ``constant`` is the profile when none is named.
-_PROFILE_REQUIRED = {
-    "constant": ["value"], "linear": ["a", "b"], "power_linear": ["a", "b"],
-    "barenblatt": ["C", "n"], "tent": ["center", "width"],
-    "ramped_tent": ["center", "width"],
-}
 
-# The profiles ``build_data`` builds and the fields they read, typed.
-_DATA_PROFILE = {
-    "type": "object",
-    "allOf": [{"if": {"required": [] if kind == "constant" else ["profile"],
-                      "properties": {"profile": {"const": kind}}},
-               "then": {"required": fields}}
-              for kind, fields in _PROFILE_REQUIRED.items()],
-    "properties": {
-        "profile": {"enum": list(_PROFILE_REQUIRED)},
-        **dict.fromkeys(("value", "a", "b", "clip", "C", "sup", "t0", "width",
-                         "floor", "peak", "ramp"), _NUMBER),
-        "axis": _INTEGER, "n": _INTEGER,
-        "center": _NUMBERS,
-        "label": {"type": "string"},
-    },
-}
+def _tagged(tag, variants, default=None):
+    """An object whose field ``tag`` picks a variant of ``variants``, a map
+    from tag value to (typed fields, required fields), and is closed over
+    that variant's fields; a missing tag picks ``default`` if given."""
+    return {
+        "type": "object",
+        "required": [] if default else [tag],
+        "properties": {tag: {"enum": list(variants)}},
+        # an if requiring nothing matches a missing tag for every variant
+        "allOf": [{"if": {"required": [] if value == default else [tag],
+                          "properties": {tag: {"const": value}}},
+                   "then": {"required": required,
+                            "additionalProperties": False,
+                            "properties": {tag: True, **fields}}}
+                  for value, (fields, required) in variants.items()],
+    }
 
-# The fields each shape of ``build_spatial`` reads; ``box`` is the shape
-# when none is named, and only the box bounds ``lo``/``hi`` have defaults.
-_SHAPE_FIELDS = {
-    "box": {"lo": _NUMBERS, "hi": _NUMBERS},
-    "box_minus_segment": {"lo": _NUMBERS, "hi": _NUMBERS,
-                          "seg_from": _NUMBERS, "seg_to": _NUMBERS},
-    "ball": {"center": _NUMBERS, "radius": _NUMBER},
-    "punctured_ball": {"center": _NUMBERS, "radius": _NUMBER},
-    "inline": {"mask": _NUMBERS},
-}
 
-# A spatial base: each shape is closed over the fields it reads.
-_BASE = {
-    "type": "object",
-    "properties": {"shape": {"enum": list(_SHAPE_FIELDS)}},
-    "allOf": [{"if": {"required": [] if shape == "box" else ["shape"],
-                      "properties": {"shape": {"const": shape}}},
-               "then": {"required": sorted(fields.keys() - {"lo", "hi"}),
-                        "additionalProperties": False,
-                        "properties": {"shape": True, **fields}}}
-              for shape, fields in _SHAPE_FIELDS.items()],
-}
+# The profiles ``build_data`` builds, each with the fields it reads and
+# those it reads without a default; ``label`` names a family member.
+_LABEL = {"label": {"type": "string"}}
+_AFFINE = {"a": _NUMBER, "b": _NUMBER, "axis": _INTEGER, **_LABEL}
+_TENT = {"center": _NUMBERS, "width": _NUMBER, "floor": _NUMBER, **_LABEL}
+_DATA_PROFILE = _tagged("profile", {
+    "constant": ({"value": _NUMBER, **_LABEL}, ["value"]),
+    "linear": ({**_AFFINE, "clip": _NUMBER}, ["a", "b"]),
+    "power_linear": (_AFFINE, ["a", "b"]),
+    "barenblatt": ({"C": _NUMBER, "n": _INTEGER, "sup": _NUMBER, **_LABEL},
+                   ["C", "n"]),
+    "tent": ({**_TENT, "t0": _NUMBER, "peak": _NUMBER}, ["center", "width"]),
+    "ramped_tent": ({**_TENT, "ramp": _NUMBER}, ["center", "width"]),
+}, default="constant")
+
+# The shapes ``build_spatial`` builds, each with the fields it reads; only
+# the box bounds ``lo``/``hi`` have defaults.
+_BOX = {"lo": _NUMBERS, "hi": _NUMBERS}
+_BALL = ({"center": _NUMBERS, "radius": _NUMBER}, ["center", "radius"])
+_BASE = _tagged("shape", {
+    "box": (_BOX, []),
+    "box_minus_segment": ({**_BOX, "seg_from": _NUMBERS, "seg_to": _NUMBERS},
+                          ["seg_from", "seg_to"]),
+    "ball": _BALL,
+    "punctured_ball": _BALL,
+    "inline": ({"mask": _NUMBERS}, ["mask"]),
+}, default="box")
 
 # The fields of ``barriers.BarrierSpec``, with ``torsion`` (the base and
 # pole of a torsion profile) in place of the computed ``torsion_field``.
@@ -375,19 +380,21 @@ def _solve_inputs(doc):
 
 
 def _probe_inputs(doc):
-    """(operation, m, domain, config, xi0, radii, family, labels) of a
-    probe-type operation; the family is the operation's, else perron's
-    default one."""
+    """(operation, m, domain, config, xi0, radii) of a probe operation."""
     op, m, d, cfg = _solve_inputs(doc)
     xi0 = (tuple(_point(op["x0"], d.grid, "operation/x0")), float(op["t0"]))
-    if "family" in op:
-        family = [build_data(s, m, d.grid, f"operation/family/{i}")
-                  for i, s in enumerate(op["family"])]
-        labels = [s.get("label", s.get("profile", f"member-{i}"))
-                  for i, s in enumerate(op["family"])]
-    else:
-        family, labels = perron.default_data_family(d, xi0)
-    return op, m, d, cfg, xi0, [float(r) for r in op["radii"]], family, labels
+    return op, m, d, cfg, xi0, [float(r) for r in op["radii"]]
+
+
+def _family(op, m, d, xi0):
+    """(data, labels) of the operation's family, else perron's default."""
+    specs = op.get("family")
+    if specs is None:
+        return perron.default_data_family(d, xi0)
+    return ([build_data(s, m, d.grid, f"operation/family/{i}")
+             for i, s in enumerate(specs)],
+            [s.get("label", s.get("profile", f"member-{i}"))
+             for i, s in enumerate(specs)])
 
 
 def _op_solve(doc, report, rng):
@@ -415,10 +422,6 @@ def _op_solve(doc, report, rng):
 
 def _op_verify_barrier(doc, report, rng):
     op = doc["operation"]
-    expect = op.get("expect", "certified")
-    if expect not in ("certified", "violations"):
-        raise ScenarioError(f"operation/expect {expect!r} is neither "
-                            "'certified' nor 'violations'")
     spec_args = dict(op["barrier"])
     region = build_domain(doc)
     if spec_args.get("diam") is None:
@@ -442,7 +445,7 @@ def _op_verify_barrier(doc, report, rng):
                      ((";".join(map(_fmt, x)), t, r) for x, t, r in zip(
                          rep.x.tolist(), rep.t.tolist(),
                          rep.residual.tolist())))
-    certify = expect == "certified"
+    certify = op.get("expect", "certified") == "certified"
     report.check("claimed residual sign certified" if certify
                  else "violations found (as expected)",
                  rep.certified == certify, {"violations": rep.violations})
@@ -486,7 +489,8 @@ def _removability_from_op(op, d, report):
 
 
 def _op_probe(doc, report, rng):
-    op, m, d, cfg, xi0, radii, family, labels = _probe_inputs(doc)
+    op, m, d, cfg, xi0, radii = _probe_inputs(doc)
+    family, labels = _family(op, m, d, xi0)
     cert = _removability_from_op(op, d, report)
     probe = perron.regularity_probe(d, xi0, family, radii, cfg, m,
                                     family_labels=labels, removability=cert)
@@ -510,7 +514,7 @@ def _op_probe(doc, report, rng):
 
 
 def _op_dichotomy(doc, report, rng):
-    op, m, d, cfg, xi0, radii = _probe_inputs(doc)[:6]
+    op, m, d, cfg, xi0, radii = _probe_inputs(doc)
     data = build_data(doc["data"], m, d.grid)
     cert = _removability_from_op(op, d, report)
     if cert is not None:
@@ -525,7 +529,8 @@ def _op_dichotomy(doc, report, rng):
 
 
 def _op_future_probe(doc, report, rng):
-    op, m, d, cfg, xi0, radii, family, labels = _probe_inputs(doc)
+    op, m, d, cfg, xi0, radii = _probe_inputs(doc)
+    family, labels = _family(op, m, d, xi0)
     full, trunc, agree = perron.future_truncation_probe(
         d, xi0, family, radii, cfg, m, family_labels=labels)
     report.payload["future_probe"] = {
@@ -751,20 +756,59 @@ def _op_scaling_check(doc, report, rng):
     report.payload["scaling"] = {"worst_residual": worst_overall}
 
 
-_HANDLERS = {
-    "solve": _op_solve,
-    "verify-barrier": _op_verify_barrier,
-    "perron": _op_perron,
-    "probe": _op_probe,
-    "dichotomy": _op_dichotomy,
-    "future-probe": _op_future_probe,
-    "capacity": _op_capacity,
-    "wiener": _op_wiener,
-    "torsion": _op_torsion,
-    "degiorgi": _op_degiorgi,
-    "barenblatt": _op_barenblatt,
-    "comparison-campaign": _op_comparison_campaign,
-    "scaling-check": _op_scaling_check,
+# the equation's exponent: the laboratory covers m >= 1
+_M = {"type": "number", "minimum": 1}
+_PROBE = {"m": _M, "x0": _NUMBERS, "t0": _NUMBER, "radii": _NONEMPTY_NUMBERS}
+_FAMILY = {"type": "array", "items": _DATA_PROFILE, "minItems": 1}
+_REMOVABILITY = {"type": "object", "required": ["base", "x0"],
+                 "additionalProperties": False,
+                 "properties": {"base": _BASE, "x0": _NUMBERS,
+                                "k_max": _NATURAL}}
+# the verdicts of capacity.classify_thickness
+_THICKNESS = {"enum": ["thick", "thin", "inconclusive"]}
+
+# Each operation kind: its handler, the keys of the operation block that
+# the handler reads, typed, and those of them it reads without a default.
+OPERATIONS = {
+    "solve": (_op_solve, {"m": _M}, ["m"]),
+    "verify-barrier": (_op_verify_barrier, {
+        "barrier": _BARRIER, "expect": {"enum": ["certified", "violations"]},
+        "jitter_factor": _NATURAL, "max_samples": _COUNT}, ["barrier"]),
+    "perron": (_op_perron, {"m": _M, "eps_ladder": _NONEMPTY_NUMBERS}, ["m"]),
+    "probe": (_op_probe, {
+        **_PROBE, "family": _FAMILY, "removability": _REMOVABILITY,
+        "expect": {"enum": ["regular evidence", "upper-regular evidence",
+                            "lower-regular evidence", "irregular evidence",
+                            "inconclusive"]},
+        "require_intercepts_within_disc": {"type": "boolean"}}, list(_PROBE)),
+    "dichotomy": (_op_dichotomy, {
+        **_PROBE, "removability": _REMOVABILITY, "expect_thickness": _THICKNESS,
+        "expect": {"enum": ["attains", "drops-to-zero", "inconclusive"]}},
+        list(_PROBE)),
+    "future-probe": (_op_future_probe, {**_PROBE, "family": _FAMILY},
+                     list(_PROBE)),
+    "capacity": (_op_capacity, {"ambient": _BASE, "set": _BASE,
+                                "refinement_ladder": _POSITIVES},
+                 ["ambient", "set"]),
+    "wiener": (_op_wiener, {"base": _BASE, "x0": _NUMBERS, "k_max": _NATURAL,
+                            "expect": _THICKNESS}, ["base", "x0"]),
+    "torsion": (_op_torsion, {"base": _BASE, "x0": _NUMBERS}, ["base", "x0"]),
+    "degiorgi": (_op_degiorgi, {
+        "m": _M, "x0": _NUMBERS, "t0": _NUMBER, "rho": _POSITIVE,
+        "sigma": _NUMBER, "M": _NUMBER, "k": _NUMBER, "j_max": _NATURAL},
+        ["m", "x0", "t0", "rho", "sigma"]),
+    "barenblatt": (_op_barenblatt, {
+        "m": _M, "n": {**_COUNT, "maximum": 3}, "C": _NUMBER,
+        "levels": {"type": "array", "items": _NATURAL, "minItems": 1},
+        "box_halfwidth": _POSITIVE, "t1": _NUMBER, "t2": _NUMBER,
+        "base_cells": _COUNT, "base_steps": _COUNT,
+        "runtime_budget_s": _POSITIVE}, ["m", "n", "C"]),
+    "comparison-campaign": (_op_comparison_campaign,
+                            {"m": _M, "trials": _COUNT}, ["m"]),
+    # m = 1 has no power transform
+    "scaling-check": (_op_scaling_check, {
+        "m": {"type": "number", "exclusiveMinimum": 1},
+        "multipliers": _POSITIVES}, ["m"]),
 }
 
 
@@ -783,64 +827,19 @@ SCHEMA = {
         # workload (bench/workloads.py) sets it on the documents it
         # validates.
         "threads": {"type": "integer"},
-        # Closed and typed: its keys are those the handlers read, so a
-        # misspelled or malformed one is an input error, not a default or
-        # a crash.
-        "operation": {
-            "type": "object",
-            "required": ["kind"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": list(_HANDLERS)},
-                "trials": {"type": "integer", "minimum": 1},
-                "jitter_factor": {"type": "integer", "minimum": 0},
-                # the equation's exponent: the laboratory covers m >= 1
-                "m": {"type": "number", "minimum": 1},
-                "rho": {"type": "number", "exclusiveMinimum": 0},
-                **dict.fromkeys(("C", "M", "t0", "t1", "t2", "sigma", "k",
-                                 "box_halfwidth", "runtime_budget_s"),
-                                _NUMBER),
-                **dict.fromkeys(("n", "k_max", "j_max", "base_cells",
-                                 "base_steps", "max_samples"), _INTEGER),
-                **dict.fromkeys(("radii", "x0", "multipliers",
-                                 "refinement_ladder"), _NUMBERS),
-                **dict.fromkeys(("base", "ambient", "set"), _BASE),
-                **dict.fromkeys(("expect", "expect_thickness"),
-                                {"type": "string"}),
-                "require_intercepts_within_disc": {"type": "boolean"},
-                # an empty list would make the checks over it pass vacuously
-                "levels": {"type": "array", "items": _INTEGER,
-                           "minItems": 1},
-                "eps_ladder": {**_NUMBERS, "minItems": 1},
-                "removability": {
-                    "type": "object",
-                    "required": ["base", "x0"],
-                    "additionalProperties": False,
-                    "properties": {"base": _BASE, "x0": _NUMBERS,
-                                   "k_max": _INTEGER},
-                },
-                "family": {"type": "array", "items": _DATA_PROFILE},
-                "barrier": _BARRIER,
-            },
-        },
-        "grid": {
-            "type": "object",
-            "required": ["n", "h", "origin", "extents"],
-            "additionalProperties": False,
-            # one origin coordinate and one extent per axis
-            "allOf": [{"if": {"properties": {"n": {"const": n}}},
-                       "then": {"properties": dict.fromkeys(
-                           ("origin", "extents"),
-                           {"minItems": n, "maxItems": n})}}
-                      for n in (1, 2, 3)],
-            "properties": {
-                "n": {"type": "integer", "minimum": 1, "maximum": 3},
-                "h": {"type": "number", "exclusiveMinimum": 0},
-                "origin": {"type": "array", "items": {"type": "number"}},
-                "extents": {"type": "array",
-                            "items": {"type": "integer", "minimum": 1}},
-            },
-        },
+        # Each kind is closed over the keys its handler reads, so a
+        # misspelled, foreign or malformed one is an input error, not a
+        # default or a crash.
+        "operation": _tagged("kind", {
+            kind: (fields, required)
+            for kind, (_, fields, required) in OPERATIONS.items()}),
+        # n axes: one origin coordinate and one extent per axis
+        "grid": _tagged("n", {n: ({
+            "h": _POSITIVE,
+            "origin": {**_NUMBERS, "minItems": n, "maxItems": n},
+            "extents": {"type": "array", "items": _COUNT,
+                        "minItems": n, "maxItems": n},
+        }, ["h", "origin", "extents"]) for n in (1, 2, 3)}),
         "domain": {
             "type": "object",
             "required": ["dt", "cylinders"],
@@ -998,5 +997,5 @@ def run_scenario(doc: dict, out_dir) -> dict:
     seed = int(doc.get("seed", 0))
     rng = np.random.Generator(np.random.Philox(seed))
     report = RunReport(doc, out_dir)
-    _HANDLERS[doc["operation"]["kind"]](doc, report, rng)
+    OPERATIONS[doc["operation"]["kind"]][0](doc, report, rng)
     return report.finalize()

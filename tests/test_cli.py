@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import random
 import re
 from importlib.resources import files
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from pmelab.barriers import KINDS, BarrierSpec
 from pmelab.bundled import bundled_scenario, list_bundled
 from pmelab.cli import build_parser, main
-from pmelab.scenarios import SCHEMA, ScenarioError, load_scenario
+from pmelab.scenarios import OPERATIONS, ScenarioError, load_scenario
 
 
 CORPUS = sorted((files("pmelab") / "corpus").glob("*.json"))
@@ -153,13 +154,15 @@ def test_cli_rejects_malformed_nested_fields(tmp_path, capsys, name, path,
 # the barrier, domain, base, operation and removability blocks are closed:
 # each of these was an uncaught TypeError, UFuncTypeError or ValueError,
 # or (a misspelled key) ran with the default.  A value of None deletes the
-# field: a missing profile parameter was an input error that did not say
-# where.  The schema types an operation key whatever the kind, so a solve
-# shows the typed refinement_ladder.  A point has one coordinate per grid
-# axis: a 3-D box bound was a numpy broadcast error (exit 1), and a 1-D
-# center, pole, data-profile center or barrier anchor broadcast silently.
-# A verify-barrier expect other than certified or violations ran as
-# violations.
+# field: a missing profile parameter, or a solve's m, was an input error
+# that did not say where.  Each operation kind and data profile is closed
+# over its own keys: another kind's key (a solve's refinement_ladder, a
+# probe's trials, a dichotomy's family) or another profile's parameter
+# was silently ignored.  A point has one coordinate per grid axis: a 3-D
+# box bound was a numpy broadcast error (exit 1), and a 1-D center, pole,
+# data-profile center or barrier anchor broadcast silently.  An expect
+# that is not an outcome of its kind ran as violations (verify-barrier) or
+# ran the whole experiment to exit 1.
 @pytest.mark.parametrize("name, path, value", [
     ("barrier-certification", "operation/barrier/dima", 1.0),
     ("bottom-regularity", "operation/family/0/value", "x"),
@@ -197,6 +200,13 @@ def test_cli_rejects_malformed_nested_fields(tmp_path, capsys, name, path,
     ("barrier-certification", "operation/expect", "certfied"),
     ("punctured-disk", "data/center", [0.0]),
     ("barrier-certification", "operation/barrier/anchor", [[0.5], 0.0]),
+    ("bottom-regularity", "operation/trials", 100),
+    ("punctured-disk", "operation/family", [{"value": 1.0}]),
+    ("constant-solve", "data/width", 0.5),
+    ("constant-solve", "operation/m", None),
+    ("slit-box-wiener", "operation/expect", "thik"),
+    ("square-cylinder", "operation/expect", "regular evidnce"),
+    ("punctured-disk", "operation/expect", "drops-to-zer0"),
 ])
 def test_cli_rejects_untyped_barrier_and_data_fields(tmp_path, capsys, name,
                                                      path, value):
@@ -235,9 +245,13 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, path, value):
 
 # Each of these ran: m = 0 raised ZeroDivisionError in the CFL bound and
 # m = 0.5 solved outside the laboratory's scope (m >= 1); rho = 0 raised
-# degiorgi's IterationError as a traceback; empty Barenblatt levels and an
-# empty eps ladder exited 0 on checks that held vacuously; and a punctured
-# ball centred off the grid punctured the edge cell that cell_of clips to.
+# degiorgi's IterationError as a traceback; empty Barenblatt levels, an
+# empty eps ladder or multiplier list, a zero runtime budget and a negative
+# j_max exited 0 on checks that held vacuously or were dropped; a punctured
+# ball centred off the grid punctured the edge cell that cell_of clips to;
+# zero base cells or steps, a negative level, max_samples or k_max and an
+# empty family were uncaught tracebacks; and the rest exited 1 on an
+# operation error that did not name the field.
 @pytest.mark.parametrize("name, path, value", [
     ("constant-solve", "operation/m", 0),
     ("constant-solve", "operation/m", 0.5),
@@ -248,6 +262,22 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, path, value):
     ("union-resolutivity", "operation/eps_ladder", []),
     ("constant-solve", "domain/cylinders/0/base",
      {"shape": "punctured_ball", "center": [0.75, 0.75], "radius": 2.0}),
+    ("barenblatt-convergence", "operation/base_cells", 0),
+    ("barenblatt-convergence", "operation/base_steps", 0),
+    ("barenblatt-convergence", "operation/levels", [-1]),
+    ("barenblatt-convergence", "operation/runtime_budget_s", 0),
+    ("barenblatt-convergence", "operation/box_halfwidth", 0),
+    ("barenblatt-convergence", "operation/n", 4),
+    ("barrier-certification", "operation/max_samples", -1),
+    ("bottom-regularity", "operation/family", []),
+    ("future-independence", "operation/family", []),
+    ("square-cylinder", "operation/radii", []),
+    ("slit-box-wiener", "operation/k_max", -1),
+    ("punctured-disk", "operation/removability/k_max", -1),
+    ("scaling-exactness", "operation/multipliers", []),
+    ("scaling-exactness", "operation/multipliers", [0.0]),
+    ("scaling-exactness", "operation/m", 1),
+    ("degiorgi-barenblatt", "operation/j_max", -1),
 ])
 def test_cli_refuses_out_of_scope_values_and_empty_lists(tmp_path, capsys,
                                                           name, path, value):
@@ -263,6 +293,62 @@ def test_cli_refuses_out_of_scope_values_and_empty_lists(tmp_path, capsys,
     assert path in capsys.readouterr().err
 
 
+# Settings that keep a mutant's run short: one coarse Barenblatt level,
+# two campaign pairs, and a coarser grid where the scenario still passes
+# on it.
+_QUICK = {"barenblatt-convergence": {"levels": [0], "base_cells": 8,
+                                     "base_steps": 5, "t2": 1.05},
+          "comparison-campaign": {"trials": 2}}
+_RESOLUTION = {"bottom-regularity": "0.0625", "degiorgi-barenblatt": "0.125",
+               "square-cylinder": "0.03125"}
+_DELETED = object()
+# One-field mutants that were uncaught tracebacks.
+_CRASHES = [("barenblatt-convergence", "base_cells", 0),
+            ("barenblatt-convergence", "base_steps", 0),
+            ("barrier-certification", "max_samples", -1),
+            ("bottom-regularity", "family", []),
+            ("future-independence", "family", []),
+            ("slit-box-wiener", "k_max", -1)]
+
+
+def _operation_mutants():
+    """(scenario, key, value) for each one-field change of a bundled
+    operation block: each key that its kind reads deleted (``_DELETED``)
+    or set to a wrong-typed or out-of-range value."""
+    values = ["x", True, 2.5, 7, None, [], 0, -1]
+    for name, _ in list_bundled():
+        op = bundled_scenario(name)["operation"]
+        for key in OPERATIONS[op["kind"]][1]:
+            for value in [_DELETED] * (key in op) + values:
+                yield name, key, value
+
+
+def test_operation_mutants_exit_cleanly_and_name_refused_fields(tmp_path,
+                                                                capsys):
+    # a seeded sixth of the 659 mutants: all of them take about 8 s at one
+    # BLAS thread
+    mutants = list(_operation_mutants())
+    sample = random.Random(0).sample(mutants, len(mutants) // 6)
+    for i, (name, key, value) in enumerate(sample + _CRASHES):
+        doc = bundled_scenario(name)
+        doc["operation"].update(_QUICK.get(name, {}))
+        if value is _DELETED:
+            del doc["operation"][key]
+        else:
+            doc["operation"][key] = value
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(doc))
+        args = ["run", "--scenario", str(path), "--out", str(tmp_path)]
+        if name in _RESOLUTION:
+            args += ["--resolution", _RESOLUTION[name]]
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (name, key, value)
+        if code == 2:
+            assert f"operation/{key}" in err or repr(key) in err, (
+                name, key, value, err)
+
+
 def test_cli_degiorgi_iteration_error_exits_one(tmp_path, capsys):
     # sigma outside (0, 1) is degiorgi's own check, an operation failure
     doc = bundled_scenario("degiorgi-barenblatt")
@@ -274,7 +360,7 @@ def test_cli_degiorgi_iteration_error_exits_one(tmp_path, capsys):
 
 
 def test_barrier_schema_names_the_spec_fields():
-    barrier = SCHEMA["properties"]["operation"]["properties"]["barrier"]
+    barrier = OPERATIONS["verify-barrier"][1]["barrier"]
     spec_fields = {f.name for f in dataclasses.fields(BarrierSpec)}
     assert set(barrier["properties"]) == (
         spec_fields - {"torsion_field"} | {"torsion"})

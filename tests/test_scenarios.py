@@ -11,6 +11,7 @@ from pmelab.bundled import bundled_scenario, list_bundled
 from pmelab.geometry import Cylinder, Grid, SpaceTimeDomain
 from pmelab.perron import default_data_family
 from pmelab.scenarios import (
+    OPERATIONS,
     SCHEMA,
     ScenarioError,
     build_data,
@@ -324,38 +325,76 @@ def test_torsion_poles_of_another_dimension_are_input_errors(
         run_scenario(doc, tmp_path)
 
 
-def _keys_read(names):
-    """The constant keys that scenarios.py reads from each variable of
-    ``names`` as ``var["key"]`` or ``var.get("key", ...)``."""
-    read = {name: set() for name in names}
+def _function_reads():
+    """For each function of scenarios.py: the constant keys it reads from
+    ``op`` or ``rem`` as ``var["key"]`` or ``var.get("key", ...)``, as
+    (variable, key, subscripted) triples, and the module functions it
+    calls."""
     tree = ast.parse(Path(scenarios.__file__).read_text())
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Subscript):
-            owner, key = node.value, node.slice
-        elif (isinstance(node, ast.Call) and node.args
-              and isinstance(node.func, ast.Attribute)
-              and node.func.attr == "get"):
-            owner, key = node.func.value, node.args[0]
-        else:
-            continue
-        if (isinstance(owner, ast.Name) and owner.id in read
-                and isinstance(key, ast.Constant)):
-            read[owner.id].add(key.value)
-    return read
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    reads, calls = {}, {}
+    for name, func in functions.items():
+        reads[name], calls[name] = set(), set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Subscript):
+                owner, key, subscripted = node.value, node.slice, True
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id in functions):
+                calls[name].add(node.func.id)
+                continue
+            elif (isinstance(node, ast.Call) and node.args
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "get"):
+                owner, key, subscripted = node.func.value, node.args[0], False
+            else:
+                continue
+            if (isinstance(owner, ast.Name) and owner.id in ("op", "rem")
+                    and isinstance(key, ast.Constant)):
+                reads[name].add((owner.id, key.value, subscripted))
+    return reads, calls
+
+
+def _reads_of(name, reads, calls, seen=None):
+    """The reads of function ``name`` and of every function it calls."""
+    seen = set() if seen is None else seen
+    if name in seen:
+        return set()
+    seen.add(name)
+    return reads[name].union(*(_reads_of(callee, reads, calls, seen)
+                               for callee in calls[name]))
 
 
 def test_operation_schema_types_exactly_the_keys_the_handlers_read():
-    # the operation block and its removability block are closed, so a key
-    # the handlers read and the schema lacks would refuse valid files, and
-    # one the schema has and no handler reads would be silently ignored;
-    # run_scenario reads kind to pick the handler
-    read = _keys_read(["op", "rem"])
+    # each kind's block is closed over its own keys, so a key its handler
+    # reads and the table lacks would refuse valid files, and one the table
+    # has and the handler does not read would be silently ignored; a key
+    # read as op["key"] has no default, so it is required; run_scenario
+    # reads kind to pick the handler
+    reads, calls = _function_reads()
     operation = SCHEMA["properties"]["operation"]
-    assert operation["additionalProperties"] is False
-    assert set(operation["properties"]) == read["op"] | {"kind"}
-    removability = operation["properties"]["removability"]
-    assert removability["additionalProperties"] is False
-    assert set(removability["properties"]) == read["rem"]
+    assert operation["required"] == ["kind"]
+    assert operation["properties"]["kind"]["enum"] == list(OPERATIONS)
+    pairs = 0
+    for (handler, fields, required), branch in zip(
+            OPERATIONS.values(), operation["allOf"]):
+        read = _reads_of(handler.__name__, reads, calls)
+        op_reads = {(key, sub) for var, key, sub in read if var == "op"}
+        assert set(fields) == {key for key, _ in op_reads}, handler
+        assert set(required) == {key for key, sub in op_reads if sub}
+        assert branch["then"] == {
+            "required": required, "additionalProperties": False,
+            "properties": {"kind": True, **fields}}
+        if "removability" in fields:
+            removability = fields["removability"]
+            assert removability["additionalProperties"] is False
+            assert set(removability["properties"]) == {
+                key for var, key, _ in read if var == "rem"}
+        pairs += len(fields)
+    # the union of every kind's keys typed for each of the 13 kinds was
+    # 13 x 34 = 442 (kind, key) pairs
+    assert pairs == 58
 
 
 def _first_error(errors):
