@@ -298,7 +298,8 @@ def wiener_profile(U: SpatialDomain, x0, k_max: int) -> CapacityProfile:
         raise CapacityError("the Wiener profile needs n >= 2")
     x0 = np.asarray(x0, dtype=float)
     if not _on_spatial_boundary(U, x0):
-        raise CapacityError(f"x0={tuple(x0)} is not on the boundary of U")
+        raise CapacityError(
+            f"x0={tuple(x0.tolist())} is not on the boundary of U")
     if 2.0 ** (-k_max) < 2 * U.grid.h:
         raise CapacityError(
             f"k_max={k_max} under-resolves the finest ball at h={U.grid.h}; "
@@ -387,7 +388,8 @@ def torsion_profile(U: SpatialDomain, x0) -> SpatialField:
         raise CapacityError("torsion profile needs a connected domain")
     x0 = np.asarray(x0, dtype=float)
     if not _on_spatial_boundary(U, x0):
-        raise CapacityError(f"x0={tuple(x0)} is not on the boundary of U")
+        raise CapacityError(
+            f"x0={tuple(x0.tolist())} is not on the boundary of U")
     h = U.grid.h
     centers = U.grid.centers()
     phi = np.linalg.norm(centers - x0, axis=-1)

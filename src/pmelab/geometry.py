@@ -382,12 +382,12 @@ def check_monotone_sections(d: SpaceTimeDomain) -> tuple[bool, float | None]:
 def _max_pairwise_distance(pts: np.ndarray) -> float:
     if len(pts) == 1:
         return 0.0
-    if len(pts) > 1024:
+    if len(pts) > 1024 and pts.shape[1] > 1:
+        from scipy.spatial import ConvexHull, QhullError
         try:
-            from scipy.spatial import ConvexHull
             pts = pts[ConvexHull(pts).vertices]
-        except Exception:
-            pass  # degenerate (collinear etc.); fall through to brute force
+        except QhullError:
+            pass  # a flat hull (collinear etc.): the scan below is exact
     best = 0.0
     for i in range(0, len(pts), 512):
         chunk = pts[i:i + 512]

@@ -305,8 +305,8 @@ def _probe_setup(d: SpaceTimeDomain, xi0, radii: list[float],
     near_t = np.abs(d.level_times() - t0) <= 0.51 * d.dt
     near_x = np.linalg.norm(d.grid.centers() - x0, axis=-1) <= tol_x
     if not (parabolic_boundary(d)[near_t] & near_x).any():
-        raise OffBoundaryError(f"xi0=({tuple(x0)}, {t0}) does not match any "
-                               "parabolic-boundary sample")
+        raise OffBoundaryError(f"xi0=({tuple(x0.tolist())}, {t0}) does not "
+                               "match any parabolic-boundary sample")
     radii = _approach_radii(radii)
     if removability is not None:
         removability.validate(d)

@@ -623,9 +623,16 @@ def _op_degiorgi(doc, report, rng):
     report.write_csv("iteration.csv", header,
                      map(itemgetter(*header), rep.to_rows()))
     report.payload["degiorgi"] = rep.to_dict()
+    energies = rep.energies
+    # With k at or above the field's sup, or no brick inside the first box,
+    # the first level has no energy, and the two checks below hold on zeros
+    # or on nothing.  The check is listed only when it fails, so a report
+    # with energy keeps the checks it had.
+    if not any(energies[:1]):
+        report.check("the first level has positive energy", False,
+                     {"k": k, "sup": field.sup()})
     report.check("level inequality holds at every j",
                  rep.all_level_checks_pass)
-    energies = rep.energies
     report.check("energies nonincreasing",
                  all(b <= a * (1 + 1e-12)
                      for a, b in zip(energies, energies[1:])))
@@ -744,15 +751,28 @@ def _op_scaling_check(doc, report, rng):
         worst_overall = max(worst_overall, worst)
         # The check above passes on any field whose residual stays under
         # Newton's tolerance.  The transform is exact, so the transformed
-        # residual is factor times the multiplied solve's own, to rounding.
+        # residual is factor times the multiplied solve's own, to rounding:
+        # one ulp of the scale when the factor is a power of two, which
+        # scales every value and rounding exactly.  Otherwise `Field.scaled`
+        # rounds each value once, by a relative rho at most, and the two
+        # residuals round apart.  With V = sup |v|, a sample's terms are at
+        # most 2V/dt (the time difference) and 4nV^m/h^2 (the 2n
+        # neighbours' and the centre's 2n powers).  The scaled values move
+        # them by rho and m*rho of that, and each evaluation rounds at most
+        # 2n + 5 times, each time by rho of their sum.
         mask = u_a.scheme_mask
         gap = float(np.abs(scheme_residual(v_unit)[mask]
                            - factor * scheme_residual(u_a)[mask]
                            ).max(initial=0.0))
-        unit = float(np.finfo(float).eps) * scale
+        eps = float(np.finfo(float).eps)
+        rho = 0.0 if math.frexp(factor)[0] == 0.5 else eps / 2
+        n, sup = d.grid.n, v.sup()
+        in_time, in_space = 2 * sup / d.dt, 4 * n * sup ** m / d.grid.h ** 2
+        tol = eps * scale + rho * (in_time + m * in_space
+                                   + 2 * (2 * n + 5) * (in_time + in_space))
         report.check(f"transformed residual is a^(1/(m-1)) times the "
-                     f"multiplied one (a={a})", gap <= unit,
-                     {"gap": gap, "tol": unit})
+                     f"multiplied one (a={a})", gap <= tol,
+                     {"gap": gap, "tol": tol})
     report.payload["scaling"] = {"worst_residual": worst_overall}
 
 

@@ -54,10 +54,11 @@ by entry in the one-vector order (``_rows``).  Dots and norms are
 2.4.6 at n = 7 to 40,000; ``einsum`` rows do not).  Each member's
 Jacobian is factored by its own ``pbtrf`` call: one call over the stacked
 band matched the members' own factors at bandwidths 5 and 14 but not at
-30, 40, 62 or 126.  Newton keeps a convergence mask, a line search and
-the stats per member, and CG keeps its scalars, stopping test and
-iteration count per member; a member that has converged keeps its row
-while the others iterate.  No norm is pooled across members.
+30, 40, 62 or 126.  Newton keeps a line search and the stats per member,
+and its arrays hold only the members still iterating: a member that has
+converged leaves them for the result.  CG keeps its scalars, stopping
+test and iteration count per member, and a member that has stopped keeps
+its row while the others iterate.  No norm is pooled across members.
 
 Newton's symmetrized Jacobian is ``I + c*S M S`` with
 ``S = diag(sqrt(m|u|^(m-1)))``.  A solve gives each slab it enters a
@@ -648,12 +649,6 @@ class _NewtonResult(NamedTuple):
     failures: np.ndarray        # line searches where no halving met Armijo
 
 
-def _pick(idx: np.ndarray, size: int):
-    """The rows ``idx`` of ``size`` as an index: a slice, which takes views
-    instead of copies, when they are all of them."""
-    return slice(None) if len(idx) == size else idx
-
-
 def _newton_step(prev: np.ndarray, start: np.ndarray, bdry_w: np.ndarray,
                  A: sp.dia_matrix, jac: _SlabJacobian,
                  deg: np.ndarray, c: float, m: float, cfg: SolverConfig,
@@ -664,82 +659,80 @@ def _newton_step(prev: np.ndarray, start: np.ndarray, bdry_w: np.ndarray,
     Newton starts from ``start``.  c = mu*dt/h^2, g = bdry_w (Dirichlet
     contributions), w = odd power m, ``jac`` is the slab's Jacobian
     workspace, and ``res_scale`` has one entry per member.  Each member
-    meets its own tolerance and runs its own line search; a member that
-    has converged keeps its row while the others iterate.  Overflow is
-    quiet, as it was in the ``np.linalg.norm`` of one member: an iterate
-    that overflows misses its target and raises ``SolverError``.
+    meets its own tolerance and runs its own line search.  ``u``, ``F``,
+    ``prev``, ``bdry_w`` and the targets hold only the members still
+    iterating, ``live``: a member's row goes to the result at the first
+    check it meets, and the arrays are copied only when a member leaves.
+    The line search tries the full step on every row, then halves only
+    the rows that miss the Armijo test.  Overflow is quiet, as it was in
+    the ``np.linalg.norm`` of one member: an iterate that overflows misses
+    its target and raises ``SolverError``.
     """
-    u = start
+    def residual(u, prev, bdry_w):
+        return u - c * _lap_h2(A, _pow_odd(u, m), bdry_w, deg) - prev
 
-    def residual(uv: np.ndarray, rows) -> np.ndarray:
-        w = _pow_odd(uv, m)
-        return uv - c * _lap_h2(A, w, bdry_w[rows], deg) - prev[rows]
-
-    members = len(u)
+    members = len(start)
     target = cfg.newton_tol * res_scale * dt
+    out = np.empty_like(start)
     iterations = np.zeros(members, dtype=int)
     linear = np.zeros(members, dtype=int)
     backtracks = np.zeros(members, dtype=int)
     failures = np.zeros(members, dtype=int)
     live = np.arange(members)
+    u = start
     with np.errstate(over="ignore", invalid="ignore"):
-        F = residual(u, slice(None))
+        F = residual(u, prev, bdry_w)
         for it in range(cfg.newton_max + 1):
-            rows = _pick(live, members)
-            met = np.max(np.abs(F[rows]), axis=1) <= target[rows]
-            iterations[rows] = it
-            live = live[~met]
-            if not live.size:
-                break
+            met = np.max(np.abs(F), axis=1) <= target
+            iterations[live] = it
+            if np.count_nonzero(met):
+                out[live[met]] = u[met]
+                keep = ~met
+                live, u, F = live[keep], u[keep], F[keep]
+                prev, bdry_w, target = prev[keep], bdry_w[keep], target[keep]
+                if not live.size:
+                    break
             if it == cfg.newton_max:
-                i = live[0]
                 raise SolverError(
-                    f"member {i}: Newton did not converge in "
+                    f"member {live[0]}: Newton did not converge in "
                     f"{cfg.newton_max} iterations; worst step residual "
-                    f"{np.max(np.abs(F[i])) / dt:.3e} "
-                    f"(target {cfg.newton_tol * res_scale[i]:.3e})")
-            rows = _pick(live, members)
-            u_live, F_live = u[rows], F[rows]
-            s = np.sqrt(m * np.maximum(np.abs(u_live), _DEGENERACY_FLOOR)
+                    f"{np.max(np.abs(F[0])) / dt:.3e} "
+                    f"(target {cfg.newton_tol * res_scale[live[0]]:.3e})")
+            s = np.sqrt(m * np.maximum(np.abs(u), _DEGENERACY_FLOOR)
                         ** (m - 1))
             jac.update(s, c)
             steps = np.zeros(live.size, dtype=int)
-            y, info = cg(jac.J, s * (-F_live), rtol=cfg.linear_tol,
+            y, info = cg(jac.J, s * (-F), rtol=cfg.linear_tol,
                          atol=0.0, maxiter=10 * u.shape[1] + 100,
                          M=jac.precond, counts=steps)
-            linear[rows] += steps
+            linear[live] += steps
             if np.count_nonzero(info):
                 i = np.flatnonzero(info)[0]
                 raise SolverError(f"member {live[i]}: inner CG failed to "
                                   f"converge (info={info[i]})")
             delta = y / s
-            norm0 = np.sqrt(np.vecdot(F_live, F_live))
+            norm0 = np.sqrt(np.vecdot(F, F))
             step = np.ones(live.size)
+            u_new = u + delta
+            F_new = F_try = residual(u_new, prev, bdry_w)
             search = np.arange(live.size)       # rows of live still halving
-            for _ in range(10):
-                sub = _pick(search, live.size)
-                u_try = u_live[sub] + step[sub, None] * delta[sub]
-                F_try = residual(u_try, _pick(live[search], members))
-                if isinstance(sub, slice):
-                    u_next, F_next = u_try, F_try
-                else:
-                    u_next[sub], F_next[sub] = u_try, F_try
+            for tries in range(1, 11):
                 met = (np.sqrt(np.vecdot(F_try, F_try))
-                       <= (1 - 1e-4 * step[sub]) * norm0[sub])
+                       <= (1 - 1e-4 * step[search]) * norm0[search])
                 search = search[~met]
                 if not search.size:
                     break
                 step[search] *= 0.5
                 backtracks[live[search]] += 1
+                if tries < 10:
+                    u_try = u[search] + step[search, None] * delta[search]
+                    F_try = residual(u_try, prev[search], bdry_w[search])
+                    u_new[search], F_new[search] = u_try, F_try
             else:
                 failures[live[search]] += 1
-            if isinstance(rows, slice):     # every member iterated
-                u, F = u_next, F_next
-            else:                           # u may still be start
-                u, F = u.copy(), F.copy()
-                u[rows], F[rows] = u_next, F_next
-    return _NewtonResult(np.maximum(u, 0.0), iterations, linear, backtracks,
-                         failures)
+            u, F = u_new, F_new
+    return _NewtonResult(np.maximum(out, 0.0, out=out), iterations, linear,
+                         backtracks, failures)
 
 
 def _extrapolated_start(prev_core: np.ndarray, slab: _Slab,

@@ -153,6 +153,17 @@ def test_wiener_requires_boundary_point():
         wiener_profile(U, (9.0, 9.0), k_max=4)     # far outside
 
 
+def test_off_boundary_errors_print_plain_floats():
+    # the point was printed as np.float64 reprs, "x0=(np.float64(0.5), ...)"
+    U = punctured_disk()
+    x0 = tuple(np.array([0.5, 0.2]))
+    for profile in (lambda: wiener_profile(U, x0, k_max=4),
+                    lambda: torsion_profile(U, x0)):
+        with pytest.raises(CapacityError) as err:
+            profile()
+        assert str(err.value) == "x0=(0.5, 0.2) is not on the boundary of U"
+
+
 def test_wiener_resolution_guard():
     U = punctured_disk(h=1 / 32)
     with pytest.raises(CapacityError, match="under-resolves"):

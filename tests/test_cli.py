@@ -359,6 +359,20 @@ def test_cli_degiorgi_iteration_error_exits_one(tmp_path, capsys):
     assert "operation failed: need 0 < sigma < 1" in capsys.readouterr().err
 
 
+def test_cli_degiorgi_above_the_sup_fails(tmp_path):
+    # k = 7 is above the field's sup (0.32): every level is empty, and the
+    # level inequality and the energy decay held on zeros alone
+    doc = bundled_scenario("degiorgi-barenblatt")
+    doc["operation"]["k"] = 7
+    path = tmp_path / "empty-levels.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 1
+    report = json.loads((out / doc["name"] / "report.json").read_text())
+    failed = [c["check"] for c in report["checks"] if not c["pass"]]
+    assert failed == ["the first level has positive energy"]
+
+
 def test_barrier_schema_names_the_spec_fields():
     barrier = OPERATIONS["verify-barrier"][1]["barrier"]
     spec_fields = {f.name for f in dataclasses.fields(BarrierSpec)}

@@ -301,6 +301,30 @@ def test_diameter_space_time():
     assert diameter(d) == pytest.approx(2.0)
 
 
+def test_diameter_of_many_collinear_centres_is_exact():
+    # past 1,024 centres the scan runs over the convex hull's vertices;
+    # a flat hull (one row of cells) is a QhullError, and the scan runs
+    # over every centre instead
+    g = Grid(n=2, h=1 / 1000, origin=(0.0, 0.0), extents=(1, 2000))
+    U = SpatialDomain(g, np.ones((1, 2000), dtype=bool))
+    pts = U.centers()
+    assert diameter(U) == math.dist(pts[0], pts[-1])
+    # one axis: no hull at all
+    line = box_domain(n=1, h=1 / 1000, cells=2000, origin=(0.0,))
+    assert diameter(line) == math.dist(*line.centers()[[0, -1]])
+
+
+def test_diameter_propagates_other_hull_errors(monkeypatch):
+    import scipy.spatial
+
+    def broken(points):
+        raise ValueError("hull failed")
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", broken)
+    with pytest.raises(ValueError, match="hull failed"):
+        diameter(box_domain(n=2, h=1 / 40, cells=40))
+
+
 def test_diameter_empty_rejected():
     g = Grid(n=2, h=0.5, origin=(0, 0), extents=(4, 4))
     with pytest.raises(GeometryError):

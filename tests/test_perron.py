@@ -215,6 +215,18 @@ def test_probe_refuses_the_seam_between_side_by_side_bases():
                          CFG, M_EXP)
 
 
+def test_off_boundary_error_prints_plain_floats():
+    # a time past the cylinder's top: the point was printed as np.float64
+    # reprs, "xi0=((np.float64(-0.46875), ...)"
+    d = square_cylinder()
+    x0 = tuple(d.grid.centers()[0, 8])
+    with pytest.raises(OffBoundaryError) as err:
+        regularity_probe(d, (x0, 7), [BoundaryData.constant(1.0)],
+                         [0.2, 0.1, 0.05], CFG, M_EXP)
+    assert str(err.value) == ("xi0=((-0.46875, 0.03125), 7.0) does not match "
+                              "any parabolic-boundary sample")
+
+
 def test_probe_needs_three_radii():
     d = square_cylinder()
     xi0 = ((-0.5 + 1 / 32, 1 / 32), 0.125)

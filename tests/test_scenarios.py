@@ -82,6 +82,50 @@ def test_scaling_check_fails_a_transform_off_in_the_twelfth_digit(
                           f"multiplied one (a={a})"]
 
 
+def _scaling_checks(tmp_path, m):
+    doc = bundled_scenario("scaling-exactness")
+    doc["operation"]["m"] = m
+    report = run_scenario(doc, tmp_path)
+    return {c["check"]: c for c in report["checks"]
+            if c["check"].startswith("transformed residual")}
+
+
+@pytest.mark.parametrize("m", [2.5, 7.0])
+def test_scaling_check_holds_when_the_factor_is_no_power_of_two(tmp_path, m):
+    # a^(1/(m-1)) is 2^(-4/3) and 2^(4/3) at m = 2.5, so Field.scaled
+    # rounds every value; one ulp of the residual scale is too tight
+    checks = _scaling_checks(tmp_path, m)
+    assert len(checks) == 2
+    for check in checks.values():
+        assert check["pass"], check
+        assert check["detail"]["gap"] > 0
+
+
+@pytest.mark.parametrize("m", [2.5, 7.0])
+def test_scaling_check_fails_a_transform_off_in_the_ninth_digit(
+        tmp_path, monkeypatch, m):
+    monkeypatch.setattr(perron, "scale_transform", lambda f, a, m: f.scaled(
+        a ** (1.0 / (m - 1)) * (1 + 1e-9)))
+    checks = _scaling_checks(tmp_path, m)
+    assert len(checks) == 2
+    assert not any(check["pass"] for check in checks.values())
+
+
+def test_scaling_check_keeps_one_ulp_for_a_power_of_two_factor(tmp_path):
+    # at m = 2 the factors a are 1/4 and 4 themselves: every value and
+    # rounding scales exactly, so the bound stays one ulp of the scale
+    doc = bundled_scenario("scaling-exactness")
+    d = build_domain(doc)
+    sup = build_data(doc["data"], 2.0, d.grid).bounds[1]
+    eps = float(np.finfo(float).eps)
+    checks = _scaling_checks(tmp_path, 2.0)
+    for a in (0.25, 4.0):
+        check = checks[f"transformed residual is a^(1/(m-1)) times the "
+                       f"multiplied one (a={a})"]
+        scale = max(1.0, a * sup ** 2 / d.grid.h ** 2) * a
+        assert check["detail"] == {"gap": 0.0, "tol": eps * scale}
+
+
 def test_unknown_shape_and_profile_rejected():
     g = build_grid(GRID)
     with pytest.raises(ScenarioError):

@@ -1114,6 +1114,14 @@ def _box_32():
     return box_cylinder(h=1 / 32, cells=32, t2=0.03, dt=0.01)[0]
 
 
+def _box_wide():
+    # an 8x36 box: a 6x34 core, band 34, wider than _BAND_MAX: plain CG
+    cols = solver._BAND_MAX + 4
+    g = Grid(n=2, h=1 / cols, origin=(0.0, 0.0), extents=(8, cols))
+    U = SpatialDomain(g, np.ones((8, cols), dtype=bool))
+    return SpaceTimeDomain([Cylinder(U, 0.0, 0.03)], dt=0.01)
+
+
 def _member(kind, level):
     if kind == "constant":
         return BoundaryData.constant(level)
@@ -1128,7 +1136,8 @@ def _member(kind, level):
 
 
 @settings(max_examples=30, deadline=None)
-@given(case=st.one_of(_monotone_unions(), st.sampled_from(["jump", "box"])),
+@given(case=st.one_of(_monotone_unions(),
+                      st.sampled_from(["jump", "box", "wide"])),
        members=st.lists(st.tuples(
            st.sampled_from(["constant", "wave", "jump"]),
            st.floats(0.25, 2.0)), min_size=1, max_size=4),
@@ -1138,8 +1147,11 @@ def _member(kind, level):
                                ("wave", 0.5)], m=4.0, scheme="implicit")
 @example(case="box", members=[("wave", 1.0), ("constant", 2.0),
                               ("wave", 0.3)], m=2.0, scheme="implicit")
+@example(case="wide", members=[("wave", 1.0), ("constant", 1.5),
+                               ("wave", 0.4)], m=2.0, scheme="implicit")
 def test_stacked_members_equal_their_own_solves(case, members, m, scheme):
-    d = {"jump": _jump_box, "box": _box_32}.get(case, lambda: case)()
+    d = {"jump": _jump_box, "box": _box_32, "wide": _box_wide}.get(
+        case, lambda: case)()
     cfg = SolverConfig(scheme=scheme)
     datas = [_member(kind, level) for kind, level in members]
     # an explicit step over a member's CFL bound is refused; any other
@@ -1159,6 +1171,8 @@ def test_stacked_members_equal_their_own_solves(case, members, m, scheme):
             assert field.stats["line_search_backtracks"] > 0
     if case == "box":
         assert solver._slabs(d)[0][1].bw == 30
+    if case == "wide":
+        assert solver._slabs(d)[0][1].bw == solver._BAND_MAX + 2
 
 
 # -- a manufactured step: the solve returns a known discrete solution -------
